@@ -9,7 +9,7 @@
 // atomic rename: an attempt either produces the exact canonical bytes
 // for its shard or leaves nothing, so the merged output is byte-identical
 // to a single-process run no matter how many attempts each shard took —
-// `scripts/check_cluster_determinism.sh` proves it with `cmp` under
+// `scripts/check_dataset_determinism.sh` proves it with `cmp` under
 // injected faults.  Architecture notes live in docs/CLUSTER.md.
 #pragma once
 

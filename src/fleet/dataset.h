@@ -7,11 +7,12 @@
 // Datasets are shard-aware: a file carries a shard header (which contiguous
 // slice of the canonical window sequence it covers, plus per-window record
 // counts), so partial datasets produced by `run_fleet(config, shard, sink)`
-// are first-class files that `merge_datasets` can validate and fold back
-// into the full day, byte-identical to a single-process run.  The wire
-// format writes every record field-by-field (no struct padding ever reaches
-// the file), which is what makes "byte-identical across processes and
-// machines" a checkable contract rather than an ABI accident.
+// are first-class files that `merge_shards` (fleet/merge.h) can validate
+// and fold back into the full day, byte-identical to a single-process run.
+// The one v6 writer (fleet/wire.h) writes every record field by field (no
+// struct padding ever reaches the file), which is what makes
+// "byte-identical across processes and machines" a checkable contract
+// rather than an ABI accident.
 #pragma once
 
 #include <cstdint>
@@ -128,7 +129,7 @@ struct ExemplarRun {
 /// The distilled dataset — the full day, or one shard of it.  A shard
 /// carries the complete rack table (placement is cheap and identical in
 /// every shard) but only the run/burst records of its window range, and
-/// leaves the busy-hour classification fields zeroed; `merge_datasets`
+/// leaves the busy-hour classification fields zeroed; `merge_shards`
 /// recomputes them once coverage is complete.
 struct Dataset {
   std::uint64_t fingerprint = 0;  ///< FleetConfig::fingerprint() at creation
@@ -156,12 +157,6 @@ struct Dataset {
 
   /// Writes the v6 file atomically (temp + rename).
   util::Status save(const std::string& path) const;
-
-  /// The LEGACY materializing loader: reads row-wise v4/v5 files only,
-  /// for `msampctl migrate` and old caches.  A v6 file is rejected with a
-  /// Status pointing at `open_mapped`; new read paths should use
-  /// `open_mapped` + DatasetView (or `from_view` when rows are needed).
-  util::Status load(const std::string& path);
 
   /// Maps a v6 file read-only with zero-copy column access (the read path
   /// of every bench/analysis consumer; see fleet/dataset_view.h).

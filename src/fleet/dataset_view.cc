@@ -107,6 +107,17 @@ ServerRunColumns ServerRunColumns::slice(std::size_t off,
   return s;
 }
 
+std::span<const std::byte> ServerRunColumns::column_bytes(
+    std::size_t col) const {
+  const std::span<const std::byte> cols[] = {
+      std::as_bytes(rack_id),        std::as_bytes(region),
+      std::as_bytes(hour),           std::as_bytes(bursty),
+      std::as_bytes(avg_util),       std::as_bytes(util_inside),
+      std::as_bytes(util_outside),   std::as_bytes(bursts_per_sec),
+      std::as_bytes(conns_inside),   std::as_bytes(conns_outside)};
+  return cols[col];
+}
+
 BurstRecord BurstColumns::operator[](std::size_t i) const {
   BurstRecord v;
   v.rack_id = rack_id[i];
@@ -133,6 +144,16 @@ BurstColumns BurstColumns::slice(std::size_t off, std::size_t n) const {
   s.contended = contended.subspan(off, n);
   s.lossy = lossy.subspan(off, n);
   return s;
+}
+
+std::span<const std::byte> BurstColumns::column_bytes(std::size_t col) const {
+  const std::span<const std::byte> cols[] = {
+      std::as_bytes(rack_id),      std::as_bytes(region),
+      std::as_bytes(hour),         std::as_bytes(len_ms),
+      std::as_bytes(volume_bytes), std::as_bytes(max_contention),
+      std::as_bytes(avg_conns),    std::as_bytes(contended),
+      std::as_bytes(lossy)};
+  return cols[col];
 }
 
 WindowCounts WindowView::counts() const {
@@ -467,28 +488,6 @@ Dataset Dataset::from_view(const DatasetView& v) {
   ds.low_contention_example = v.low_contention_example();
   ds.high_contention_example = v.high_contention_example();
   return ds;
-}
-
-util::Status migrate_dataset_file(const std::string& in_path,
-                                  const std::string& out_path) {
-  Dataset ds;
-  if (auto st = ds.load(in_path); !st) return st;
-  if (auto st = ds.save(out_path); !st) return st;
-  // Fingerprint check: the rewritten file must re-open with the stored
-  // fingerprint and counts intact (migration is a re-layout, never a
-  // recompute — v4 fingerprints came from an older hash and must survive).
-  DatasetView check;
-  if (auto st = DatasetView::open(out_path, &check); !st) return st;
-  if (check.fingerprint() != ds.fingerprint ||
-      check.num_windows() != ds.window_counts.size() ||
-      check.rack_runs().size() != ds.rack_runs.size() ||
-      check.server_runs().size() != ds.server_runs.size() ||
-      check.bursts().size() != ds.bursts.size()) {
-    return util::Status::error(
-        "migrated file disagrees with the source (fingerprint or counts)",
-        out_path);
-  }
-  return util::Status::ok();
 }
 
 }  // namespace msamp::fleet

@@ -1,13 +1,15 @@
-// Zero-copy, mmap-backed view of a v6 dataset file.
+// Zero-copy, mmap-backed view of a v6 dataset file: the read path of
+// every consumer.
 //
-// `Dataset::load` materializes every record into RAM — fine for the
-// scaled-down default day, impossible for the cluster-scale days the
-// orchestrator can now generate (the paper's full experiment is a
-// 2-region x 1000-rack x 24-hour day).  DatasetView instead maps the file
-// read-only and hands out typed `std::span`s directly over the mapping:
-// the v6 columns are page-aligned and fixed-width, so a span is just
-// (base + column offset, count) — no per-record copies, and RSS is
-// bounded by the pages the kernel keeps resident, not by file size.
+// Materializing every record into RAM is fine for the scaled-down
+// default day and impossible for the cluster-scale days the orchestrator
+// can generate (the paper's full experiment is a 2-region x 1000-rack x
+// 24-hour day).  DatasetView instead maps the file read-only and hands
+// out typed `std::span`s directly over the mapping: the v6 columns are
+// page-aligned and fixed-width, so a span is just (base + column offset,
+// count) — no per-record copies, and RSS is bounded by the pages the
+// kernel keeps resident, not by file size.  `Dataset::from_view` is the
+// explicit opt-in for callers that do want owned rows.
 //
 // All validation happens once at open (header, section directory vs the
 // layout the counts imply, window-directory prefix sums, exemplar
@@ -15,6 +17,7 @@
 // view is move-only and unmaps on destruction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -76,6 +79,9 @@ struct ServerRunColumns {
   std::size_t size() const { return rack_id.size(); }
   ServerRunRecord operator[](std::size_t i) const;
   ServerRunColumns slice(std::size_t off, std::size_t n) const;
+  /// Raw bytes of column `col`, in field order (what `merge_shards`
+  /// concatenates across shards).
+  std::span<const std::byte> column_bytes(std::size_t col) const;
 };
 
 struct BurstColumns {
@@ -92,6 +98,7 @@ struct BurstColumns {
   std::size_t size() const { return rack_id.size(); }
   BurstRecord operator[](std::size_t i) const;
   BurstColumns slice(std::size_t off, std::size_t n) const;
+  std::span<const std::byte> column_bytes(std::size_t col) const;
 };
 
 /// The per-window directory: counts plus shard-local running record
@@ -210,12 +217,5 @@ class DatasetView {
   ExemplarRun high_;
   std::string path_;
 };
-
-/// Rewrites a legacy v4/v5 file (read via `Dataset::load`) as v6 at
-/// `out_path`, preserving the stored fingerprint, then re-opens the result
-/// and checks fingerprint and counts.  `msampctl migrate` is a thin shell
-/// around this.
-util::Status migrate_dataset_file(const std::string& in_path,
-                                  const std::string& out_path);
 
 }  // namespace msamp::fleet

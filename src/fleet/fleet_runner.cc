@@ -345,64 +345,35 @@ Dataset run_fleet(const FleetConfig& config,
   return builder.take();
 }
 
-namespace {
-
-/// Serves the shared cache file for `config`: reuses it when the
-/// fingerprint matches and it covers the full day (a partial shard file
-/// is never silently served), otherwise regenerates it through a
-/// SpillSink (bounded RSS even at cluster scale) and maps the result.
-/// Callers hold the shared_* mutex.
-util::Status ensure_cache_file(const FleetConfig& config,
-                               const std::string& cache_path,
-                               DatasetView* view) {
-  if (Dataset::open_mapped(cache_path, view) &&
-      view->fingerprint() == config.fingerprint() &&
-      view->shard().full_range()) {
-    return util::Status::ok();
-  }
-  SpillSink sink(config, ShardSpec{}, cache_path);
-  run_fleet(config, ShardSpec{}, sink);
-  if (auto st = sink.finalize(); !st) return st;
-  auto st = Dataset::open_mapped(cache_path, view);
-  if (st && view->fingerprint() != config.fingerprint()) {
-    return util::Status::error("freshly generated cache has the wrong "
-                               "fingerprint",
-                               cache_path);
-  }
-  return st;
-}
-
-}  // namespace
-
 const DatasetView& shared_view(const FleetConfig& config,
                                const std::string& cache_path) {
   static std::mutex mu;
   static std::unique_ptr<DatasetView> cached;
   static std::uint64_t cached_fingerprint = 0;
   std::lock_guard<std::mutex> lock(mu);
-  if (cached && cached->ok() && cached_fingerprint == config.fingerprint()) {
+  const std::uint64_t fingerprint = config.fingerprint();
+  if (cached && cached->ok() && cached_fingerprint == fingerprint) {
     return *cached;
   }
+  // Reuse the cache file when the fingerprint matches and it covers the
+  // full day (a partial shard file is never silently served); otherwise
+  // regenerate it through a SpillSink (bounded RSS even at cluster scale).
   auto view = std::make_unique<DatasetView>();
-  if (auto st = ensure_cache_file(config, cache_path, view.get()); !st) {
-    throw std::runtime_error("shared_view: " + st.to_string());
+  util::Status st = Dataset::open_mapped(cache_path, view.get());
+  if (!st || view->fingerprint() != fingerprint ||
+      !view->shard().full_range()) {
+    SpillSink sink(config, ShardSpec{}, cache_path);
+    run_fleet(config, ShardSpec{}, sink);
+    st = sink.finalize();
+    if (st) st = Dataset::open_mapped(cache_path, view.get());
+    if (st && view->fingerprint() != fingerprint) {
+      st = util::Status::error(
+          "freshly generated cache has the wrong fingerprint", cache_path);
+    }
   }
+  if (!st) throw std::runtime_error("shared_view: " + st.to_string());
   cached = std::move(view);
-  cached_fingerprint = config.fingerprint();
-  return *cached;
-}
-
-const Dataset& shared_dataset(const FleetConfig& config,
-                              const std::string& cache_path) {
-  static std::mutex mu;
-  static std::unique_ptr<Dataset> cached;
-  std::lock_guard<std::mutex> lock(mu);
-  if (cached && cached->fingerprint == config.fingerprint()) return *cached;
-  DatasetView view;
-  if (auto st = ensure_cache_file(config, cache_path, &view); !st) {
-    throw std::runtime_error("shared_dataset: " + st.to_string());
-  }
-  cached = std::make_unique<Dataset>(Dataset::from_view(view));
+  cached_fingerprint = fingerprint;
   return *cached;
 }
 

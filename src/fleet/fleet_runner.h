@@ -11,8 +11,8 @@
 // split across processes and machines and the shard files merged back
 // (fleet/merge.h) into bytes identical to a single-process run.  The
 // historic `run_fleet(config) -> Dataset` stays as a thin wrapper over
-// the full-range shard and a DatasetBuilder sink.  `shared_dataset` adds
-// a disk cache so all bench binaries reuse one generation pass.
+// the full-range shard and a DatasetBuilder sink.  `shared_view` adds a
+// disk cache so all bench binaries reuse one generation pass.
 #pragma once
 
 #include <functional>
@@ -40,7 +40,7 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
 /// Generates the full dataset: the full-range shard streamed into a
 /// DatasetBuilder.  Same determinism contract as above — the result is
 /// byte-identical for any thread count, and to any shard split merged
-/// with merge_datasets.
+/// with merge_shards.
 Dataset run_fleet(const FleetConfig& config,
                   std::function<void(double)> progress = nullptr);
 
@@ -58,12 +58,6 @@ Dataset run_fleet(const FleetConfig& config,
 const DatasetView& shared_view(const FleetConfig& config = {},
                                const std::string& cache_path =
                                    "bench_out/fleet_dataset.bin");
-
-/// Materialized variant of `shared_view` for write-side callers that need
-/// owned record vectors; same cache file, same regeneration rules.
-const Dataset& shared_dataset(const FleetConfig& config = {},
-                              const std::string& cache_path =
-                                  "bench_out/fleet_dataset.bin");
 
 /// The generator's model version (the kModelVersion constant folded into
 /// every FleetConfig fingerprint).  Exposed for `msampctl version` so bug

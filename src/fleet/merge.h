@@ -3,17 +3,16 @@
 // processes, on any machines, with any thread counts) back into the full
 // Dataset, byte-identical to a single-process `run_fleet(config)` run.
 //
-// `merge_shards` is the primary, streaming path: it maps each shard file
-// read-only (fleet/dataset_view.h — every shard is fully validated by the
-// v6 open) and folds column by column, so merging a day never requires
-// holding the day's record vectors in memory — only the per-window count
-// table and the rack-run table (a handful of bytes per window) plus one
-// write buffer.  `merge_datasets` is a thin wrapper kept for in-memory
-// callers and tests.
+// `merge_shards` maps each shard file read-only (fleet/dataset_view.h —
+// every shard is fully validated by the v6 open) and hands the one v6
+// writer (fleet/wire.h) the shards' mapped server-run and burst columns,
+// so merging a day never requires holding the day's record vectors in
+// memory — only the per-window count table and the rack-run table (a
+// handful of bytes per window) plus one write buffer.  In-memory shards
+// are merged by saving them first (`Dataset::save`).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,13 +56,5 @@ struct MergeStats {
 util::Status merge_shards(const std::vector<std::string>& paths,
                           const std::string& out_path,
                           MergeStats* stats = nullptr);
-
-/// In-memory convenience wrapper over `merge_shards`: saves the shards to
-/// a scratch directory, streams them back together, and materializes the
-/// result.  Same validation, same bytes, same error messages; peak memory
-/// is the largest shard plus the merged day rather than two copies of the
-/// day.
-std::optional<Dataset> merge_datasets(std::vector<Dataset> shards,
-                                      std::string* error = nullptr);
 
 }  // namespace msamp::fleet

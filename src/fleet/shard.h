@@ -10,7 +10,7 @@
 // fold incrementally) without ever holding the whole day in RAM.
 //
 // DatasetBuilder is the standard in-memory sink: it accumulates one
-// shard's records into a `Dataset` whose shard header `merge_datasets`
+// shard's records into a `Dataset` whose shard header `merge_shards`
 // (fleet/merge.h) later validates and folds — byte-identical to a
 // single-process run.
 #pragma once
@@ -66,16 +66,23 @@ class WindowSink {
 /// which is what lets partial datasets carry the full rack list.
 std::vector<workload::RackMeta> fleet_racks(const FleetConfig& config);
 
-/// The `Dataset::racks` table for `config`: `fleet_racks` distilled into
-/// serializable RackInfo records with the classification fields zeroed.
-/// Shared by every sink (DatasetBuilder, SpillSink) so each shard carries
-/// the identical table, which `merge_shards` validates.
-std::vector<RackInfo> dataset_rack_table(const FleetConfig& config);
+/// The empty `Dataset` of one shard of `config`'s day: fingerprint,
+/// config, shard header, window range and rack table filled, no windows
+/// yet.  Every sink starts from it.  Throws std::invalid_argument on an
+/// invalid shard.
+Dataset shard_head(const FleetConfig& config, ShardSpec shard);
+
+/// Appends window `window`'s count, rack run and exemplar candidates to
+/// `head` — the part of a window every sink keeps in RAM — after checking
+/// that it is the shard's next window (else std::logic_error, prefixed
+/// with `sink`).  The caller keeps or spills the server runs and bursts.
+void append_window_head(Dataset& head, std::size_t window,
+                        WindowRecords& records, const char* sink);
 
 /// Sink that assembles one shard's stream into a `Dataset` with a filled
 /// shard header.  For the full-range shard, `take()` also runs the
 /// busy-hour classification, matching the historic `run_fleet` output;
-/// partial shards leave classification to `merge_datasets`.
+/// partial shards leave classification to `merge_shards`.
 class DatasetBuilder final : public WindowSink {
  public:
   explicit DatasetBuilder(const FleetConfig& config, ShardSpec shard = {});
@@ -94,8 +101,9 @@ class DatasetBuilder final : public WindowSink {
 /// Recomputes every rack's busy-hour average contention and measured
 /// class from `ds.rack_runs` (§7.1 bimodal split), using
 /// `ds.config.classify`.  Requires full-day coverage to be meaningful;
-/// both the full-range DatasetBuilder and `merge_datasets` call it, which
-/// is what keeps merged bytes identical to a single-process run.
+/// the full-range sinks (DatasetBuilder, SpillSink) and `merge_shards`
+/// call it, which is what keeps merged bytes identical to a
+/// single-process run.
 void finalize_classification(Dataset& ds);
 
 }  // namespace msamp::fleet

@@ -1,78 +1,31 @@
 #include "fleet/spill_sink.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace msamp::fleet {
-namespace {
-
-// Copies `count` bytes from `in` (positioned) to `out` through a buffer of
-// at most `chunk` bytes.  Returns false on any stream failure.
-bool copy_bytes(std::ifstream& in, std::ofstream& out, std::uint64_t count,
-                std::size_t chunk) {
-  std::vector<char> buf(std::min<std::uint64_t>(count == 0 ? 1 : count,
-                                                std::max<std::size_t>(chunk, 1)));
-  std::uint64_t left = count;
-  while (left > 0) {
-    const auto n = static_cast<std::streamsize>(
-        std::min<std::uint64_t>(left, buf.size()));
-    if (!in.read(buf.data(), n)) return false;
-    if (!out.write(buf.data(), n)) return false;
-    left -= static_cast<std::uint64_t>(n);
-  }
-  return true;
-}
-
-// Writes zero bytes until `pos` reaches `target` (column alignment gaps;
-// always zero on the wire).
-bool pad_stream(std::ofstream& out, std::uint64_t* pos, std::uint64_t target) {
-  static constexpr char kZeros[4096] = {};
-  while (*pos < target) {
-    const auto n = static_cast<std::streamsize>(
-        std::min<std::uint64_t>(target - *pos, sizeof(kZeros)));
-    if (!out.write(kZeros, n)) return false;
-    *pos += static_cast<std::uint64_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 SpillSink::SpillSink(const FleetConfig& config, ShardSpec shard,
                      std::string out_path, std::size_t chunk_bytes)
-    : config_(config),
-      shard_(shard),
+    : head_(shard_head(config, shard)),
       out_(std::move(out_path)),
-      chunk_bytes_(std::max<std::size_t>(chunk_bytes, 64)) {
-  if (!shard.valid()) {
-    throw std::invalid_argument("invalid shard spec " +
-                                std::to_string(shard.index) + "/" +
-                                std::to_string(shard.count));
-  }
-  // The flush budget is shared across all column buffers, so total spill
-  // RSS stays near `chunk_bytes` no matter how many columns v6 has.
-  const std::size_t total_cols =
-      wire::kRackRunCols + wire::kServerRunCols + wire::kBurstCols;
-  col_chunk_bytes_ = std::max<std::size_t>(chunk_bytes_ / total_cols, 64);
-  fingerprint_ = config.fingerprint();
-  racks_ = dataset_rack_table(config);
-  const std::size_t total =
-      racks_.size() * static_cast<std::size_t>(config.hours);
-  window_begin_ = shard.begin(total);
-  window_end_ = shard.end(total);
-  counts_.reserve(static_cast<std::size_t>(window_end_ - window_begin_));
-
+      chunk_bytes_(std::max<std::size_t>(chunk_bytes, 64)),
+      // The flush budget is shared across all column buffers, so total
+      // spill RSS stays near `chunk_bytes` no matter how many columns v6
+      // has.
+      col_chunk_bytes_(std::max<std::size_t>(
+          chunk_bytes_ / (wire::kServerRunCols + wire::kBurstCols), 64)) {
   std::error_code ec;
   const auto parent = std::filesystem::path(out_).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  open_section(runs_, "runs", wire::kRackRunCols);
-  open_section(servers_, "servers", wire::kServerRunCols);
-  open_section(bursts_, "bursts", wire::kBurstCols);
+  open_section(servers_, "servers", wire::kServerRunWidths);
+  open_section(bursts_, "bursts", wire::kBurstWidths);
 }
 
 SpillSink::~SpillSink() {
   std::error_code ec;
-  for (SectionSpills* sec : {&runs_, &servers_, &bursts_}) {
+  for (SectionSpills* sec : {&servers_, &bursts_}) {
     for (Spill& s : sec->cols) {
       if (s.file.is_open()) s.file.close();
       std::filesystem::remove(s.path, ec);
@@ -81,9 +34,10 @@ SpillSink::~SpillSink() {
 }
 
 void SpillSink::open_section(SectionSpills& sec, const char* name,
-                             std::size_t n_cols) {
-  sec.cols.resize(n_cols);
-  for (std::size_t c = 0; c < n_cols; ++c) {
+                             std::span<const std::size_t> widths) {
+  sec.widths = widths;
+  sec.cols.resize(widths.size());
+  for (std::size_t c = 0; c < widths.size(); ++c) {
     Spill& s = sec.cols[c];
     s.path = std::filesystem::path(out_ + ".spill-" + name + "-c" +
                                    std::to_string(c));
@@ -104,72 +58,54 @@ void SpillSink::flush(Spill& s) {
   s.buf.out.clear();
 }
 
-void SpillSink::flush_full_buffers() {
-  for (SectionSpills* sec : {&runs_, &servers_, &bursts_}) {
-    for (Spill& s : sec->cols) {
+void SpillSink::on_window(std::size_t window, WindowRecords&& records) {
+  append_window_head(head_, window, records, "SpillSink");
+  const auto spill = [this](SectionSpills& sec, const auto& recs) {
+    for (std::size_t c = 0; c < sec.cols.size(); ++c) {
+      Spill& s = sec.cols[c];
+      for (const auto& rec : recs) wire::put_column(s.buf, rec, c);
       if (s.buf.out.size() >= col_chunk_bytes_) flush(s);
     }
-  }
+    sec.records += recs.size();
+  };
+  spill(servers_, records.server_runs);
+  spill(bursts_, records.bursts);
 }
 
-void SpillSink::on_window(std::size_t window, WindowRecords&& records) {
-  const std::size_t expected = window_begin_ + counts_.size();
-  if (window != expected || window >= window_end_ || finalized_) {
-    throw std::logic_error("SpillSink: window " + std::to_string(window) +
-                           " out of order (expected " +
-                           std::to_string(expected) + ")");
-  }
-  counts_.push_back(records.counts());
-  if (records.has_run) {
-    for (std::size_t c = 0; c < wire::kRackRunCols; ++c) {
-      wire::put_column(runs_.cols[c].buf, records.rack_run, c);
-    }
-    ++runs_.records;
-  }
-  for (std::size_t c = 0; c < wire::kServerRunCols; ++c) {
-    for (const auto& sr : records.server_runs) {
-      wire::put_column(servers_.cols[c].buf, sr, c);
-    }
-  }
-  servers_.records += records.server_runs.size();
-  for (std::size_t c = 0; c < wire::kBurstCols; ++c) {
-    for (const auto& b : records.bursts) {
-      wire::put_column(bursts_.cols[c].buf, b, c);
-    }
-  }
-  bursts_.records += records.bursts.size();
-  // First qualifying window in canonical order wins, exactly as in
-  // DatasetBuilder (and the historic serial sweep).
-  if ((records.exemplar_kind & kLowExemplar) != 0 &&
-      low_exemplar_.num_samples == 0) {
-    low_exemplar_ = records.exemplar;
-  }
-  if ((records.exemplar_kind & kHighExemplar) != 0 &&
-      high_exemplar_.num_samples == 0) {
-    high_exemplar_ = std::move(records.exemplar);
-  }
-  flush_full_buffers();
+wire::ColumnSource SpillSink::spilled(SectionSpills& sec) {
+  return {sec.records, [this, &sec](std::size_t c, wire::Out& out) {
+            const Spill& s = sec.cols[c];
+            const std::uint64_t bytes = sec.records * sec.widths[c];
+            std::ifstream in(s.path, std::ios::binary);
+            std::vector<char> buf(static_cast<std::size_t>(
+                std::clamp<std::uint64_t>(bytes, 1, chunk_bytes_)));
+            for (std::uint64_t left = bytes; left > 0;) {
+              const auto n = static_cast<std::size_t>(
+                  std::min<std::uint64_t>(left, buf.size()));
+              if (!in.read(buf.data(), static_cast<std::streamsize>(n))) {
+                return util::Status::error("cannot read back spill file",
+                                           s.path.string());
+              }
+              out.write(buf.data(), n);
+              left -= n;
+            }
+            return util::Status::ok();
+          }};
 }
 
 util::Status SpillSink::finalize() {
-  if (finalized_ ||
-      counts_.size() != static_cast<std::size_t>(window_end_ - window_begin_)) {
+  if (finalized_ || head_.window_counts.size() !=
+                        static_cast<std::size_t>(head_.window_end -
+                                                 head_.window_begin)) {
     throw std::logic_error(
         finalized_ ? "SpillSink: finalize() called twice"
                    : "SpillSink: finalize() before the shard's window range "
                      "completed");
   }
   finalized_ = true;
-  struct SecMeta {
-    SectionSpills* sec;
-    const std::size_t* widths;
-  };
-  const SecMeta metas[] = {{&runs_, wire::kRackRunWidths},
-                           {&servers_, wire::kServerRunWidths},
-                           {&bursts_, wire::kBurstWidths}};
-  for (const auto& m : metas) {
-    for (std::size_t c = 0; c < m.sec->cols.size(); ++c) {
-      Spill& s = m.sec->cols[c];
+  for (SectionSpills* sec : {&servers_, &bursts_}) {
+    for (std::size_t c = 0; c < sec->cols.size(); ++c) {
+      Spill& s = sec->cols[c];
       flush(s);
       s.file.close();
       if (s.file.fail()) {
@@ -182,189 +118,23 @@ util::Status SpillSink::finalize() {
       std::error_code size_ec;
       const std::uintmax_t spill_size =
           std::filesystem::file_size(s.path, size_ec);
-      if (size_ec || spill_size != m.sec->records * m.widths[c]) {
+      if (size_ec || spill_size != sec->records * sec->widths[c]) {
         return util::Status::error("spill file size disagrees with its "
                                    "record count",
                                    s.path.string());
       }
     }
   }
-
   // A full-range shard carries the busy-hour classification, exactly as
-  // DatasetBuilder::take().  Rack-run records are one per window at most,
-  // so reading them back stays far below the full record volume.
-  if (shard_.full_range()) {
-    Dataset day;
-    day.config = config_;
-    day.racks = racks_;
-    day.rack_runs.resize(static_cast<std::size_t>(runs_.records));
-    for (std::size_t c = 0; c < wire::kRackRunCols; ++c) {
-      std::ifstream in(runs_.cols[c].path, std::ios::binary);
-      std::vector<std::uint8_t> blob(static_cast<std::size_t>(
-          runs_.records * wire::kRackRunWidths[c]));
-      if (!blob.empty() &&
-          !in.read(reinterpret_cast<char*>(blob.data()),
-                   static_cast<std::streamsize>(blob.size()))) {
-        return util::Status::error("cannot read back spill file",
-                                   runs_.cols[c].path.string());
-      }
-      wire::Reader r(blob);
-      for (auto& rec : day.rack_runs) {
-        bool ok = true;
-        switch (c) {
-          case 0: ok = r.get(&rec.rack_id); break;
-          case 1: ok = r.get(&rec.region); break;
-          case 2: ok = r.get(&rec.hour); break;
-          case 3: ok = r.get(&rec.usable); break;
-          case 4: ok = r.get(&rec.avg_contention); break;
-          case 5: ok = r.get(&rec.min_active_contention); break;
-          case 6: ok = r.get(&rec.p90_contention); break;
-          case 7: ok = r.get(&rec.max_contention); break;
-          case 8: ok = r.get(&rec.in_bytes); break;
-          case 9: ok = r.get(&rec.drop_bytes); break;
-          case 10: ok = r.get(&rec.ecn_bytes); break;
-          default: ok = false; break;
-        }
-        if (!ok) {
-          return util::Status::error("corrupt spill file",
-                                     runs_.cols[c].path.string());
-        }
-      }
-    }
-    finalize_classification(day);
-    racks_ = std::move(day.racks);
-  }
-
-  wire::SectionCounts counts;
-  counts.windows = counts_.size();
-  counts.racks = racks_.size();
-  counts.rack_runs = runs_.records;
-  counts.server_runs = servers_.records;
-  counts.bursts = bursts_.records;
-  counts.exemplar_bytes = wire::exemplar_wire_bytes(low_exemplar_) +
-                          wire::exemplar_wire_bytes(high_exemplar_);
-  const wire::V6Layout lay = wire::v6_layout(counts);
-
-  const std::filesystem::path target(out_);
-  std::filesystem::path tmp = target;
-  tmp += ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return util::Status::error("cannot open temp file for writing",
-                                 tmp.string());
-    }
-    std::uint64_t pos = 0;
-    const auto write_buf = [&out, &pos](wire::Writer& w) {
-      out.write(reinterpret_cast<const char*>(w.out.data()),
-                static_cast<std::streamsize>(w.out.size()));
-      pos += w.out.size();
-      w.out.clear();
-      return static_cast<bool>(out);
-    };
-
-    bool ok = true;
-    {
-      wire::Writer head;
-      wire::V6Header h;
-      h.fingerprint = fingerprint_;
-      h.config = config_;
-      h.shard = shard_;
-      h.window_begin = window_begin_;
-      h.window_end = window_end_;
-      h.counts = counts;
-      h.dir = lay.dir;
-      wire::put_header_v6(head, h);
-      ok = write_buf(head);
-    }
-
-    // Window directory columns, streamed from the in-RAM count table in
-    // bounded chunks (the prefix-offset columns are running sums).
-    const auto& wcols = lay.columns[wire::kSecWindows];
-    wire::Writer buf;
-    const auto stream_window_col = [&](std::uint64_t col_off, auto&& emit) {
-      if (!ok) return;
-      ok = pad_stream(out, &pos, col_off);
-      for (const auto& c : counts_) {
-        if (!ok) return;
-        emit(buf, c);
-        if (buf.out.size() >= chunk_bytes_) ok = write_buf(buf);
-      }
-      if (ok) ok = write_buf(buf);
-    };
-    stream_window_col(wcols[0], [](wire::Writer& w, const WindowCounts& c) {
-      w.put(c.has_run);
-    });
-    stream_window_col(wcols[1], [](wire::Writer& w, const WindowCounts& c) {
-      w.put(c.server_runs);
-    });
-    stream_window_col(wcols[2], [](wire::Writer& w, const WindowCounts& c) {
-      w.put(c.bursts);
-    });
-    std::uint64_t run_off = 0, server_off = 0, burst_off = 0;
-    stream_window_col(wcols[3],
-                      [&run_off](wire::Writer& w, const WindowCounts& c) {
-                        w.put(run_off);
-                        run_off += c.has_run ? 1 : 0;
-                      });
-    stream_window_col(wcols[4],
-                      [&server_off](wire::Writer& w, const WindowCounts& c) {
-                        w.put(server_off);
-                        server_off += c.server_runs;
-                      });
-    stream_window_col(wcols[5],
-                      [&burst_off](wire::Writer& w, const WindowCounts& c) {
-                        w.put(burst_off);
-                        burst_off += c.bursts;
-                      });
-
-    // Rack table columns (tiny, in RAM).
-    const auto& rcols = lay.columns[wire::kSecRacks];
-    for (std::size_t c = 0; ok && c < wire::kRackCols; ++c) {
-      ok = pad_stream(out, &pos, rcols[c]);
-      for (const auto& rec : racks_) wire::put_column(buf, rec, c);
-      if (ok) ok = write_buf(buf);
-    }
-
-    // Record sections: each column is exactly one spill file.
-    const wire::Section sec_ids[] = {wire::kSecRackRuns,
-                                     wire::kSecServerRuns, wire::kSecBursts};
-    for (std::size_t m = 0; ok && m < std::size(metas); ++m) {
-      const auto& cols = lay.columns[sec_ids[m]];
-      for (std::size_t c = 0; ok && c < cols.size(); ++c) {
-        Spill& s = metas[m].sec->cols[c];
-        ok = pad_stream(out, &pos, cols[c]);
-        if (!ok) break;
-        const std::uint64_t bytes =
-            metas[m].sec->records * metas[m].widths[c];
-        std::ifstream in(s.path, std::ios::binary);
-        ok = in.good() && copy_bytes(in, out, bytes, chunk_bytes_);
-        pos += bytes;
-      }
-    }
-
-    if (ok) {
-      ok = pad_stream(out, &pos, lay.columns[wire::kSecExemplars][0]);
-      wire::put_exemplar(buf, low_exemplar_);
-      wire::put_exemplar(buf, high_exemplar_);
-      if (ok) ok = write_buf(buf);
-    }
-    if (ok && pos != lay.file_bytes) ok = false;  // layout is the law
-    if (!ok) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return util::Status::error("cannot write", tmp.string());
-    }
+  // DatasetBuilder::take().
+  if (head_.shard.full_range()) finalize_classification(head_);
+  if (auto st = wire::write_v6(head_, spilled(servers_), spilled(bursts_),
+                               out_);
+      !st) {
+    return st;
   }
   std::error_code ec;
-  std::filesystem::rename(tmp, target, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return util::Status::error("cannot rename over output: " + ec.message(),
-                               out_);
-  }
-  for (SectionSpills* sec : {&runs_, &servers_, &bursts_}) {
+  for (SectionSpills* sec : {&servers_, &bursts_}) {
     for (Spill& s : sec->cols) std::filesystem::remove(s.path, ec);
   }
   return util::Status::ok();

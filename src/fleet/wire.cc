@@ -1,104 +1,14 @@
 #include "fleet/wire.h"
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <utility>
 
 namespace msamp::fleet::wire {
 
-void pad_to(Writer& w, std::uint64_t abs_offset) {
-  // Writers lay columns out strictly forward; a backward pad means the
-  // layout arithmetic and the writer disagree, which must never ship.
-  if (w.out.size() > abs_offset) std::abort();
-  w.out.resize(static_cast<std::size_t>(abs_offset));  // zero-filled
-}
-
-void put_record(Writer& w, const WindowCounts& c) {
-  w.put(c.has_run);
-  w.put(c.server_runs);
-  w.put(c.bursts);
-}
-bool get_record(Reader& r, WindowCounts* c) {
-  return r.get(&c->has_run) && r.get(&c->server_runs) && r.get(&c->bursts);
-}
-
-void put_record(Writer& w, const RackInfo& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.ml_dense);
-  w.put(v.distinct_tasks);
-  w.put(v.dominant_share);
-  w.put(v.intensity);
-  w.put(v.busy_hour_avg_contention);
-  w.put(v.rack_class);
-}
-bool get_record(Reader& r, RackInfo* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->ml_dense) &&
-         r.get(&v->distinct_tasks) && r.get(&v->dominant_share) &&
-         r.get(&v->intensity) && r.get(&v->busy_hour_avg_contention) &&
-         r.get(&v->rack_class);
-}
-
-void put_record(Writer& w, const RackRunRecord& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.hour);
-  w.put(v.usable);
-  w.put(v.avg_contention);
-  w.put(v.min_active_contention);
-  w.put(v.p90_contention);
-  w.put(v.max_contention);
-  w.put(v.in_bytes);
-  w.put(v.drop_bytes);
-  w.put(v.ecn_bytes);
-}
-bool get_record(Reader& r, RackRunRecord* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->hour) &&
-         r.get(&v->usable) && r.get(&v->avg_contention) &&
-         r.get(&v->min_active_contention) && r.get(&v->p90_contention) &&
-         r.get(&v->max_contention) && r.get(&v->in_bytes) &&
-         r.get(&v->drop_bytes) && r.get(&v->ecn_bytes);
-}
-
-void put_record(Writer& w, const ServerRunRecord& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.hour);
-  w.put(v.bursty);
-  w.put(v.avg_util);
-  w.put(v.util_inside);
-  w.put(v.util_outside);
-  w.put(v.bursts_per_sec);
-  w.put(v.conns_inside);
-  w.put(v.conns_outside);
-}
-bool get_record(Reader& r, ServerRunRecord* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->hour) &&
-         r.get(&v->bursty) && r.get(&v->avg_util) && r.get(&v->util_inside) &&
-         r.get(&v->util_outside) && r.get(&v->bursts_per_sec) &&
-         r.get(&v->conns_inside) && r.get(&v->conns_outside);
-}
-
-void put_record(Writer& w, const BurstRecord& v) {
-  w.put(v.rack_id);
-  w.put(v.region);
-  w.put(v.hour);
-  w.put(v.len_ms);
-  w.put(v.volume_bytes);
-  w.put(v.max_contention);
-  w.put(v.avg_conns);
-  w.put(v.contended);
-  w.put(v.lossy);
-}
-bool get_record(Reader& r, BurstRecord* v) {
-  return r.get(&v->rack_id) && r.get(&v->region) && r.get(&v->hour) &&
-         r.get(&v->len_ms) && r.get(&v->volume_bytes) &&
-         r.get(&v->max_contention) && r.get(&v->avg_conns) &&
-         r.get(&v->contended) && r.get(&v->lossy);
-}
-
 // --- columnar field appenders ------------------------------------------
-// Column order must match the width tables in wire.h and the field order
-// of the row codecs above (the v6 layout is a pure re-layout of the same
-// field bytes).
+// Column order must match the width tables in wire.h.
 
 void put_column(Writer& w, const RackInfo& v, std::size_t col) {
   switch (col) {
@@ -164,8 +74,7 @@ void put_column(Writer& w, const BurstRecord& v, std::size_t col) {
 
 // --- config / exemplar codecs ------------------------------------------
 
-void put_config_legacy(Writer& w, const FleetConfig& c,
-                       std::uint32_t version) {
+void put_config(Writer& w, const FleetConfig& c) {
   w.put(c.seed);
   w.put(static_cast<std::int32_t>(c.racks_per_region));
   w.put(static_cast<std::int32_t>(c.servers_per_rack));
@@ -180,12 +89,10 @@ void put_config_legacy(Writer& w, const FleetConfig& c,
   w.put(c.buffer.ecn_threshold);
   w.put(static_cast<std::uint8_t>(c.buffer.policy));
   w.put(c.buffer.burst_alpha_boost);
-  if (version >= 5) {
-    w.put(c.buffer.delay.target_delay_ms);
-    w.put(c.buffer.delay.min_gain);
-    w.put(c.buffer.delay.max_gain);
-    w.put(c.buffer.delay.drain_gbps);
-  }
+  w.put(c.buffer.delay.target_delay_ms);
+  w.put(c.buffer.delay.min_gain);
+  w.put(c.buffer.delay.max_gain);
+  w.put(c.buffer.delay.drain_gbps);
   w.put(c.rtt_ms);
   w.put(static_cast<std::int64_t>(c.mss));
   w.put(static_cast<std::uint8_t>(c.fabric.enabled ? 1 : 0));
@@ -199,11 +106,7 @@ void put_config_legacy(Writer& w, const FleetConfig& c,
   w.put(c.classify.high_threshold);
 }
 
-void put_config(Writer& w, const FleetConfig& c) {
-  put_config_legacy(w, c, kVersion);
-}
-
-bool get_config_legacy(Reader& r, FleetConfig* c, std::uint32_t version) {
+bool get_config(Reader& r, FleetConfig* c) {
   std::int32_t racks = 0, servers = 0, hours = 0, samples = 0, warmup = 0;
   std::int32_t quadrants = 0, filter_cpus = 0, rtt_shift = 0, lag = 0;
   std::uint8_t policy = 0, fabric_enabled = 0;
@@ -213,18 +116,12 @@ bool get_config_legacy(Reader& r, FleetConfig* c, std::uint32_t version) {
         r.get(&c->line_rate_gbps) && r.get(&c->buffer.total_bytes) &&
         r.get(&quadrants) && r.get(&c->buffer.reserve_per_queue) &&
         r.get(&c->buffer.alpha) && r.get(&c->buffer.ecn_threshold) &&
-        r.get(&policy) && r.get(&c->buffer.burst_alpha_boost))) {
-    return false;
-  }
-  if (version >= 5) {
-    if (!(r.get(&c->buffer.delay.target_delay_ms) &&
-          r.get(&c->buffer.delay.min_gain) &&
-          r.get(&c->buffer.delay.max_gain) &&
-          r.get(&c->buffer.delay.drain_gbps))) {
-      return false;
-    }
-  }
-  if (!(r.get(&c->rtt_ms) && r.get(&mss) && r.get(&fabric_enabled) &&
+        r.get(&policy) && r.get(&c->buffer.burst_alpha_boost) &&
+        r.get(&c->buffer.delay.target_delay_ms) &&
+        r.get(&c->buffer.delay.min_gain) &&
+        r.get(&c->buffer.delay.max_gain) &&
+        r.get(&c->buffer.delay.drain_gbps) && r.get(&c->rtt_ms) &&
+        r.get(&mss) && r.get(&fabric_enabled) &&
         r.get(&c->fabric.uplink_gbps) && r.get(&c->fabric.smoothing) &&
         r.get(&filter_cpus) && r.get(&stddev) && r.get(&offmax) &&
         r.get(&rtt_shift) && r.get(&lag) &&
@@ -257,10 +154,6 @@ bool get_config_legacy(Reader& r, FleetConfig* c, std::uint32_t version) {
   return true;
 }
 
-bool get_config(Reader& r, FleetConfig* c) {
-  return get_config_legacy(r, c, kVersion);
-}
-
 void put_exemplar(Writer& w, const ExemplarRun& e) {
   w.put(e.rack_id);
   w.put(e.avg_contention);
@@ -274,10 +167,6 @@ bool get_exemplar(Reader& r, ExemplarRun* e) {
   return r.get(&e->rack_id) && r.get(&e->avg_contention) &&
          r.get(&e->num_servers) && r.get(&e->num_samples) &&
          r.get_vec(&e->raster) && r.get_vec(&e->contention);
-}
-
-std::size_t exemplar_wire_bytes(const ExemplarRun& e) {
-  return 4 + 4 + 2 + 2 + 8 + e.raster.size() + 8 + 2 * e.contention.size();
 }
 
 // --- v6 layout ----------------------------------------------------------
@@ -329,25 +218,6 @@ V6Layout v6_layout(const SectionCounts& counts) {
   return lay;
 }
 
-void put_header_v6(Writer& w, const V6Header& h) {
-  w.put(kMagic);
-  w.put(kVersion);
-  w.put(h.fingerprint);
-  put_config(w, h.config);
-  w.put(h.shard.index);
-  w.put(h.shard.count);
-  w.put(h.window_begin);
-  w.put(h.window_end);
-  w.put(h.counts.racks);
-  w.put(h.counts.rack_runs);
-  w.put(h.counts.server_runs);
-  w.put(h.counts.bursts);
-  for (const auto& d : h.dir) {
-    w.put(d.offset);
-    w.put(d.bytes);
-  }
-}
-
 util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
                             std::uint64_t file_size, V6Header* h,
                             V6Layout* layout) {
@@ -364,13 +234,6 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
     return util::Status::error("not a dataset file (bad magic)", {}, 0);
   }
   if (!r.get(&version)) return util::Status::error("truncated header", {}, 4);
-  if (version >= kLegacyVersionMin && version <= kLegacyVersionMax) {
-    return util::Status::error(
-        "legacy v" + std::to_string(version) +
-            " row-wise dataset; rewrite it with `msampctl migrate` (or read "
-            "it with the legacy Dataset::load)",
-        {}, 4);
-  }
   if (version != kVersion) {
     return util::Status::error(
         "unsupported dataset version " + std::to_string(version), {}, 4);
@@ -463,25 +326,188 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
   return util::Status::ok();
 }
 
-std::vector<std::uint8_t> legacy_serialize(const Dataset& ds,
-                                           std::uint32_t version) {
-  Writer w;
+// --- the v6 writer ------------------------------------------------------
+
+void Out::flush() {
+  if (file == nullptr || w.out.empty()) return;
+  file->write(reinterpret_cast<const char*>(w.out.data()),
+              static_cast<std::streamsize>(w.out.size()));
+  flushed += w.out.size();
+  w.out.clear();
+}
+
+void Out::write(const void* data, std::size_t bytes) {
+  if (bytes == 0) return;
+  if (file == nullptr) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    w.out.insert(w.out.end(), p, p + bytes);
+    return;
+  }
+  flush();
+  file->write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(bytes));
+  flushed += bytes;
+}
+
+void Out::pad_to(std::uint64_t target) {
+  if (pos() > target) std::abort();
+  w.out.resize(w.out.size() + static_cast<std::size_t>(target - pos()));
+  flush_if_full();
+}
+
+namespace {
+
+std::size_t exemplar_wire_bytes(const ExemplarRun& e) {
+  return 4 + 4 + 2 + 2 + 8 + e.raster.size() + 8 + 2 * e.contention.size();
+}
+
+void put_header_v6(Writer& w, const V6Header& h) {
   w.put(kMagic);
-  w.put(version);
-  w.put(ds.fingerprint);
-  put_config_legacy(w, ds.config, version);
-  w.put(ds.shard.index);
-  w.put(ds.shard.count);
-  w.put(ds.window_begin);
-  w.put(ds.window_end);
-  put_records(w, ds.window_counts);
-  put_records(w, ds.racks);
-  put_records(w, ds.rack_runs);
-  put_records(w, ds.server_runs);
-  put_records(w, ds.bursts);
-  put_exemplar(w, ds.low_contention_example);
-  put_exemplar(w, ds.high_contention_example);
-  return std::move(w.out);
+  w.put(kVersion);
+  w.put(h.fingerprint);
+  put_config(w, h.config);
+  w.put(h.shard.index);
+  w.put(h.shard.count);
+  w.put(h.window_begin);
+  w.put(h.window_end);
+  w.put(h.counts.racks);
+  w.put(h.counts.rack_runs);
+  w.put(h.counts.server_runs);
+  w.put(h.counts.bursts);
+  for (const auto& d : h.dir) {
+    w.put(d.offset);
+    w.put(d.bytes);
+  }
+}
+
+/// Lays `head` and the two bulky sources out as one v6 file on `out`.
+util::Status lay_out(const Dataset& head, const ColumnSource& server_runs,
+                     const ColumnSource& bursts, Out& out) {
+  V6Header h;
+  h.fingerprint = head.fingerprint;
+  h.config = head.config;
+  h.shard = head.shard;
+  h.window_begin = head.window_begin;
+  h.window_end = head.window_end;
+  h.counts.windows = head.window_counts.size();
+  h.counts.racks = head.racks.size();
+  h.counts.rack_runs = head.rack_runs.size();
+  h.counts.server_runs = server_runs.records;
+  h.counts.bursts = bursts.records;
+  h.counts.exemplar_bytes = exemplar_wire_bytes(head.low_contention_example) +
+                            exemplar_wire_bytes(head.high_contention_example);
+  const V6Layout lay = v6_layout(h.counts);
+  h.dir = lay.dir;
+  if (out.file == nullptr) out.w.out.reserve(lay.file_bytes);
+  put_header_v6(out.w, h);
+
+  // Window directory: the count columns, then the running record offsets
+  // (prefix sums over the counts; the first window starts at 0).
+  const auto window_column = [&](std::size_t col, auto value_of) {
+    out.pad_to(lay.columns[kSecWindows][col]);
+    for (const WindowCounts& c : head.window_counts) {
+      out.w.put(value_of(c));
+      out.flush_if_full();
+    }
+  };
+  window_column(0, [](const WindowCounts& c) { return c.has_run; });
+  window_column(1, [](const WindowCounts& c) { return c.server_runs; });
+  window_column(2, [](const WindowCounts& c) { return c.bursts; });
+  std::uint64_t run_off = 0, server_off = 0, burst_off = 0;
+  window_column(3, [&](const WindowCounts& c) {
+    return std::exchange(run_off, run_off + (c.has_run != 0 ? 1 : 0));
+  });
+  window_column(4, [&](const WindowCounts& c) {
+    return std::exchange(server_off, server_off + c.server_runs);
+  });
+  window_column(5, [&](const WindowCounts& c) {
+    return std::exchange(burst_off, burst_off + c.bursts);
+  });
+
+  // Record sections, one column at a time; each column must end exactly
+  // where the layout says before the next one is padded to.
+  const std::size_t* const widths[] = {kWindowDirWidths, kRackWidths,
+                                       kRackRunWidths, kServerRunWidths,
+                                       kBurstWidths};
+  const std::pair<Section, ColumnSource> sections[] = {
+      {kSecRacks, rows(head.racks)},
+      {kSecRackRuns, rows(head.rack_runs)},
+      {kSecServerRuns, server_runs},
+      {kSecBursts, bursts}};
+  for (const auto& [sec, src] : sections) {
+    const auto& cols = lay.columns[sec];
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      out.pad_to(cols[c]);
+      if (auto st = src.put(c, out); !st) return st;
+      const std::uint64_t end = cols[c] + src.records * widths[sec][c];
+      if (out.pos() != end) {
+        return util::Status::error(
+            "column " + std::to_string(c) + " of section " +
+            std::to_string(sec) + " ends at byte " +
+            std::to_string(out.pos()) + ", layout needs " +
+            std::to_string(end));
+      }
+    }
+  }
+
+  out.pad_to(lay.columns[kSecExemplars][0]);
+  put_exemplar(out.w, head.low_contention_example);
+  put_exemplar(out.w, head.high_contention_example);
+  if (out.pos() != lay.file_bytes) {  // layout is the law
+    return util::Status::error("wrote " + std::to_string(out.pos()) +
+                               " bytes, layout needs " +
+                               std::to_string(lay.file_bytes));
+  }
+  return util::Status::ok();
+}
+
+}  // namespace
+
+util::Status write_v6(const Dataset& head, const ColumnSource& server_runs,
+                      const ColumnSource& bursts, const std::string& path) {
+  std::error_code ec;
+  const std::filesystem::path target(path);
+  if (target.has_parent_path()) {
+    std::filesystem::create_directories(target.parent_path(), ec);
+  }
+  // A sibling temp file renamed over the target: a crash or a failed
+  // write can never leave a truncated dataset at `path`.
+  std::filesystem::path tmp = target;
+  tmp += ".tmp";
+  util::Status st;
+  {
+    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+    if (!file) {
+      return util::Status::error("cannot open temp file for writing",
+                                 tmp.string());
+    }
+    Out out;
+    out.file = &file;
+    st = lay_out(head, server_runs, bursts, out);
+    if (!st && st.path().empty()) st = st.with_path(path);
+    out.flush();
+    file.close();
+    if (st && !file) st = util::Status::error("cannot write", tmp.string());
+  }
+  if (st) {
+    std::filesystem::rename(tmp, target, ec);
+    if (ec) {
+      st = util::Status::error(
+          "cannot rename " + tmp.string() + " over it: " + ec.message(),
+          path);
+    }
+  }
+  if (!st) std::filesystem::remove(tmp, ec);
+  return st;
+}
+
+std::vector<std::uint8_t> v6_blob(const Dataset& head,
+                                  const ColumnSource& server_runs,
+                                  const ColumnSource& bursts) {
+  Out out;
+  // In-RAM sources cannot fail, so a failure here is a layout bug.
+  if (!lay_out(head, server_runs, bursts, out)) std::abort();
+  return std::move(out.w.out);
 }
 
 }  // namespace msamp::fleet::wire

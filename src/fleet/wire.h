@@ -1,8 +1,13 @@
-// Internal wire-format codecs for the dataset file format, shared by
-// three writers that must produce byte-identical output by construction:
-// `Dataset::serialize` (whole-blob, fleet/dataset.cc), the disk-backed
-// `fleet::SpillSink` (streaming append, fleet/spill_sink.cc), and the
-// streaming `fleet::merge_shards` (column-at-a-time copy, fleet/merge.cc).
+// Internal wire-format code for the dataset file format, and its one
+// writer.  `write_v6` / `v6_blob` own the whole v6 layout — header,
+// window directory, rack table, the three record sections, the zero
+// padding between columns, the exemplars, the final size check, and the
+// temp-file-plus-rename — and `Dataset::serialize`/`save`
+// (fleet/dataset.cc), `fleet::SpillSink::finalize` (fleet/spill_sink.cc)
+// and `fleet::merge_shards` (fleet/merge.cc) are its only callers.  Each
+// caller supplies only where its server-run and burst columns come from:
+// in-RAM vectors, one spill file per column, or the shards' mapped
+// column spans.  Identical bytes across the three are structural.
 //
 // v6 is columnar: the file is a fixed header plus six sections (window
 // directory, racks, rack runs, server runs, bursts, exemplars).  Each
@@ -23,7 +28,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <iosfwd>
 #include <iterator>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -35,15 +43,10 @@ namespace msamp::fleet::wire {
 inline constexpr std::uint32_t kMagic = 0x4d464c54;  // "MFLT"
 // Wire-format version.  Bump whenever the serialized layout changes (new
 // fields, reordered fields, record shape changes): old cache files then
-// fail to parse and are regenerated.  v4: field-wise row records, serialized
-// FleetConfig, and the shard header.  v5: kDelayDriven policy parameters
-// (SharedBufferConfig::delay) in the serialized config.  v6: columnar
-// sections with page-aligned columns and a per-window directory; the
-// legacy row layouts (v4/v5) are still readable by `Dataset::load` so
-// `msampctl migrate` can rewrite old files.
+// fail to parse and are regenerated.  v6: columnar sections with
+// page-aligned columns and a per-window directory.  Any other version —
+// including the retired v4/v5 row layouts — is rejected as unsupported.
 inline constexpr std::uint32_t kVersion = 6;
-inline constexpr std::uint32_t kLegacyVersionMin = 4;
-inline constexpr std::uint32_t kLegacyVersionMax = 5;
 
 /// Every column starts on a page boundary: mmap'd spans are naturally
 /// aligned for their element type and readahead streams whole columns.
@@ -84,12 +87,8 @@ struct Writer {
   }
 };
 
-/// Appends zero bytes until the writer's absolute position is `abs_offset`
-/// (used to place the next column on its page boundary).
-void pad_to(Writer& w, std::uint64_t abs_offset);
-
 /// Bounds-checked reader over a byte range (a whole serialized blob, or
-/// one section of a shard file streamed through a bounded buffer).
+/// one section of a mapped file).
 struct Reader {
   Reader(const std::uint8_t* bytes, std::size_t count)
       : data(bytes), size(count) {}
@@ -136,11 +135,11 @@ enum Section : std::size_t {
   kNumSections = 6,
 };
 
-// Per-section column byte widths, in field order (matching the row codecs
-// below and the `put_column` overloads).  The window directory's columns
-// are: has_run u8, server_runs u32, bursts u32, then the shard-local
-// running record offsets run_off/server_off/burst_off u64 (prefix sums of
-// the counts; first window is 0), which give O(1) window slicing.
+// Per-section column byte widths, in field order (matching the
+// `put_column` overloads).  The window directory's columns are: has_run
+// u8, server_runs u32, bursts u32, then the shard-local running record
+// offsets run_off/server_off/burst_off u64 (prefix sums of the counts;
+// first window is 0), which give O(1) window slicing.
 inline constexpr std::size_t kWindowDirWidths[] = {1, 4, 4, 8, 8, 8};
 inline constexpr std::size_t kRackWidths[] = {4, 1, 1, 2, 4, 4, 4, 1};
 inline constexpr std::size_t kRackRunWidths[] = {4, 1, 1, 1, 4, 2, 2, 2,
@@ -188,8 +187,8 @@ struct V6Layout {
 /// section directory.
 std::size_t header_bytes_v6();
 
-/// Serialized size of the FleetConfig codec (version-independent part of
-/// the header arithmetic; the v4 codec is this minus the delay fields).
+/// Serialized size of the FleetConfig codec (part of the header
+/// arithmetic).
 std::size_t config_wire_size();
 
 V6Layout v6_layout(const SectionCounts& counts);
@@ -207,13 +206,11 @@ struct V6Header {
   std::array<SectionExtent, kNumSections> dir{};
 };
 
-void put_header_v6(Writer& w, const V6Header& h);
-
 /// Parses and validates a v6 fixed prefix from the first `available` bytes
 /// of a file whose total size is `file_size`.  On success fills `h` and
-/// `layout` (recomputed from the counts) after checking: magic/version (a
-/// v4/v5 file gets a "run msampctl migrate" error), config decode, a
-/// canonical shard window range, a complete rack table
+/// `layout` (recomputed from the counts) after checking: magic/version
+/// (anything but v6 is an "unsupported dataset version"), config decode,
+/// a canonical shard window range, a complete rack table
 /// (2 * racks_per_region entries), directory == recomputed layout, and
 /// `file_size` == layout end.  The error Status carries the failing byte
 /// offset; the caller attaches the path.
@@ -228,77 +225,76 @@ void put_column(Writer& w, const RackRunRecord& v, std::size_t col);
 void put_column(Writer& w, const ServerRunRecord& v, std::size_t col);
 void put_column(Writer& w, const BurstRecord& v, std::size_t col);
 
-// --- field-wise row codecs ---------------------------------------------
-// Still used by: the legacy (v4/v5) reader in `Dataset::load`, the
-// exemplar section of v6 (tiny, variable-length), and `legacy_serialize`
-// below.  `wire_size` is the serialized row size of one record, used to
-// bound hostile counts before any allocation.
-
-void put_record(Writer& w, const WindowCounts& c);
-bool get_record(Reader& r, WindowCounts* c);
-constexpr std::size_t wire_size(const WindowCounts*) { return 9; }
-
-void put_record(Writer& w, const RackInfo& v);
-bool get_record(Reader& r, RackInfo* v);
-constexpr std::size_t wire_size(const RackInfo*) { return 21; }
-
-void put_record(Writer& w, const RackRunRecord& v);
-bool get_record(Reader& r, RackRunRecord* v);
-constexpr std::size_t wire_size(const RackRunRecord*) { return 41; }
-
-void put_record(Writer& w, const ServerRunRecord& v);
-bool get_record(Reader& r, ServerRunRecord* v);
-constexpr std::size_t wire_size(const ServerRunRecord*) { return 31; }
-
-void put_record(Writer& w, const BurstRecord& v);
-bool get_record(Reader& r, BurstRecord* v);
-constexpr std::size_t wire_size(const BurstRecord*) { return 20; }
-
-template <typename T>
-void put_records(Writer& w, const std::vector<T>& v) {
-  w.put(static_cast<std::uint64_t>(v.size()));
-  for (const auto& e : v) put_record(w, e);
-}
-
-template <typename T>
-bool get_records(Reader& r, std::vector<T>* v) {
-  std::uint64_t n = 0;
-  if (!r.get(&n)) return false;
-  // Bound the count by the bytes actually left, so a hostile length can
-  // never drive a huge allocation before the per-record reads fail.
-  if (n > r.remaining() / wire_size(static_cast<const T*>(nullptr))) {
-    return false;
-  }
-  v->clear();
-  v->reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    T e;
-    if (!get_record(r, &e)) return false;
-    v->push_back(e);
-  }
-  return true;
-}
-
 /// FleetConfig travels with the dataset so a merge (and `report`/`query`)
 /// can see the scale and classification knobs without re-supplying them.
 /// `threads` is deliberately not serialized: it is execution detail,
-/// never data.  The legacy variants read/write the v4 codec (no
-/// SharedBufferConfig::delay fields) when `version` is 4.
+/// never data.
 void put_config(Writer& w, const FleetConfig& c);
 bool get_config(Reader& r, FleetConfig* c);
-void put_config_legacy(Writer& w, const FleetConfig& c, std::uint32_t version);
-bool get_config_legacy(Reader& r, FleetConfig* c, std::uint32_t version);
 
 void put_exemplar(Writer& w, const ExemplarRun& e);
 bool get_exemplar(Reader& r, ExemplarRun* e);
 
-/// Serialized size of one exemplar payload (row codec above).
-std::size_t exemplar_wire_bytes(const ExemplarRun& e);
+// --- the v6 writer ------------------------------------------------------
 
-/// Serializes `ds` in the legacy row-wise whole-blob layout (version 4 or
-/// 5).  Kept only so tests and `msampctl migrate` can exercise the legacy
-/// reader; every production writer emits v6.
-std::vector<std::uint8_t> legacy_serialize(const Dataset& ds,
-                                           std::uint32_t version);
+/// Forward-only byte output of the writer.  Field values go into `w`
+/// followed by `flush_if_full()`; runs of raw column bytes (spill-file
+/// chunks, mapped shard spans) go through `write`.  Without a file, `w.out`
+/// is the whole blob; with one, `w` is a staging buffer of about
+/// kOutChunk bytes and `flushed` counts what already reached the file.
+struct Out {
+  static constexpr std::size_t kOutChunk = std::size_t{1} << 20;
+
+  Writer w;
+  std::ofstream* file = nullptr;
+  std::uint64_t flushed = 0;
+
+  /// Absolute offset of the next byte.
+  std::uint64_t pos() const { return flushed + w.out.size(); }
+  void flush();
+  void flush_if_full() {
+    if (file != nullptr && w.out.size() >= kOutChunk) flush();
+  }
+  void write(const void* data, std::size_t bytes);
+  /// Zero bytes up to the absolute offset `target`: the one gap filler
+  /// between v6 columns (aborts on a backward pad — writer and layout
+  /// arithmetic disagreeing must never ship).
+  void pad_to(std::uint64_t target);
+};
+
+/// A bulky record section (server runs or bursts) as the writer pulls
+/// it: `records` records, and `put(col, out)` appends exactly
+/// `records * width[col]` bytes of column `col` to `out`, or returns an
+/// error Status naming what it failed to read.
+struct ColumnSource {
+  std::uint64_t records = 0;
+  std::function<util::Status(std::size_t col, Out& out)> put;
+};
+
+/// The ColumnSource over records held in RAM; `records` must outlive it.
+template <typename Rec>
+ColumnSource rows(const std::vector<Rec>& records) {
+  return {records.size(), [&records](std::size_t col, Out& out) {
+            for (const Rec& r : records) {
+              put_column(out.w, r, col);
+              out.flush_if_full();
+            }
+            return util::Status::ok();
+          }};
+}
+
+/// Writes one v6 file to `path` through `<path>.tmp` and an atomic
+/// rename, creating the parent directory.  `head` supplies the header
+/// (fingerprint, config, shard, window range), the window counts, the
+/// rack table, the rack runs and the exemplars; the server runs and
+/// bursts come from the two sources (head's own vectors are not read).
+/// On any failure the temp file is removed and `path` is untouched.
+util::Status write_v6(const Dataset& head, const ColumnSource& server_runs,
+                      const ColumnSource& bursts, const std::string& path);
+
+/// The same layout, returned as an in-memory blob.
+std::vector<std::uint8_t> v6_blob(const Dataset& head,
+                                  const ColumnSource& server_runs,
+                                  const ColumnSource& bursts);
 
 }  // namespace msamp::fleet::wire

@@ -5,7 +5,7 @@
 // the success path, crash-then-retry, retry exhaustion, stall detection,
 // the no-shard-file exit, and the post-merge fingerprint guard.  The
 // real fork/exec-of-msampctl path is exercised end to end by the
-// cli_cluster ctest and scripts/check_cluster_determinism.sh.
+// cli_cluster ctest and scripts/check_dataset_determinism.sh.
 #include "cluster/coordinator.h"
 
 #include <gtest/gtest.h>

@@ -2,10 +2,8 @@
 // of deserialize() against truncated, mutated, and hostile blobs.
 #include "fleet/dataset.h"
 
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -155,50 +153,35 @@ TEST(Dataset, SaveThenOpenMapped) {
   std::filesystem::remove_all("test_dataset_tmp");
 }
 
-TEST(Dataset, LoadRejectsV6WithMigrationHint) {
-  // The legacy row-wise loader refuses a v6 file and tells the operator
-  // how to proceed instead of failing opaquely.
-  const std::string path = "test_dataset_reject_tmp/ds6.bin";
-  ASSERT_TRUE(sample_dataset().save(path));
-  Dataset loaded;
-  const auto st = loaded.load(path);
-  EXPECT_FALSE(st);
-  EXPECT_NE(st.to_string().find("migrate"), std::string::npos)
-      << st.to_string();
-  std::filesystem::remove_all("test_dataset_reject_tmp");
-}
-
-TEST(Dataset, LoadReadsLegacyV4AndV5) {
+TEST(Dataset, WriterFailureLeavesNoFile) {
+  // The one v6 writer checks every column against the layout and passes
+  // a source's own error through; either way neither the target nor its
+  // temp file is left behind.
   const Dataset ds = sample_dataset();
-  for (std::uint32_t version : {4u, 5u}) {
-    const std::string path = "test_dataset_legacy_tmp/legacy.bin";
-    std::filesystem::create_directories("test_dataset_legacy_tmp");
-    const auto blob = wire::legacy_serialize(ds, version);
-    {
-      std::ofstream out(path, std::ios::binary);
-      out.write(reinterpret_cast<const char*>(blob.data()),
-                static_cast<std::streamsize>(blob.size()));
-    }
-    Dataset loaded;
-    const auto st = loaded.load(path);
-    ASSERT_TRUE(st) << "v" << version << ": " << st.to_string();
-    EXPECT_EQ(loaded.fingerprint, ds.fingerprint);
-    EXPECT_EQ(loaded.bursts.size(), ds.bursts.size());
-    EXPECT_EQ(loaded.racks.size(), ds.racks.size());
-    std::filesystem::remove_all("test_dataset_legacy_tmp");
-  }
-}
+  const std::filesystem::path dir = "test_dataset_writer_tmp";
+  std::filesystem::remove_all(dir);
+  const std::string path = (dir / "ds.bin").string();
 
-TEST(Dataset, LoadMissingFileFails) {
-  Dataset ds;
-  EXPECT_FALSE(ds.load("does/not/exist.bin"));
-}
+  wire::ColumnSource short_bursts = wire::rows(ds.bursts);
+  short_bursts.records += 1;  // claims one record more than it writes
+  util::Status st =
+      wire::write_v6(ds, wire::rows(ds.server_runs), short_bursts, path);
+  EXPECT_FALSE(st);
+  EXPECT_EQ(st.path(), path);
+  EXPECT_NE(st.reason().find("layout needs"), std::string::npos)
+      << st.to_string();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 
-TEST(Dataset, LoadDirectoryFails) {
-  // On Linux a directory can be opened for reading but tellg() is -1;
-  // load must fail cleanly rather than size a 2^64-byte buffer.
-  Dataset ds;
-  EXPECT_FALSE(ds.load("."));
+  const wire::ColumnSource unreadable{
+      ds.bursts.size(), [](std::size_t, wire::Out&) {
+        return util::Status::error("cannot read back spill file", "spill-c0");
+      }};
+  st = wire::write_v6(ds, wire::rows(ds.server_runs), unreadable, path);
+  EXPECT_EQ(st.to_string(), "spill-c0: cannot read back spill file");
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Dataset, RealBlobRoundTrips) {

@@ -1,6 +1,6 @@
 // Tests for the zero-copy DatasetView read path: mmap lifecycle, hostile
 // truncation/tamper input at the v6 segment boundaries, mapped-vs-loaded
-// parity, per-window iteration, and the legacy migration entry point.
+// parity, per-window iteration, and fail-closed version checks.
 #include "fleet/dataset_view.h"
 
 #include <algorithm>
@@ -306,53 +306,21 @@ TEST(DatasetView, AttachRejectsMisalignedBase) {
   EXPECT_TRUE(DatasetView::attach(blob.data(), blob.size(), &ok));
 }
 
-TEST(DatasetView, AttachRejectsLegacyBlobWithMigrateHint) {
-  const auto legacy = wire::legacy_serialize(small_dataset(), 5);
-  DatasetView view;
-  const auto st = DatasetView::attach(legacy.data(), legacy.size(), &view);
-  EXPECT_FALSE(st);
-  EXPECT_NE(st.to_string().find("migrate"), std::string::npos)
-      << st.to_string();
-}
-
-TEST(DatasetView, MigrateRewritesLegacyFilesToV6) {
-  const fs::path dir = fresh_dir("migrate");
-  for (std::uint32_t version : {4u, 5u}) {
-    const fs::path in = dir / ("legacy_v" + std::to_string(version) + ".bin");
-    const fs::path out = dir / ("v6_from_" + std::to_string(version) + ".bin");
-    write_file(in, wire::legacy_serialize(small_dataset(), version));
-
-    const auto st = migrate_dataset_file(in.string(), out.string());
-    ASSERT_TRUE(st) << "v" << version << ": " << st.to_string();
+TEST(DatasetView, AttachRejectsUnsupportedVersions) {
+  // The retired v4/v5 row layouts, and any version this build does not
+  // know, fail closed at the version field of an otherwise valid blob.
+  for (const std::uint32_t version : {4u, 5u, 7u}) {
+    std::vector<std::uint8_t> blob = small_blob();
+    std::memcpy(blob.data() + 4, &version, sizeof(version));
     DatasetView view;
-    ASSERT_TRUE(Dataset::open_mapped(out.string(), &view));
-    EXPECT_EQ(view.fingerprint(), small_dataset().fingerprint);
-    EXPECT_EQ(view.bursts().size(), small_dataset().bursts.size());
-    // v4 loses the delay-policy config fields, so only the v5 round trip
-    // is byte-identical to the direct v6 serialization.
-    if (version == 5) {
-      EXPECT_EQ(Dataset::from_view(view).serialize(), small_blob());
-    }
-    view.close();
+    const auto st = DatasetView::attach(blob.data(), blob.size(), &view);
+    EXPECT_FALSE(st) << "v" << version;
+    EXPECT_NE(st.to_string().find("unsupported dataset version " +
+                                  std::to_string(version)),
+              std::string::npos)
+        << st.to_string();
+    EXPECT_FALSE(view.ok());
   }
-  // Migrating a v6 file is refused (nothing to do), not silently copied.
-  const fs::path v6 = dir / "already.bin";
-  ASSERT_TRUE(small_dataset().save(v6.string()));
-  EXPECT_FALSE(migrate_dataset_file(v6.string(), (dir / "again.bin").string()));
-  fs::remove_all(dir);
-}
-
-TEST(DatasetView, MigrateInPlaceOverwritesTheInput) {
-  const fs::path dir = fresh_dir("inplace");
-  const fs::path path = dir / "day.bin";
-  write_file(path, wire::legacy_serialize(small_dataset(), 5));
-  const auto st = migrate_dataset_file(path.string(), path.string());
-  ASSERT_TRUE(st) << st.to_string();
-  DatasetView view;
-  ASSERT_TRUE(Dataset::open_mapped(path.string(), &view));
-  EXPECT_EQ(view.fingerprint(), small_dataset().fingerprint);
-  view.close();
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // The parallel fleet runner's determinism contract: any thread count
 // produces a Dataset byte-identical to the serial sweep (same serialized
 // blob, same fingerprint), progress is serialized/monotone, and
-// shared_dataset is safe under concurrent first-callers.
+// shared_view is safe under concurrent first-callers.
 #include "fleet/fleet_runner.h"
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -104,16 +106,19 @@ TEST(FleetParallel, ProgressSerializedStrictlyIncreasingEndsAtOne) {
 }
 
 TEST(FleetParallel, MergedShardsByteIdenticalAcrossThreadCounts) {
-  // The multi-process contract end to end: three shards generated with
-  // *different* thread counts, merged, must equal the serial whole-day
-  // run byte for byte.
+  // The multi-process contract end to end: three shard files generated
+  // with *different* thread counts, merged, must equal the serial
+  // whole-day run byte for byte (the path msampctl fleet --shard / merge
+  // exercises).
   ScopedNoEnvThreads no_env;
   FleetConfig serial_cfg = small_day();
   serial_cfg.threads = 1;
   const std::vector<std::uint8_t> serial_blob =
       run_fleet(serial_cfg).serialize();
 
-  std::vector<Dataset> shards;
+  const std::filesystem::path dir = "test_fleet_merged_shards";
+  std::filesystem::remove_all(dir);
+  std::vector<std::string> paths;
   const int per_shard_threads[] = {1, 3, 4};
   for (std::uint32_t i = 0; i < 3; ++i) {
     FleetConfig cfg = small_day();
@@ -121,20 +126,18 @@ TEST(FleetParallel, MergedShardsByteIdenticalAcrossThreadCounts) {
     const ShardSpec shard{i, 3};
     DatasetBuilder builder(cfg, shard);
     run_fleet(cfg, shard, builder);
-    shards.push_back(builder.take());
+    paths.push_back((dir / ("shard" + std::to_string(i) + ".bin")).string());
+    ASSERT_TRUE(builder.take().save(paths.back()));
   }
-  // A shard round-trips through its file format without disturbing the
-  // merge (this is the path msampctl fleet --shard / merge exercises).
-  for (Dataset& s : shards) {
-    Dataset copy;
-    ASSERT_TRUE(copy.deserialize(s.serialize()));
-    s = std::move(copy);
-  }
-  std::string error;
-  const auto merged = merge_datasets(std::move(shards), &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_TRUE(merged->serialize() == serial_blob)
+  const std::filesystem::path merged = dir / "merged.bin";
+  const auto st = merge_shards(paths, merged.string());
+  ASSERT_TRUE(st) << st.to_string();
+  std::ifstream in(merged, std::ios::binary);
+  const std::vector<std::uint8_t> merged_blob{
+      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  EXPECT_TRUE(merged_blob == serial_blob)
       << "merged shard bytes differ from the single-process run";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetParallel, SharedDatasetRejectsPartialShardCache) {
@@ -152,12 +155,12 @@ TEST(FleetParallel, SharedDatasetRejectsPartialShardCache) {
   std::filesystem::create_directories("test_fleet_partial_cache");
   ASSERT_TRUE(builder.take().save(cache));
 
-  const Dataset& ds = shared_dataset(cfg, cache);
-  EXPECT_TRUE(ds.shard.full_range());
+  const DatasetView& view = shared_view(cfg, cache);
+  EXPECT_TRUE(view.shard().full_range());
   const std::size_t windows =
       static_cast<std::size_t>(2 * cfg.racks_per_region) *
       static_cast<std::size_t>(cfg.hours);
-  EXPECT_EQ(ds.window_end - ds.window_begin, windows);
+  EXPECT_EQ(view.window_end() - view.window_begin(), windows);
   std::filesystem::remove_all("test_fleet_partial_cache");
 }
 
@@ -168,18 +171,17 @@ TEST(FleetParallel, SharedDatasetRacedFirstCallersReturnOneInstance) {
   FleetConfig cfg = fabric_day();
   cfg.seed = 99177;  // unique fingerprint: forces a fresh generation
   cfg.threads = 2;
-  std::vector<const Dataset*> seen(4, nullptr);
+  std::vector<const DatasetView*> seen(4, nullptr);
   std::vector<std::thread> callers;
   for (std::size_t t = 0; t < seen.size(); ++t) {
-    callers.emplace_back(
-        [&, t] { seen[t] = &shared_dataset(cfg, cache); });
+    callers.emplace_back([&, t] { seen[t] = &shared_view(cfg, cache); });
   }
   for (auto& th : callers) th.join();
-  for (const Dataset* p : seen) {
+  for (const DatasetView* p : seen) {
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p, seen[0]);  // one generation, one shared instance
   }
-  EXPECT_EQ(seen[0]->fingerprint, cfg.fingerprint());
+  EXPECT_EQ(seen[0]->fingerprint(), cfg.fingerprint());
   // The cache landed via atomic rename: the final file parses, and no
   // temp file is left behind.
   DatasetView from_disk;

@@ -144,16 +144,16 @@ TEST(FleetRunner, SharedDatasetCachesToDisk) {
   FleetConfig cfg = tiny();
   cfg.hours = 2;
   cfg.racks_per_region = 2;
-  const Dataset& first = shared_dataset(cfg, cache);
+  const DatasetView& first = shared_view(cfg, cache);
   EXPECT_TRUE(std::filesystem::exists(cache));
-  const Dataset& second = shared_dataset(cfg, cache);
+  const DatasetView& second = shared_view(cfg, cache);
   EXPECT_EQ(&first, &second);  // in-process cache hit
   // A fresh mapped open from disk parses and fingerprint-matches.
   DatasetView from_disk;
   const auto st = Dataset::open_mapped(cache, &from_disk);
   ASSERT_TRUE(st) << st.to_string();
   EXPECT_EQ(from_disk.fingerprint(), cfg.fingerprint());
-  EXPECT_EQ(from_disk.bursts().size(), first.bursts.size());
+  EXPECT_EQ(from_disk.bursts().size(), first.bursts().size());
   from_disk.close();
   std::filesystem::remove_all("test_fleet_cache");
 }

@@ -1,10 +1,11 @@
 // Tests for the sharded generation API: ShardSpec partition math, the
-// WindowSink streaming contract, and merge_datasets validation + the
-// byte-identity guarantee (merged shards == single-process run).
+// WindowSink streaming contract, and merge_shards validation + the
+// byte-identity guarantee (merged shard files == single-process run).
 #include "fleet/shard.h"
 
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 
 namespace msamp::fleet {
 namespace {
+
+namespace fs = std::filesystem;
 
 // Small enough for unit tests, big enough that uneven shard splits and
 // both regions' racks are exercised (2 regions x 3 racks x 2 hours = 12
@@ -157,122 +160,161 @@ Dataset make_shard(const FleetConfig& cfg, std::uint32_t index,
   return builder.take();
 }
 
-std::vector<Dataset> make_shards(const FleetConfig& cfg,
-                                 std::uint32_t count) {
-  std::vector<Dataset> shards;
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::current_path() / ("merge_test_" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+// Saves all `count` shards of `cfg` under `dir`; returns their paths.
+std::vector<std::string> save_shards(const FleetConfig& cfg,
+                                     std::uint32_t count,
+                                     const fs::path& dir) {
+  std::vector<std::string> paths;
   for (std::uint32_t i = 0; i < count; ++i) {
-    shards.push_back(make_shard(cfg, i, count));
+    paths.push_back((dir / ("shard" + std::to_string(i) + ".bin")).string());
+    EXPECT_TRUE(make_shard(cfg, i, count).save(paths.back()));
   }
-  return shards;
+  return paths;
+}
+
+std::vector<std::uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// Merges `paths` into `dir`/merged.bin and expects the result to equal
+// the single-process run of `cfg` byte for byte.
+void expect_merges_to_whole_day(const FleetConfig& cfg,
+                                const std::vector<std::string>& paths,
+                                const fs::path& dir) {
+  const fs::path out = dir / "merged.bin";
+  const util::Status st = merge_shards(paths, out.string());
+  ASSERT_TRUE(st) << st.to_string();
+  EXPECT_EQ(file_bytes(out), run_fleet(cfg).serialize());
+}
+
+// Merges `paths` into `dir`/merged.bin, expects a rejection, and returns
+// its message.  A rejected merge leaves no output and no temp file.
+std::string expect_rejected(const std::vector<std::string>& paths,
+                            const fs::path& dir) {
+  const fs::path out = dir / "merged.bin";
+  const util::Status st = merge_shards(paths, out.string());
+  EXPECT_FALSE(st);
+  EXPECT_FALSE(st.to_string().empty());
+  EXPECT_FALSE(fs::exists(out));
+  EXPECT_FALSE(fs::exists(dir / "merged.bin.tmp"));
+  return st.to_string();
 }
 
 TEST(Merge, ThreeShardsByteIdenticalToWholeRun) {
   const FleetConfig cfg = tiny_config();
-  const Dataset whole = run_fleet(cfg);
-
-  std::string error;
-  const auto merged = merge_datasets(make_shards(cfg, 3), &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  const fs::path dir = fresh_dir("three");
+  expect_merges_to_whole_day(cfg, save_shards(cfg, 3, dir), dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, ShardOrderDoesNotMatter) {
   const FleetConfig cfg = tiny_config();
-  const Dataset whole = run_fleet(cfg);
-
-  std::vector<Dataset> shards = make_shards(cfg, 3);
-  std::swap(shards[0], shards[2]);
-  const auto merged = merge_datasets(std::move(shards));
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  const fs::path dir = fresh_dir("order");
+  std::vector<std::string> paths = save_shards(cfg, 3, dir);
+  std::swap(paths[0], paths[2]);
+  expect_merges_to_whole_day(cfg, paths, dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, SingleFullShardMerges) {
   const FleetConfig cfg = tiny_config();
-  const Dataset whole = run_fleet(cfg);
-  const auto merged = merge_datasets(make_shards(cfg, 1));
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  const fs::path dir = fresh_dir("single");
+  expect_merges_to_whole_day(cfg, save_shards(cfg, 1, dir), dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, MoreShardsThanWindowsStillMerges) {
   // 12 windows split 16 ways -> several empty shards; the fold must
   // still reproduce the single-run bytes.
   const FleetConfig cfg = tiny_config();
-  const Dataset whole = run_fleet(cfg);
-  std::string error;
-  const auto merged = merge_datasets(make_shards(cfg, 16), &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  EXPECT_EQ(merged->serialize(), whole.serialize());
+  const fs::path dir = fresh_dir("sixteen");
+  expect_merges_to_whole_day(cfg, save_shards(cfg, 16, dir), dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, RejectsMissingShard) {
   const FleetConfig cfg = tiny_config();
-  std::vector<Dataset> shards = make_shards(cfg, 3);
-  shards.pop_back();
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const fs::path dir = fresh_dir("missing");
+  std::vector<std::string> paths = save_shards(cfg, 3, dir);
+  paths.pop_back();
+  expect_rejected(paths, dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, RejectsDuplicateShard) {
   const FleetConfig cfg = tiny_config();
-  std::vector<Dataset> shards = make_shards(cfg, 3);
-  shards[2] = shards[1];  // two copies of shard 1, none of shard 2
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const fs::path dir = fresh_dir("duplicate");
+  std::vector<std::string> paths = save_shards(cfg, 3, dir);
+  paths[2] = paths[1];  // two copies of shard 1, none of shard 2
+  expect_rejected(paths, dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, RejectsMismatchedFingerprint) {
   const FleetConfig cfg = tiny_config();
   FleetConfig other = cfg;
   other.seed = 43;
-  std::vector<Dataset> shards = make_shards(cfg, 2);
-  shards[1] = make_shard(other, 1, 2);
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
+  const fs::path dir = fresh_dir("fingerprint");
+  const std::vector<std::string> paths = save_shards(cfg, 2, dir);
+  ASSERT_TRUE(make_shard(other, 1, 2).save(paths[1]));
+  const std::string error = expect_rejected(paths, dir);
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+  fs::remove_all(dir);
 }
 
 TEST(Merge, RejectsMismatchedShardCount) {
   const FleetConfig cfg = tiny_config();
-  std::vector<Dataset> shards = make_shards(cfg, 2);
-  shards[1] = make_shard(cfg, 1, 3);  // claims a 3-way split
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const fs::path dir = fresh_dir("count");
+  const std::vector<std::string> paths = save_shards(cfg, 2, dir);
+  ASSERT_TRUE(make_shard(cfg, 1, 3).save(paths[1]));  // claims a 3-way split
+  expect_rejected(paths, dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, RejectsTamperedCountTable) {
   const FleetConfig cfg = tiny_config();
-  std::vector<Dataset> shards = make_shards(cfg, 2);
+  const fs::path dir = fresh_dir("tampered");
+  const std::vector<std::string> paths = save_shards(cfg, 2, dir);
   // Drop a record without touching the count table: sums disagree.
-  ASSERT_FALSE(shards[0].rack_runs.empty());
-  shards[0].rack_runs.pop_back();
-  std::string error;
-  EXPECT_FALSE(merge_datasets(std::move(shards), &error).has_value());
-  EXPECT_FALSE(error.empty());
+  Dataset shard = make_shard(cfg, 0, 2);
+  ASSERT_FALSE(shard.rack_runs.empty());
+  shard.rack_runs.pop_back();
+  ASSERT_TRUE(shard.save(paths[0]));
+  expect_rejected(paths, dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, RejectsEmptyInput) {
-  std::string error;
-  EXPECT_FALSE(merge_datasets({}, &error).has_value());
-  EXPECT_FALSE(error.empty());
+  const fs::path dir = fresh_dir("empty");
+  expect_rejected({}, dir);
+  fs::remove_all(dir);
 }
 
 TEST(Merge, TruncatedShardFileFailsToLoad) {
-  // The on-disk path: a truncated shard file must fail Dataset::load (and
-  // therefore never reach merge_datasets with bogus contents).
+  // A truncated shard file must fail the merge, naming that shard and the
+  // size mismatch, before anything is written.
   const FleetConfig cfg = tiny_config();
-  const Dataset shard = make_shard(cfg, 0, 2);
-  const std::string path = "test_shard_truncated.bin";
-  ASSERT_TRUE(shard.save(path));
-  const auto full_size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full_size - 7);
-  Dataset loaded;
-  EXPECT_FALSE(loaded.load(path));
-  std::remove(path.c_str());
+  const fs::path dir = fresh_dir("truncated");
+  const std::vector<std::string> paths = save_shards(cfg, 2, dir);
+  const auto full_size = fs::file_size(paths[0]);
+  fs::resize_file(paths[0], full_size - 7);
+  const std::string error = expect_rejected(paths, dir);
+  EXPECT_NE(error.find(paths[0] + ": "), std::string::npos) << error;
+  EXPECT_NE(error.find("file is " + std::to_string(full_size - 7) +
+                       " bytes, layout needs " + std::to_string(full_size)),
+            std::string::npos)
+      << error;
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -191,9 +191,9 @@ TEST(SpillSink, VanishedSpillFileFailsFinalizeInsteadOfThrowing) {
   sink.on_window(0, WindowRecords{});
   sink.on_window(1, WindowRecords{});
 
-  const fs::path runs_spill = dir / "out.bin.spill-runs-c0";
-  fs::remove(runs_spill);
-  fs::create_directory(runs_spill);  // file_size on this sets error_code
+  const fs::path servers_spill = dir / "out.bin.spill-servers-c0";
+  fs::remove(servers_spill);
+  fs::create_directory(servers_spill);  // file_size on this sets error_code
 
   util::Status st;
   EXPECT_NO_THROW(st = sink.finalize());
@@ -212,7 +212,7 @@ TEST(SpillSink, TruncatesSpillTempsLeftByAKilledAttempt) {
   config.hours = 1;
   const fs::path dir = fresh_dir("retry");
   const fs::path out = dir / "out.bin";
-  std::ofstream(dir / "out.bin.spill-runs-c0")
+  std::ofstream(dir / "out.bin.spill-servers-c0")
       << "stale garbage from attempt 0";
 
   std::string clean_bytes;

@@ -1,7 +1,7 @@
-# Exercises `msampctl query` (the zero-copy DatasetView read path) and
-# `msampctl migrate` against a freshly generated day, and pins the failure
-# modes: querying a missing file and migrating an already-v6 file must fail
-# with a nonzero exit.
+# Exercises `msampctl query` (the zero-copy DatasetView read path) against
+# a freshly generated day, and pins the failure modes: querying a missing
+# file, a malformed rack range, or an unknown --what must fail with a
+# nonzero exit.
 set(work ${CMAKE_CURRENT_BINARY_DIR}/cli_query_work)
 file(REMOVE_RECURSE ${work})
 file(MAKE_DIRECTORY ${work})
@@ -51,10 +51,9 @@ if(NOT first STREQUAL second)
   message(FATAL_ERROR "query output is not deterministic")
 endif()
 
-# Failure modes: missing dataset, malformed rack range, v6 into migrate.
+# Failure modes: missing dataset, malformed rack range, unknown table.
 must_fail(query --dataset missing.bin)
 must_fail(query --dataset ds.bin --racks 5-2)
 must_fail(query --dataset ds.bin --what bogus)
-must_fail(migrate --in ds.bin --out ds2.bin)
 
 file(REMOVE_RECURSE ${work})

@@ -458,35 +458,6 @@ void check_counter_reads(const Tokens& toks, std::string_view path,
   }
 }
 
-void check_view_only_reads(const Tokens& toks, std::string_view path,
-                           std::vector<Finding>& out) {
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdentifier) continue;
-    if (t.text == "shared_dataset") {
-      flag(out, path, t.line, "no-load-in-analysis",
-           "'shared_dataset' in a view-only read path — analysis and "
-           "benches read through the zero-copy view; use "
-           "fleet::shared_view / Dataset::open_mapped (docs/DATASET.md)");
-      continue;
-    }
-    if (t.text != "load" || i == 0) continue;
-    const Token& prev = toks[i - 1];
-    if (!is_punct(prev, ".") && !is_punct(prev, "->")) continue;
-    const Token* open = at(toks, i + 1);
-    if (!open || !is_punct(*open, "(")) continue;
-    // `x.load()` / `x.load(std::memory_order_*)` is std::atomic, never the
-    // dataset loader (which always takes a path argument).
-    const Token* arg = at(toks, i + 2);
-    if (!arg || is_punct(*arg, ")") || is_ident(*arg, "std")) continue;
-    flag(out, path, t.line, "no-load-in-analysis",
-         "materializing '.load(...)' in a view-only read path — this "
-         "copies every record into RAM and cannot scale to cluster-size "
-         "days; map the file with Dataset::open_mapped and read the "
-         "DatasetView columns (docs/DATASET.md)");
-  }
-}
-
 bool comment_suppresses(const LexOutput& lexed, int line,
                         const std::string& rule) {
   const auto it = lexed.comments.find(line);
@@ -551,8 +522,8 @@ FileRole classify_path(std::string_view path) {
                      is("src/analysis/trace_io.cc") ||
                      is("src/analysis/trace_io.h") ||
                      is("tools/msampctl.cc");
-  // Every file that writes dataset bytes: the whole-blob codec, the
-  // shared field-wise codecs, the spill sink, and the streaming merge.
+  // Every file that writes dataset bytes: the one v6 writer (wire.h/.cc)
+  // and its three callers.
   role.wire_format = is("src/fleet/dataset.cc") || is("src/fleet/wire.h") ||
                      is("src/fleet/wire.cc") ||
                      is("src/fleet/spill_sink.cc") ||
@@ -562,10 +533,6 @@ FileRole classify_path(std::string_view path) {
   // CSV is deliberately absent from check_bench_determinism.sh).
   role.counters_banned =
       role.output_path && !is("bench/bench_pool_contention.cc");
-  // Dataset read paths that must stay zero-copy: analysis code and every
-  // bench.  Writers, the merge, `msampctl migrate`, and tests keep the
-  // materializing loader (it is the legacy v4/v5 reader).
-  role.views_only = under("src/analysis/") || under("bench/");
   // Every bench binary routes its tables and CSVs through util::Table;
   // common.cc is shared infrastructure (its stderr diagnostics are not
   // table bytes) and the contention bench prints through Table already.
@@ -607,9 +574,6 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view src,
   }
   if (derived.counters_banned) {
     check_counter_reads(lexed.tokens, path, findings);
-  }
-  if (derived.views_only) {
-    check_view_only_reads(lexed.tokens, path, findings);
   }
   if (!derived.intrinsics_allowed) {
     check_intrinsics(src, lexed.tokens, path, findings);

@@ -18,13 +18,6 @@
 //                         and execution must never reach emitted bytes;
 //                         the one sanctioned reader is
 //                         bench/bench_pool_contention.cc
-//   no-load-in-analysis   materializing dataset reads (`.load(`/`->load(`
-//                         member calls, `shared_dataset`) in view-only
-//                         read paths (src/analysis/, bench/) — analysis
-//                         consumes the zero-copy DatasetView
-//                         (Dataset::open_mapped / fleet::shared_view);
-//                         writers and `msampctl migrate` keep the legacy
-//                         loader
 //   float-accum-order     float/double compound accumulation (`+=`, `-=`,
 //                         `*=`) inside a loop in an output path — the
 //                         accumulation order reaches the emitted bytes
@@ -100,18 +93,14 @@ struct FileRole {
   /// reaches the output bytes, so unordered-container range-fors and
   /// float-keyed associative containers are banned.
   bool output_path = false;
-  /// Wire-format codec (src/fleet/dataset.cc): whole-struct copies are
-  /// banned; records must be serialized field by field.
+  /// Wire-format code (the v6 writer and its callers): whole-struct
+  /// copies are banned; records must be serialized field by field.
   bool wire_format = false;
   /// Output-path file that is NOT the sanctioned contention-bench:
   /// naming ContentionCounters / ContentionSnapshot / contention_snapshot
   /// is banned, so an execution-dependent tally can never be folded into
   /// emitted bytes (docs/OBSERVABILITY.md).
   bool counters_banned = false;
-  /// View-only read path (src/analysis/, bench/): materializing dataset
-  /// loads are banned — these consumers must scale to cluster-size days,
-  /// so they read through the mmap-backed DatasetView (docs/DATASET.md).
-  bool views_only = false;
   /// bench_* binary: CSV/stdout bytes must flow through util::Table, so
   /// raw ofstream/printf emitters are banned (`table-output`).
   bool table_output = false;

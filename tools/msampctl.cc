@@ -79,12 +79,6 @@
 //       from the mapping, so querying a cluster-scale day stays at a
 //       bounded RSS.
 //
-//   msampctl migrate --in old.bin [--out new.bin]
-//       Rewrite a legacy v4/v5 row-wise dataset file as v6 columnar
-//       (--out defaults to --in, an in-place rewrite).  The stored
-//       fingerprint is preserved and the rewritten file is re-opened and
-//       cross-checked (fingerprint + record counts) before success.
-//
 //   msampctl version
 //       Print the build's identity: dataset wire-format version, model
 //       (generator behavior) version, compiler and build flags, and the
@@ -92,7 +86,7 @@
 //       best path, the active path, and whether an MSAMP_SIMD override
 //       was honored.  The first thing a bug report needs; the output is
 //       one `field value` table, so scripts can awk out single fields
-//       (scripts/check_simd_determinism.sh and bench_fleet_scaling.sh do).
+//       (scripts/check_simd_determinism.sh does).
 //
 // Every command is deterministic for a given --seed.
 #include <algorithm>
@@ -733,17 +727,6 @@ int cmd_query(const Flags& flags) {
   return 0;
 }
 
-int cmd_migrate(const Flags& flags) {
-  const std::string in = flags.str("in", "dataset.bin");
-  const std::string out = flags.str("out", in);
-  if (auto st = fleet::migrate_dataset_file(in, out); !st) {
-    std::cerr << "error: " << st.to_string() << "\n";
-    return 1;
-  }
-  std::cout << "migrated " << in << " -> " << out << " (v6 columnar)\n";
-  return 0;
-}
-
 int cmd_version(const Flags&) {
   util::Table table({"field", "value"});
   table.add_row({"wire-version", std::to_string(fleet::wire::kVersion)});
@@ -781,7 +764,7 @@ int cmd_version(const Flags&) {
 void usage() {
   std::cout << "usage: msampctl "
                "<simulate-rack|analyze|fleet|merge|cluster|worker|sweep|"
-               "report|query|migrate|version> [--flag value ...]\n"
+               "report|query|version> [--flag value ...]\n"
                "see the header of tools/msampctl.cc for full flag lists\n";
 }
 
@@ -819,7 +802,6 @@ int main(int argc, char** argv) {
       {"report", {"dataset"}},
       {"query", {"dataset", "region", "hour", "racks", "class", "what",
                  "limit"}},
-      {"migrate", {"in", "out"}},
       {"version", {}},
   };
   const auto it = known_flags.find(cmd);
@@ -838,7 +820,6 @@ int main(int argc, char** argv) {
     if (cmd == "worker") return cmd_worker(flags);
     if (cmd == "sweep") return cmd_sweep(flags);
     if (cmd == "query") return cmd_query(flags);
-    if (cmd == "migrate") return cmd_migrate(flags);
     if (cmd == "version") return cmd_version(flags);
     return cmd_report(flags);
   } catch (const util::UsageError& e) {
