@@ -1,10 +1,11 @@
-// bench_simd_kernels: throughput of every util::simd kernel on every ISA
-// path compiled into the binary, measured against the scalar reference.
-// scripts/check_simd_determinism.sh parses the CSV and asserts the vector
-// paths actually pay for themselves (>= 2x on the u64 tally and
-// threshold-scan kernels when AVX2 is available); the byte-identity of the
-// *results* across paths is enforced separately by the same script and by
-// tests/test_simd.cc.
+// bench_simd_kernels: throughput of each of the seven util::simd kernels on
+// every path available to the binary (scalar, plus AVX2 on x86 hosts that
+// have it), measured against the scalar reference.
+// scripts/check_bench_determinism.sh parses the CSV and asserts the AVX2
+// path actually pays for itself (>= 2x on the u64 tally and threshold-scan
+// kernels); the byte-identity of the *results* across paths is enforced
+// separately by the scalar cells of the same script and of
+// scripts/check_dataset_determinism.sh, and by tests/test_simd.cc.
 //
 // This bench measures wall time, so its CSV is inherently nondeterministic
 // and scripts/check_bench_determinism.sh excludes it from the byte-identity
@@ -69,7 +70,7 @@ int main() {
   namespace simd = msamp::util::simd;
   msamp::bench::header(
       "simd_kernels",
-      "util::simd dispatch: vector paths vs the scalar reference on the "
+      "util::simd dispatch: the AVX2 path vs the scalar reference on the "
       "sampler tally, burst threshold-scan, and fluid-rack kernels");
 
   // 16 KiB per u64 array: a src+dst pair stays L1-resident, so the numbers
@@ -78,8 +79,12 @@ int main() {
   constexpr std::size_t kN = 1u << 11;
   msamp::util::Rng rng(42);
 
+  // core::BucketSample is six 8-byte words; burst detection gathers its
+  // in_bytes column at that stride.
+  constexpr std::size_t kSampleStride = 6;
   std::vector<std::uint64_t> u_dst(kN), u_src(kN);
   std::vector<std::int64_t> i_src(kN), i_aux(kN), i_out(kN);
+  std::vector<std::int64_t> samples(kN * kSampleStride);
   std::vector<std::uint64_t> mask((kN + 63) / 64);
   std::vector<double> d_src(kN);
   for (std::size_t i = 0; i < kN; ++i) {
@@ -89,17 +94,17 @@ int main() {
     i_aux[i] = static_cast<std::int64_t>(rng.uniform_int(1u << 20));
     d_src[i] = rng.uniform(-1.0, 1.0);
   }
+  for (auto& w : samples) {
+    w = static_cast<std::int64_t>(rng.uniform_int(1u << 20));
+  }
+  // About half the samples clear the threshold, so the mask holds many
+  // short runs. extract_runs reads the mask built here, which the
+  // threshold_mask_i64 row rewrites with the same bits on every call.
+  constexpr std::int64_t kThreshold = 1 << 19;
+  simd::threshold_mask_i64(i_src.data(), kN, kThreshold, mask.data());
   const std::size_t tally_words = (kN / simd::kRowWords) * simd::kRowWords;
 
   std::vector<KernelCase> cases;
-  cases.push_back({"add_u64", kN, [&] {
-                     simd::add_u64(u_dst.data(), u_src.data(), kN);
-                     keep(u_dst.data());
-                   }});
-  cases.push_back({"saturating_add_u64", kN, [&] {
-                     simd::saturating_add_u64(u_dst.data(), u_src.data(), kN);
-                     keep(u_dst.data());
-                   }});
   cases.push_back({"tally_rows_u64", tally_words, [&] {
                      simd::tally_rows_u64(u_dst.data(), u_src.data(),
                                           tally_words);
@@ -110,9 +115,19 @@ int main() {
                      keep(&s);
                    }});
   cases.push_back({"threshold_mask_i64", kN, [&] {
-                     simd::threshold_mask_i64(i_src.data(), kN, 1 << 19,
+                     simd::threshold_mask_i64(i_src.data(), kN, kThreshold,
                                               mask.data());
                      keep(mask.data());
+                   }});
+  // One shared implementation on both paths, so its speedup reads ~1x.
+  cases.push_back({"extract_runs", kN, [&] {
+                     const auto runs = simd::extract_runs(mask.data(), kN);
+                     keep(runs.data());
+                   }});
+  cases.push_back({"gather_stride_i64", kN, [&] {
+                     simd::gather_stride_i64(samples.data(), kSampleStride,
+                                             kN, i_out.data());
+                     keep(i_out.data());
                    }});
   cases.push_back({"dt_admit_i64", kN, [&] {
                      simd::dt_admit_i64(i_src.data(), i_aux.data(),

@@ -1,19 +1,28 @@
 #!/usr/bin/env bash
-# Verifies the bench-parallelism determinism contract: every bench that
-# fans its windows out over bench::parallel_windows must emit byte-identical
-# stdout and bench_out/ CSVs regardless of MSAMP_THREADS.
+# Verifies the bench determinism contract: every bench that fans its
+# windows out over bench::parallel_windows, plus the fig01 and fig06
+# figure benches, must emit byte-identical stdout and bench_out/ CSVs
+# regardless of MSAMP_THREADS and of the SIMD path; and the AVX2 path must
+# actually pay for itself on the kernels the paper's hot loops run
+# (>= MIN_SPEEDUP over scalar on the u64 tally and the threshold scan,
+# when the host has AVX2).
 #
 #   scripts/check_bench_determinism.sh [build-dir]     # default: build
-#   THREADS="1 4 7" scripts/check_bench_determinism.sh
+#   THREADS="4 1 7" scripts/check_bench_determinism.sh
+#   BENCHES="bench_fig01_queue_share" MIN_SPEEDUP=1.5 ...
 #
-# Each bench runs once per thread count in its own scratch directory; the
-# first run is the reference and every later one is diffed against it
-# (stdout and the bench_out/ tree, byte for byte).
+# Each bench runs once per cell in its own scratch directory: one cell per
+# thread count, plus one at the first thread count with MSAMP_SIMD=scalar.
+# The first cell is the reference and every later one is diffed against it
+# (stdout and the bench_out/ tree, byte for byte).  The dataset-backed
+# benches (bench_fig05 onwards, bench_table*) share one copy of the 96-rack
+# bench day through MSAMP_DATASET: the first cell generates it, the others
+# map it, so list the largest thread count first.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${1:-build}
-THREADS=${THREADS:-"1 4"}
+THREADS=${THREADS:-"4 1"}
 BENCHES=${BENCHES:-"
   bench_crosscheck_fluid_vs_packet
   bench_crosscheck_packet_incast
@@ -25,29 +34,59 @@ BENCHES=${BENCHES:-"
   bench_ablation_fabric
   bench_ablation_asic_generations
   bench_ablation_gro_inflation
+  bench_fig01_queue_share
+  bench_fig06_burst_frequency
 "}
+MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
+KERNELS="$PWD/$BUILD/bench/bench_simd_kernels"
+[ -x "$KERNELS" ] || { echo "error: $KERNELS not built"; exit 1; }
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
+export MSAMP_DATASET=${MSAMP_DATASET:-$scratch/bench_day.bin}
+
+CELLS=()
+for t in $THREADS; do CELLS+=("MSAMP_THREADS=$t"); done
+CELLS+=("MSAMP_SIMD=scalar MSAMP_THREADS=${THREADS%% *}")
 
 fail=0
 for bench in $BENCHES; do
   bin="$PWD/$BUILD/bench/$bench"
   [ -x "$bin" ] || { echo "error: $bin not built"; exit 1; }
   ref=""
-  for t in $THREADS; do
-    dir="$scratch/${bench}_t${t}"
+  for i in "${!CELLS[@]}"; do
+    dir="$scratch/${bench}_$i"
     mkdir -p "$dir"
-    (cd "$dir" && MSAMP_THREADS="$t" "$bin" > stdout.txt)
+    (cd "$dir" && env ${CELLS[$i]} "$bin" > stdout.txt)
     if [ -z "$ref" ]; then
       ref="$dir"
     elif ! diff -r "$ref" "$dir" > /dev/null; then
-      echo "MISMATCH: $bench differs between MSAMP_THREADS=${THREADS%% *} and $t"
+      echo "MISMATCH: $bench differs between '${CELLS[0]}' and '${CELLS[$i]}'"
       diff -r "$ref" "$dir" | head -20
       fail=1
     fi
   done
-  echo "ok: $bench byte-identical for MSAMP_THREADS in {$THREADS}"
+  echo "ok: $bench byte-identical for MSAMP_THREADS in {$THREADS} and MSAMP_SIMD=scalar"
 done
+
+echo "== AVX2 kernel speedups over scalar (floor ${MIN_SPEEDUP}x)"
+(cd "$scratch" && "$KERNELS" > /dev/null)
+csv="$scratch/bench_out/simd_kernels.csv"
+[ -f "$csv" ] || { echo "error: $csv missing"; exit 1; }
+if ! awk -F, '$2 == "avx2" { found = 1 } END { exit !found }' "$csv"; then
+  echo "   no avx2 path on this host; skipping the floor"
+else
+  for kernel in tally_rows_u64 threshold_mask_i64; do
+    speedup=$(awk -F, -v k="$kernel" '$1 == k && $2 == "avx2" { print $6 }' \
+      "$csv")
+    [ -n "$speedup" ] || { echo "error: no avx2 row for $kernel"; exit 1; }
+    echo "   $kernel: ${speedup}x"
+    if ! awk -v s="$speedup" -v m="$MIN_SPEEDUP" \
+      'BEGIN { exit !(s + 0 >= m + 0) }'; then
+      echo "TOO SLOW: $kernel avx2 speedup ${speedup}x < ${MIN_SPEEDUP}x"
+      fail=1
+    fi
+  done
+fi
 
 [ "$fail" -eq 0 ] && echo "BENCH DETERMINISM OK" || exit 1

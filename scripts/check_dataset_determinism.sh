@@ -2,12 +2,15 @@
 # Verifies the dataset determinism contract end to end with the real CLI:
 # the v6 bytes of a day are a pure function of its config.  One reference
 # day is generated (`msampctl fleet`, one thread) and every cell of the
-# table below must be `cmp`-identical to it: other thread counts, shard
-# splits generated one process per shard (each with its own MSAMP_THREADS)
-# and folded back with `msampctl merge`, and the fault-tolerant cluster
-# (worker processes, spill sinks, streaming merge) with and without
-# injected worker kills.  The mapped readers (`report`, `query`) must then
-# print byte-identical tables over every copy.
+# table below must be `cmp`-identical to it: other thread counts, the
+# scalar SIMD path, shard splits generated one process per shard (each
+# with its own MSAMP_THREADS) and folded back with `msampctl merge`, and
+# the fault-tolerant cluster (worker processes, spill sinks, streaming
+# merge) with and without injected worker kills.  The mapped readers
+# (`report`, `query`) must then print byte-identical tables over every
+# copy and under every SIMD path.  First, `MSAMP_SIMD=p msampctl version`
+# must report `simd-active p` for every path p the host can run, so the
+# scalar cells really run scalar.
 #
 #   scripts/check_dataset_determinism.sh [build-dir]     # default: build
 #   ARGS="--racks 8 --hours 4 --samples 300" scripts/check_dataset_determinism.sh
@@ -21,6 +24,21 @@ BUILD=${1:-build}
 ARGS=${ARGS:-"--racks 6 --hours 8 --samples 200"}
 MSAMPCTL="$PWD/$BUILD/tools/msampctl"
 [ -x "$MSAMPCTL" ] || { echo "error: $MSAMPCTL not built"; exit 1; }
+
+PATHS=$("$MSAMPCTL" version | awk '$1 == "simd-available" { $1 = ""; print }')
+case " $PATHS " in
+  *" scalar "*) ;;
+  *) echo "error: 'msampctl version' lists no scalar path:$PATHS"; exit 1 ;;
+esac
+echo "== MSAMP_SIMD routing is honored for every path:$PATHS"
+for p in $PATHS; do
+  active=$(MSAMP_SIMD="$p" "$MSAMPCTL" version |
+    awk '$1 == "simd-active" { print $2 }')
+  if [ "$active" != "$p" ]; then
+    echo "MISMATCH: MSAMP_SIMD=$p routed to '$active'"
+    exit 1
+  fi
+done
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
@@ -45,6 +63,13 @@ shards() {
   done
   "$MSAMPCTL" merge "${parts[@]}" --out "$out" > /dev/null
 }
+# scalar OUT KIND [args...]: cell KIND with every SIMD kernel call routed to
+# the scalar path.
+scalar() {
+  local out=$1 kind=$2
+  shift 2
+  MSAMP_SIMD=scalar $kind "$out" "$@"
+}
 # cluster OUT [msampctl cluster args...]: three worker processes.
 cluster() {
   local out=$1
@@ -57,6 +82,7 @@ CELLS=(
   "fleet-t2       fleet 2"
   "fleet-t3       fleet 3"
   "fleet-t4       fleet 4"
+  "fleet-scalar   scalar fleet 2"
   "shards-3       shards 1 4 2"
   "shards-2       shards 2 3"
   "cluster        cluster"
@@ -78,8 +104,9 @@ for cell in "${CELLS[@]}"; do
   copies+=("$name.bin")
 done
 
-echo "== mapped readers emit identical tables over every copy"
+echo "== mapped readers emit identical tables over every copy and path"
 for cmd in "report" "query" "query --what windows --limit 0" \
+           "query --what bursts --limit 0" \
            "query --region A --what bursts --limit 0"; do
   "$MSAMPCTL" $cmd --dataset ref.bin > ref.txt
   for ds in "${copies[@]}"; do
@@ -89,5 +116,13 @@ for cmd in "report" "query" "query --what windows --limit 0" \
       exit 1
     fi
   done
+  for p in $PATHS; do
+    MSAMP_SIMD="$p" "$MSAMPCTL" $cmd --dataset ref.bin > got.txt
+    if ! cmp -s ref.txt got.txt; then
+      echo "MISMATCH: '$cmd' output differs under MSAMP_SIMD=$p"
+      diff ref.txt got.txt | head -10
+      exit 1
+    fi
+  done
 done
-echo "DATASET DETERMINISM OK (${#CELLS[@]} cells, $ARGS)"
+echo "DATASET DETERMINISM OK (${#CELLS[@]} cells, $ARGS, paths:$PATHS)"

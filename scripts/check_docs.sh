@@ -12,6 +12,9 @@
 #      docs/*.md resolves to an existing file.
 #   3. The policy handbook (docs/POLICIES.md) stays linked from
 #      README.md, docs/API.md, and docs/MODEL.md.
+#   4. Every `scripts/*.sh` named in README.md, docs/*.md, and the verify
+#      skill (.claude/skills/verify/SKILL.md) exists, so deleting or
+#      renaming a script cannot leave the docs pointing at it.
 #
 # Escape hatch, matching the other lanes: MSAMP_SKIP_DOCS=1.
 set -euo pipefail
@@ -63,6 +66,18 @@ for doc in README.md docs/API.md docs/MODEL.md; do
     echo "[check_docs] $doc lost its link to the policy handbook" >&2
     fail=1
   fi
+done
+
+# --- 4. Named scripts exist --------------------------------------------
+for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -f "$doc" ] || continue
+  for script in $(grep -o 'scripts/[A-Za-z0-9_./-]*\.sh' "$doc" |
+                  sort -u || true); do
+    if [ ! -f "$script" ]; then
+      echo "[check_docs] $doc names missing script '$script'" >&2
+      fail=1
+    fi
+  done
 done
 
 if [ "$fail" != "0" ]; then

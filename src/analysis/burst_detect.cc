@@ -35,8 +35,8 @@ std::vector<Burst> detect_bursts(std::span<const core::BucketSample> series,
 
   // Three vector stages replace the scalar sweep: gather the in_bytes
   // column, compare it against the threshold into a bitmask, then extract
-  // maximal runs and sum each run's volume. All integer math, so every ISA
-  // path produces the same bursts byte for byte.
+  // maximal runs and sum each run's volume. All integer math, so both SIMD
+  // paths produce the same bursts byte for byte.
   constexpr std::size_t kStride =
       sizeof(core::BucketSample) / sizeof(std::int64_t);
   std::vector<std::int64_t> in_bytes(n);

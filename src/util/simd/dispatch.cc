@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,25 +26,16 @@ struct DispatchState {
   bool env_honored = true;
 };
 
+// The table for `p` when it is compiled into the binary and the running CPU
+// supports it, else nullptr.
 const KernelTable* table_for(IsaPath p) noexcept {
   switch (p) {
     case IsaPath::kScalar:
       return &internal::scalar_table();
-    case IsaPath::kSse4:
-#if defined(MSAMP_SIMD_HAVE_SSE4)
-      return &internal::sse4_table();
-#else
-      return nullptr;
-#endif
     case IsaPath::kAvx2:
 #if defined(MSAMP_SIMD_HAVE_AVX2)
-      return &internal::avx2_table();
-#else
-      return nullptr;
-#endif
-    case IsaPath::kNeon:
-#if defined(MSAMP_SIMD_HAVE_NEON)
-      return &internal::neon_table();
+      return __builtin_cpu_supports("avx2") != 0 ? &internal::avx2_table()
+                                                  : nullptr;
 #else
       return nullptr;
 #endif
@@ -53,47 +43,11 @@ const KernelTable* table_for(IsaPath p) noexcept {
   return nullptr;
 }
 
-bool cpu_supports(IsaPath p) noexcept {
-  switch (p) {
-    case IsaPath::kScalar:
-      return true;
-    case IsaPath::kSse4:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("sse4.2") != 0;
-#else
-      return false;
-#endif
-    case IsaPath::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case IsaPath::kNeon:
-      // AArch64 NEON is architecturally mandatory; if the translation unit
-      // was compiled, the CPU has it.
-#if defined(MSAMP_SIMD_HAVE_NEON)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-bool path_available(IsaPath p) noexcept {
-  return table_for(p) != nullptr && cpu_supports(p);
-}
-
 bool parse_path(const char* s, IsaPath* out) noexcept {
   if (std::strcmp(s, "scalar") == 0) {
     *out = IsaPath::kScalar;
-  } else if (std::strcmp(s, "sse4") == 0) {
-    *out = IsaPath::kSse4;
   } else if (std::strcmp(s, "avx2") == 0) {
     *out = IsaPath::kAvx2;
-  } else if (std::strcmp(s, "neon") == 0) {
-    *out = IsaPath::kNeon;
   } else {
     return false;
   }
@@ -103,10 +57,8 @@ bool parse_path(const char* s, IsaPath* out) noexcept {
 DispatchState& state() {
   static DispatchState s = [] {
     DispatchState st;
-    st.detected = IsaPath::kScalar;
-    for (IsaPath p : {IsaPath::kSse4, IsaPath::kAvx2, IsaPath::kNeon}) {
-      if (path_available(p)) st.detected = p;
-    }
+    st.detected = table_for(IsaPath::kAvx2) != nullptr ? IsaPath::kAvx2
+                                                       : IsaPath::kScalar;
     IsaPath chosen = st.detected;
     // msamp-lint: allow(nondet-getenv) startup-only SIMD path override,
     // documented in docs/REPRODUCING.md; every path is byte-identical.
@@ -115,7 +67,7 @@ DispatchState& state() {
       IsaPath forced;
       if (st.env == "auto" || st.env.empty()) {
         st.env_honored = true;
-      } else if (parse_path(env, &forced) && path_available(forced)) {
+      } else if (parse_path(env, &forced) && table_for(forced) != nullptr) {
         chosen = forced;
         st.env_honored = true;
       } else {
@@ -143,12 +95,8 @@ const char* path_name(IsaPath p) noexcept {
   switch (p) {
     case IsaPath::kScalar:
       return "scalar";
-    case IsaPath::kSse4:
-      return "sse4";
     case IsaPath::kAvx2:
       return "avx2";
-    case IsaPath::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -159,38 +107,23 @@ IsaPath detected_path() noexcept { return state().detected; }
 
 std::vector<IsaPath> available_paths() {
   std::vector<IsaPath> out;
-  for (IsaPath p :
-       {IsaPath::kScalar, IsaPath::kSse4, IsaPath::kAvx2, IsaPath::kNeon}) {
-    if (path_available(p)) out.push_back(p);
+  for (IsaPath p : {IsaPath::kScalar, IsaPath::kAvx2}) {
+    if (table_for(p) != nullptr) out.push_back(p);
   }
   return out;
 }
 
 bool force_path(IsaPath p) noexcept {
-  if (!path_available(p)) return false;
+  const KernelTable* table = table_for(p);
+  if (table == nullptr) return false;
   state();  // ensure detection ran so force/unforce is well ordered
-  g_forced.store(table_for(p), std::memory_order_release);
+  g_forced.store(table, std::memory_order_release);
   return true;
 }
 
 const char* env_request() noexcept { return state().env.c_str(); }
 
 bool env_honored() noexcept { return state().env_honored; }
-
-void add_u64(std::uint64_t* dst, const std::uint64_t* src,
-             std::size_t n) noexcept {
-  active_table().add_u64(dst, src, n);
-}
-
-void saturating_add_u64(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) noexcept {
-  active_table().saturating_add_u64(dst, src, n);
-}
-
-void or_u64(std::uint64_t* dst, const std::uint64_t* src,
-            std::size_t n) noexcept {
-  active_table().or_u64(dst, src, n);
-}
 
 void tally_rows_u64(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t n_words) noexcept {
@@ -208,8 +141,8 @@ void threshold_mask_i64(const std::int64_t* v, std::size_t n,
 }
 
 std::vector<Run> extract_runs(const std::uint64_t* mask_words, std::size_t n) {
-  // Shared scalar pass over the mask words: identical on every path, so run
-  // boundaries can never diverge between ISAs.
+  // Shared scalar pass over the mask words: identical on both paths, so run
+  // boundaries can never diverge between them.
   std::vector<Run> runs;
   bool open = false;
   std::size_t start = 0;

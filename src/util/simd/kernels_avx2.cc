@@ -26,41 +26,6 @@ inline __m256i sat_add_epi64(__m256i a, __m256i b) noexcept {
   return _mm256_or_si256(sum, ovf);
 }
 
-void add_u64_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_add_epi64(d, s));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-void saturating_add_u64_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                             std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        sat_add_epi64(d, s));
-  }
-  for (; i < n; ++i) dst[i] = sat_add_word(dst[i], src[i]);
-}
-
-void or_u64_avx2(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(d, s));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
 void tally_rows_u64_avx2(std::uint64_t* dst, const std::uint64_t* src,
                          std::size_t n_words) {
   // 4 words per vector against 7-word rows: the word phase of a vector
@@ -220,9 +185,6 @@ double sum_f64_avx2(const double* v, std::size_t n) {
 const KernelTable& avx2_table() noexcept {
   static constexpr KernelTable kTable = {
       IsaPath::kAvx2,
-      add_u64_avx2,
-      saturating_add_u64_avx2,
-      or_u64_avx2,
       tally_rows_u64_avx2,
       sum_i64_avx2,
       threshold_mask_i64_avx2,

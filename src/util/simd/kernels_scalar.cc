@@ -16,21 +16,6 @@ inline std::uint64_t sat_add_word(std::uint64_t a, std::uint64_t b) noexcept {
   return s < a ? ~std::uint64_t{0} : s;
 }
 
-void add_u64_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
-void saturating_add_u64_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                               std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = sat_add_word(dst[i], src[i]);
-}
-
-void or_u64_scalar(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
 void tally_rows_u64_scalar(std::uint64_t* dst, const std::uint64_t* src,
                            std::size_t n_words) {
   std::size_t word_in_row = 0;
@@ -84,8 +69,8 @@ void dt_admit_i64_scalar(const std::int64_t* demand, const std::int64_t* limit,
 
 double sum_f64_scalar(const double* v, std::size_t n) {
   // The pinned lane-then-tree DAG documented in simd.h: four serial
-  // accumulator chains, a fixed tree combine, then a serial tail. The vector
-  // paths realize the identical DAG, so results are byte-identical.
+  // accumulator chains, a fixed tree combine, then a serial tail. The AVX2
+  // path realizes the identical DAG, so results are byte-identical.
   double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
   std::size_t i = 0;
   for (; i + kFoldLanes <= n; i += kFoldLanes) {
@@ -104,9 +89,6 @@ double sum_f64_scalar(const double* v, std::size_t n) {
 const KernelTable& scalar_table() noexcept {
   static constexpr KernelTable kTable = {
       IsaPath::kScalar,
-      add_u64_scalar,
-      saturating_add_u64_scalar,
-      or_u64_scalar,
       tally_rows_u64_scalar,
       sum_i64_scalar,
       threshold_mask_i64_scalar,

@@ -1,18 +1,19 @@
 // util::simd — runtime-dispatched SIMD kernels for the sampler, fluid-rack,
 // and burst-detection hot paths.
 //
-// The dispatch layer detects CPU features once at startup (CPUID on x86,
-// compile-time on AArch64) and routes every kernel through a function-pointer
-// table to the best implementation compiled into the binary: scalar, SSE4.2,
-// AVX2, or NEON. The `MSAMP_SIMD` environment variable
-// (`scalar|sse4|avx2|neon|auto`) forces a path at startup; tests and benches
+// The dispatch layer detects CPU features once at startup (CPUID on x86) and
+// routes every kernel through a function-pointer table to one of two
+// implementations: scalar, compiled everywhere, or AVX2, compiled into x86
+// builds and chosen when the CPU has it. The `MSAMP_SIMD` environment
+// variable (`scalar|avx2|auto`) forces a path at startup; tests and benches
 // use `force_path()` instead so they never mutate the environment.
 //
 // Determinism contract: every kernel below produces byte-identical output on
-// every path. The integer kernels are exact, so cross-path identity is free;
+// both paths. The integer kernels are exact, so cross-path identity is free;
 // the double fold `sum_f64` pins a fixed-width lane-then-tree addition DAG
-// (see docs/SIMD.md) that each ISA implementation must reproduce, and
-// scripts/check_simd_determinism.sh enforces the whole contract end to end.
+// (see docs/SIMD.md) that the AVX2 implementation must reproduce. The
+// scalar cells of scripts/check_dataset_determinism.sh and
+// scripts/check_bench_determinism.sh enforce the whole contract end to end.
 //
 // Raw intrinsics live only in this subsystem; the msamp_lint rule
 // `intrinsics-only-in-simd` flags `<immintrin.h>`/`<arm_neon.h>` includes and
@@ -26,11 +27,11 @@
 namespace msamp::util::simd {
 
 /// Instruction-set paths a kernel call can be routed to. `kScalar` is always
-/// compiled; the others exist only when the toolchain targets that ISA.
-enum class IsaPath : std::uint8_t { kScalar = 0, kSse4 = 1, kAvx2 = 2, kNeon = 3 };
+/// compiled; `kAvx2` exists only in x86 builds.
+enum class IsaPath : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
-/// Stable lowercase name for `p` ("scalar", "sse4", "avx2", "neon") —
-/// the same spelling `MSAMP_SIMD` accepts.
+/// Stable lowercase name for `p` ("scalar", "avx2") — the same spelling
+/// `MSAMP_SIMD` accepts.
 const char* path_name(IsaPath p) noexcept;
 
 /// The path kernel calls currently route to (after detection, the
@@ -57,26 +58,14 @@ const char* env_request() noexcept;
 bool env_honored() noexcept;
 
 // ---------------------------------------------------------------------------
-// u64 bucket tally kernels (core::TcFilter per-CPU counter arrays).
+// u64 bucket tally (core::TcFilter per-CPU counter rows).
 // ---------------------------------------------------------------------------
-
-/// dst[i] += src[i] with wrap-around (mod 2^64), i in [0, n).
-void add_u64(std::uint64_t* dst, const std::uint64_t* src,
-             std::size_t n) noexcept;
-
-/// dst[i] = dst[i] + src[i], clamped to UINT64_MAX on overflow.
-void saturating_add_u64(std::uint64_t* dst, const std::uint64_t* src,
-                        std::size_t n) noexcept;
-
-/// dst[i] |= src[i] (sketch word merge).
-void or_u64(std::uint64_t* dst, const std::uint64_t* src,
-            std::size_t n) noexcept;
 
 /// Word layout of one core::RawBucket row: kRowTallyWords counter words
 /// followed by (kRowWords - kRowTallyWords) bitmap words. tally_rows_u64
 /// folds a per-CPU array of such rows into `dst`: counter words
-/// saturating-add, bitmap words bitwise-OR. `n_words` must be a multiple of
-/// kRowWords.
+/// saturating-add (clamped to UINT64_MAX on overflow), bitmap words
+/// bitwise-OR. `n_words` must be a multiple of kRowWords.
 inline constexpr std::size_t kRowWords = 7;
 inline constexpr std::size_t kRowTallyWords = 5;
 void tally_rows_u64(std::uint64_t* dst, const std::uint64_t* src,
@@ -124,13 +113,13 @@ void dt_admit_i64(const std::int64_t* demand, const std::int64_t* limit,
 /// Number of independent accumulator lanes in the pinned fold DAG.
 inline constexpr std::size_t kFoldLanes = 4;
 
-/// Fixed-width lane-then-tree fold over v[0..n), byte-identical on every
-/// path. The pinned DAG (W = kFoldLanes):
+/// Fixed-width lane-then-tree fold over v[0..n), byte-identical on both
+/// paths. The pinned DAG (W = kFoldLanes):
 ///   lane j accumulates serially:  acc[j] += v[W*i + j]
 ///   tree combine:                 r = (acc[0] + acc[2]) + (acc[1] + acc[3])
 ///   tail (n % W trailing values): r += v[k], serially, left to right
-/// Every ISA implementation must realize exactly this DAG; see docs/SIMD.md
-/// for the per-ISA correspondence proof obligation.
+/// Both implementations must realize exactly this DAG; see docs/SIMD.md for
+/// the AVX2 correspondence proof obligation.
 double sum_f64(const double* v, std::size_t n) noexcept;
 
 }  // namespace msamp::util::simd

@@ -1,5 +1,6 @@
-// Internal plumbing shared by the util::simd dispatcher and the per-ISA
-// kernel translation units. Not installed; include only from src/util/simd/.
+// Internal plumbing shared by the util::simd dispatcher and the scalar and
+// AVX2 kernel translation units. Not installed; include only from
+// src/util/simd/.
 #pragma once
 
 #include <cstddef>
@@ -9,15 +10,11 @@
 
 namespace msamp::util::simd::internal {
 
-/// One function pointer per kernel. Each ISA translation unit fills a table
-/// with its implementations; the dispatcher picks one table at startup and
-/// the public entry points in simd.h jump through it.
+/// One function pointer per path-specific kernel. Each translation unit
+/// fills a table with its implementations; the dispatcher picks one table at
+/// startup and the public entry points in simd.h jump through it.
 struct KernelTable {
   IsaPath path;
-  void (*add_u64)(std::uint64_t*, const std::uint64_t*, std::size_t);
-  void (*saturating_add_u64)(std::uint64_t*, const std::uint64_t*,
-                             std::size_t);
-  void (*or_u64)(std::uint64_t*, const std::uint64_t*, std::size_t);
   void (*tally_rows_u64)(std::uint64_t*, const std::uint64_t*, std::size_t);
   std::int64_t (*sum_i64)(const std::int64_t*, std::size_t);
   void (*threshold_mask_i64)(const std::int64_t*, std::size_t, std::int64_t,
@@ -34,14 +31,8 @@ struct KernelTable {
 /// auto-vectorization disabled so they stay honestly scalar.
 const KernelTable& scalar_table() noexcept;
 
-#if defined(MSAMP_SIMD_HAVE_SSE4)
-const KernelTable& sse4_table() noexcept;
-#endif
 #if defined(MSAMP_SIMD_HAVE_AVX2)
 const KernelTable& avx2_table() noexcept;
-#endif
-#if defined(MSAMP_SIMD_HAVE_NEON)
-const KernelTable& neon_table() noexcept;
 #endif
 
 }  // namespace msamp::util::simd::internal

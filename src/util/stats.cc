@@ -131,8 +131,9 @@ double safe_ratio(double num, double den) noexcept {
 
 double canonical_sum(const double* data, std::size_t n) noexcept {
   // The contract is the fixed-width lane-then-tree DAG pinned in
-  // util::simd::sum_f64; every ISA path must reproduce those exact bytes
-  // (proven by tests/test_simd.cc and scripts/check_simd_determinism.sh).
+  // util::simd::sum_f64; both SIMD paths must reproduce those exact bytes
+  // (proven by tests/test_simd.cc and the scalar cells of
+  // scripts/check_dataset_determinism.sh and check_bench_determinism.sh).
   return simd::sum_f64(data, n);
 }
 

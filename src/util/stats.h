@@ -114,8 +114,9 @@ double safe_ratio(double num, double den) noexcept;
 // stays a strict left fold.  The contiguous `canonical_sum` is pinned to
 // the fixed-width lane-then-tree fold implemented by `util::simd::sum_f64`
 // (4 serial accumulator lanes, tree combine `(l0+l2)+(l1+l3)`, serial
-// tail), which every ISA path reproduces byte-identically —
-// scripts/check_simd_determinism.sh enforces it (docs/SIMD.md,
+// tail), which the scalar and AVX2 paths reproduce byte-identically — the
+// scalar cells of scripts/check_dataset_determinism.sh and
+// scripts/check_bench_determinism.sh enforce it (docs/SIMD.md,
 // docs/PERFORMANCE.md).  msamp_lint's `float-accum-order` rule flags
 // ad-hoc `+=` loops.
 

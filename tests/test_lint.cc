@@ -919,7 +919,7 @@ void g(unsigned long long* d) {
   _mm_storeu_si128((__m128i*)d, v);
 }
 )";
-  EXPECT_TRUE(lint_source("src/util/simd/kernels_sse4.cc", src).empty());
+  EXPECT_TRUE(lint_source("src/util/simd/kernels_avx2.cc", src).empty());
   EXPECT_TRUE(lint_source("src/util/simd/simd_internal.h", src).empty());
 }
 

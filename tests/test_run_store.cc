@@ -12,8 +12,15 @@ namespace {
 namespace fs = std::filesystem;
 
 struct RunStoreFixture : ::testing::Test {
-  std::string dir = "test_run_store_tmp";
+  // One directory per test, like the fresh_dir helpers of the other
+  // on-disk suites: ctest runs every test as its own process, so under
+  // `ctest -j` a shared name would let one test's TearDown delete the
+  // files of another.
+  std::string dir =
+      std::string("test_run_store_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
 
+  void SetUp() override { fs::remove_all(dir); }
   void TearDown() override { fs::remove_all(dir); }
 
   RunStoreConfig cfg() {

@@ -50,12 +50,19 @@ if(NOT forced MATCHES "simd-env-honored[ ]+yes")
   message(FATAL_ERROR "MSAMP_SIMD=scalar not marked honored:\n${forced}")
 endif()
 
-# An unknown value falls back to the detected path and says so.
-set(ENV{MSAMP_SIMD} avx9999)
-run_version(bogus)
-set(ENV{MSAMP_SIMD} "")
-if(NOT bogus MATCHES "simd-env-honored[ ]+no")
-  message(FATAL_ERROR "bogus MSAMP_SIMD not flagged as unhonored:\n${bogus}")
-endif()
+# An unknown value — including the retired sse4 and neon paths — falls back
+# to the detected path and says so.
+foreach(value avx9999 sse4 neon)
+  set(ENV{MSAMP_SIMD} ${value})
+  run_version(bogus)
+  set(ENV{MSAMP_SIMD} "")
+  if(NOT bogus MATCHES "simd-env-honored[ ]+no")
+    message(FATAL_ERROR "MSAMP_SIMD=${value} not flagged as unhonored:\n${bogus}")
+  endif()
+  string(REGEX MATCH "simd-detected[ ]+([a-z0-9]+)" detected_row "${bogus}")
+  if(NOT bogus MATCHES "simd-active[ ]+${CMAKE_MATCH_1}[ \n]")
+    message(FATAL_ERROR "MSAMP_SIMD=${value} left the detected path:\n${bogus}")
+  endif()
+endforeach()
 
 file(REMOVE_RECURSE ${work})

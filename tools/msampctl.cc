@@ -86,7 +86,7 @@
 //       best path, the active path, and whether an MSAMP_SIMD override
 //       was honored.  The first thing a bug report needs; the output is
 //       one `field value` table, so scripts can awk out single fields
-//       (scripts/check_simd_determinism.sh does).
+//       (scripts/check_dataset_determinism.sh does).
 //
 // Every command is deterministic for a given --seed.
 #include <algorithm>
