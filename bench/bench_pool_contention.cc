@@ -1,6 +1,7 @@
-// Contention rate vs thread count for util::ThreadPool and the SPSC
-// handoff rings — the observability the NUMA-pinning and SIMD work will
-// steer by (docs/OBSERVABILITY.md explains how to read each column).
+// Contention rate vs thread count for util::ThreadPool and the fleet
+// runner's in-order commit lock — the observability the NUMA-pinning and
+// SIMD work will steer by (docs/OBSERVABILITY.md explains how to read
+// each column).
 //
 // This is the ONE sanctioned reader of the contention counters: every
 // other output path is barred from them by msamp_lint's
@@ -12,21 +13,19 @@
 //
 // The workload mirrors the fleet runner's shape at miniature scale: many
 // short parallel_for bodies claiming indices from the shared counter,
-// each body pushing its index into a per-lane SpscRing drained by one
-// consumer thread in canonical order.  Bodies are a few hundred
-// nanoseconds on purpose — short bodies maximize claims (and therefore
-// contention pressure) per second, the worst case the counters exist to
-// expose.  No wall clocks anywhere: the columns are pure event tallies.
-#include <atomic>
+// each body then taking one commit mutex (probed through a try_lock) to
+// mark its index ready and fold every ready index at the canonical-order
+// cursor.  Bodies are a few hundred nanoseconds on purpose — short bodies
+// maximize claims and commits (and therefore contention pressure) per
+// second, the worst case the counters exist to expose.  No wall clocks
+// anywhere: the columns are pure event tallies.
 #include <cstdint>
 #include <iostream>
-#include <memory>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "common.h"
 #include "util/contention_counters.h"
-#include "util/spsc_ring.h"
 #include "util/thread_pool.h"
 
 using namespace msamp;
@@ -35,7 +34,6 @@ namespace {
 
 constexpr std::size_t kIndicesPerRound = 4096;
 constexpr std::size_t kRounds = 8;
-constexpr std::size_t kRingCapacity = 64;
 
 /// A few hundred nanoseconds of deterministic register work, standing in
 /// for one simulation window at 1/1000000 scale.
@@ -46,64 +44,32 @@ std::uint64_t spin_work(std::uint64_t x) {
 
 struct RunTallies {
   util::ContentionSnapshot pool;
-  util::ContentionSnapshot rings;  ///< handoff_* fields summed over lanes
-  std::uint64_t checksum = 0;      ///< consumer-side fold (keeps work honest)
+  util::ContentionSnapshot commit;  ///< lock_* fields of the commit mutex
+  std::uint64_t checksum = 0;       ///< commit-side fold (keeps work honest)
 };
 
 RunTallies run_workload(int threads) {
   util::ThreadPool pool(threads);
-  const int lanes = pool.size();
-  std::vector<std::unique_ptr<util::SpscRing<std::size_t>>> rings;
-  for (int l = 0; l < lanes; ++l) {
-    rings.push_back(
-        std::make_unique<util::SpscRing<std::size_t>>(kRingCapacity));
-  }
-
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> checksum{0};
-  std::thread consumer([&] {
-    std::uint64_t local = 0;
-    for (;;) {
-      bool popped = false;
-      for (auto& ring : rings) {
-        std::size_t i = 0;
-        while (ring->try_pop(i)) {
-          local += spin_work(i);
-          popped = true;
-        }
-      }
-      if (!popped) {
-        if (done.load(std::memory_order_acquire)) break;
-        std::this_thread::yield();
-      }
-    }
-    checksum.store(local, std::memory_order_release);
-  });
-
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    pool.parallel_for(
-        kIndicesPerRound,
-        std::function<void(int, std::size_t)>([&](int lane, std::size_t i) {
-          spin_work(i + round);
-          while (!rings[static_cast<std::size_t>(lane)]->try_push(
-              std::size_t{i})) {
-            std::this_thread::yield();
-          }
-        }));
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-
+  util::ContentionCounters commit_counters;
+  std::mutex commit_mu;
   RunTallies out;
-  out.pool = pool.contention_snapshot();
-  for (auto& ring : rings) {
-    const util::ContentionSnapshot s = ring->contention_snapshot();
-    out.rings.handoff_pushes += s.handoff_pushes;
-    out.rings.handoff_full_spins += s.handoff_full_spins;
-    out.rings.handoff_pops += s.handoff_pops;
-    out.rings.handoff_empty_spins += s.handoff_empty_spins;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::vector<std::uint64_t> value(kIndicesPerRound);
+    std::vector<unsigned char> ready(kIndicesPerRound, 0);
+    std::size_t cursor = 0;
+    pool.parallel_for(kIndicesPerRound, [&](std::size_t i) {
+      value[i] = spin_work(i + round);
+      std::unique_lock<std::mutex> lock(commit_mu, std::try_to_lock);
+      commit_counters.count_lock(lock.owns_lock());
+      if (!lock.owns_lock()) lock.lock();
+      ready[i] = 1;
+      for (; cursor < kIndicesPerRound && ready[cursor]; ++cursor) {
+        out.checksum += value[cursor];
+      }
+    });
   }
-  out.checksum = checksum.load(std::memory_order_acquire);
+  out.pool = pool.contention_snapshot();
+  out.commit = commit_counters.snapshot();
   return out;
 }
 
@@ -111,14 +77,13 @@ RunTallies run_workload(int threads) {
 
 int main() {
   bench::header(
-      "Pool contention — trylock/CAS/handoff rates vs thread count",
+      "Pool contention — trylock/CAS/commit-lock rates vs thread count",
       "observability companion: rates should be ~0 at 1 thread and grow "
       "with thread count on a multi-core host");
 
   util::Table table({"threads", "lock acq", "lock cont", "lock rate",
                      "cas claims", "cas retries", "cas rate", "waits",
-                     "notifies", "ring pushes", "ring full rate",
-                     "ring empty rate"});
+                     "notifies", "commits", "commit lock rate"});
   std::uint64_t fold = 0;
   for (const int threads : {1, 2, 4, 8}) {
     const RunTallies t = run_workload(threads);
@@ -133,18 +98,17 @@ int main() {
         .cell(t.pool.cas_retry_rate(), 4)
         .cell(static_cast<unsigned long long>(t.pool.waits))
         .cell(static_cast<unsigned long long>(t.pool.notifies))
-        .cell(static_cast<unsigned long long>(t.rings.handoff_pushes))
-        .cell(t.rings.handoff_full_rate(), 4)
-        .cell(t.rings.handoff_empty_rate(), 4);
+        .cell(static_cast<unsigned long long>(t.commit.lock_acquisitions()))
+        .cell(t.commit.lock_contention_rate(), 4);
   }
   bench::emit_table("pool_contention", table);
 
   std::cout << "\nrows are event tallies over " << kRounds << " rounds x "
             << kIndicesPerRound
             << " claimed indices; rates are contended/total.  The 1-thread "
-               "row is the serial fast path: its pool columns are zero by "
-               "construction (the rings still carry the handoff).\n"
+               "row is the serial fast path: its pool columns and its "
+               "commit lock rate are zero by construction.\n"
                "(workload checksum " << fold
-            << " — consumed through the rings, never part of the CSV)\n";
+            << " — folded under the commit lock, never part of the CSV)\n";
   return 0;
 }

@@ -36,6 +36,8 @@ struct BucketSample {
   std::int64_t in_ecn_bytes = 0;
   /// Linear-counting estimate of distinct active connections this bucket.
   double connections = 0.0;
+
+  bool operator==(const BucketSample&) const = default;
 };
 
 }  // namespace msamp::core

@@ -24,8 +24,15 @@ BucketSample lerp_sample(const BucketSample& a, const BucketSample& b,
 std::vector<BucketSample> align_series(const RunRecord& record,
                                        sim::SimTime grid_start,
                                        std::size_t n) {
-  std::vector<BucketSample> out(n);
-  if (!record.valid()) return out;
+  std::vector<BucketSample> out;
+  align_series(record, grid_start, n, out);
+  return out;
+}
+
+void align_series(const RunRecord& record, sim::SimTime grid_start,
+                  std::size_t n, std::vector<BucketSample>& out) {
+  out.assign(n, BucketSample{});
+  if (!record.valid()) return;
   const double dt = static_cast<double>(record.interval);
   for (std::size_t k = 0; k < n; ++k) {
     const sim::SimTime t =
@@ -41,7 +48,6 @@ std::vector<BucketSample> align_series(const RunRecord& record,
       out[k] = lerp_sample(record.buckets[i], record.buckets[i + 1], frac);
     }
   }
-  return out;
 }
 
 }  // namespace msamp::core

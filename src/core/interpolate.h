@@ -19,6 +19,10 @@ namespace msamp::core {
 std::vector<BucketSample> align_series(const RunRecord& record,
                                        sim::SimTime grid_start, std::size_t n);
 
+/// Same resampling into `out` (resized to `n`), reusing its capacity.
+void align_series(const RunRecord& record, sim::SimTime grid_start,
+                  std::size_t n, std::vector<BucketSample>& out);
+
 /// Linear blend of two samples (t in [0,1]); exposed for tests.
 BucketSample lerp_sample(const BucketSample& a, const BucketSample& b,
                          double t);

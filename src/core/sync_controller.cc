@@ -6,8 +6,15 @@ namespace msamp::core {
 
 SyncRun combine_runs(const std::vector<RunRecord>& records) {
   SyncRun out;
-  if (records.empty()) return out;
-  out.interval = records.front().interval;
+  combine_runs(records, out);
+  return out;
+}
+
+void combine_runs(const std::vector<RunRecord>& records, SyncRun& out) {
+  out.grid_start = -1;
+  out.interval =
+      records.empty() ? sim::kMillisecond : records.front().interval;
+  out.hosts.clear();
 
   // Common window across the records that actually started: SyncMillisampler
   // trims to the overlapping interval (§5: the average trimmed run is 1.85s
@@ -27,24 +34,21 @@ SyncRun combine_runs(const std::vector<RunRecord>& records) {
       earliest_end = std::min(earliest_end, end);
     }
   }
-  if (!any || earliest_end <= latest_start) return out;
-
-  const auto n = static_cast<std::size_t>((earliest_end - latest_start) /
-                                          out.interval);
-  if (n == 0) return out;
-  out.grid_start = latest_start;
-  out.hosts.reserve(records.size());
-  out.series.reserve(records.size());
-  for (const auto& r : records) {
-    out.hosts.push_back(r.host);
-    if (r.valid()) {
-      out.series.push_back(align_series(r, out.grid_start, n));
-    } else {
-      // An idle server contributes a true all-zero series.
-      out.series.emplace_back(n);
-    }
+  const auto n = any && earliest_end > latest_start
+                     ? static_cast<std::size_t>(
+                           (earliest_end - latest_start) / out.interval)
+                     : std::size_t{0};
+  if (n == 0) {
+    out.series.clear();
+    return;
   }
-  return out;
+  out.grid_start = latest_start;
+  out.series.resize(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out.hosts.push_back(records[i].host);
+    // An idle server (invalid record) contributes a true all-zero series.
+    align_series(records[i], out.grid_start, n, out.series[i]);
+  }
 }
 
 bool SyncController::collect(sim::SimDuration interval,

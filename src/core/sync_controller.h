@@ -39,6 +39,10 @@ struct SyncRun {
 /// combination step.
 SyncRun combine_runs(const std::vector<RunRecord>& records);
 
+/// Same combination into `out`, reusing its host and series capacity; the
+/// result equals the by-value form's whatever `out` held before.
+void combine_runs(const std::vector<RunRecord>& records, SyncRun& out);
+
 /// The control plane.  Owns no samplers; it coordinates the ones passed in.
 class SyncController {
  public:

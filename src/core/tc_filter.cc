@@ -103,6 +103,12 @@ bool TcFilter::process_batch(int cpu, const SegmentBatch& batch,
 }
 
 std::vector<BucketSample> TcFilter::read_aggregated() const {
+  std::vector<BucketSample> out;
+  read_aggregated(out);
+  return out;
+}
+
+void TcFilter::read_aggregated(std::vector<BucketSample>& out) const {
   const auto buckets = static_cast<std::size_t>(config_.num_buckets);
   const std::size_t row_words = buckets * util::simd::kRowWords;
   // Fold every CPU's bucket array into one accumulator in a single strided
@@ -117,7 +123,7 @@ std::vector<BucketSample> TcFilter::read_aggregated() const {
         acc.data(), words + static_cast<std::size_t>(c) * row_words,
         row_words);
   }
-  std::vector<BucketSample> out(buckets);
+  out.resize(buckets);
   for (std::size_t b = 0; b < buckets; ++b) {
     BucketSample& s = out[b];
     const std::uint64_t* row = acc.data() + b * util::simd::kRowWords;
@@ -130,7 +136,6 @@ std::vector<BucketSample> TcFilter::read_aggregated() const {
     sketch.set_words(row[5], row[6]);
     s.connections = sketch.empty() ? 0.0 : sketch.estimate();
   }
-  return out;
 }
 
 const RawBucket& TcFilter::raw(int cpu, int bucket) const {

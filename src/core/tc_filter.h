@@ -27,6 +27,8 @@ struct TcFilterConfig {
   int num_cpus = 32;
   int num_buckets = 2000;
   bool count_flows = true;
+
+  bool operator==(const TcFilterConfig&) const = default;
 };
 
 /// A pre-aggregated batch of segments observed within one time bucket.
@@ -77,6 +79,10 @@ class TcFilter {
   /// User-space read: sums the per-CPU rows (and ORs the sketches) into
   /// aggregated samples. Valid whether or not the run completed.
   std::vector<BucketSample> read_aggregated() const;
+
+  /// Same read into `out`, reusing its capacity (a re-armed filter's
+  /// reader allocates nothing once `out` has held one run).
+  void read_aggregated(std::vector<BucketSample>& out) const;
 
   /// Direct access to a per-CPU row, for tests.
   const RawBucket& raw(int cpu, int bucket) const;

@@ -1,12 +1,10 @@
 #include "fleet/fleet_runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <ranges>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,7 +14,6 @@
 #include "fleet/dataset_view.h"
 #include "fleet/fluid_rack.h"
 #include "fleet/spill_sink.h"
-#include "util/spsc_ring.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "workload/diurnal.h"
@@ -53,11 +50,12 @@ ExemplarRun make_exemplar(const core::SyncRun& sync,
   return ex;
 }
 
-/// Simulates one window and runs the analysis pipeline on it.  Depends
-/// only on (config, rack, hour) — the RNG forks from the master seed keyed
-/// on (rack_id, hour), never on execution order — so windows can run on
-/// any thread in any order.
-WindowRecords simulate_window(const FleetConfig& config,
+/// Simulates one window on `fluid` (re-armed for it) and runs the
+/// analysis pipeline on it.  Depends only on (config, rack, hour) — the
+/// RNG forks from the master seed keyed on (rack_id, hour), never on
+/// execution order, and arming resets every window state — so windows can
+/// run on any thread in any order.
+WindowRecords simulate_window(FluidRack& fluid, const FleetConfig& config,
                               const analysis::BurstDetectConfig& burst_cfg,
                               const workload::RackMeta& rack, int hour) {
   WindowRecords out;
@@ -65,8 +63,8 @@ WindowRecords simulate_window(const FleetConfig& config,
                                                    rack.rack_id) +
                                                    1000003),
                          static_cast<std::uint64_t>(hour) + 17));
-  FluidRack fluid(rack, config, hour, rng);
-  FluidRackResult res = fluid.run();
+  fluid.arm(rack, config, hour, rng);
+  const FluidRackResult& res = fluid.run();
   const core::SyncRun& sync = res.sync;
   if (sync.num_samples() == 0) return out;
   out.has_run = true;
@@ -230,110 +228,52 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
   const std::size_t end = shard.end(total_windows);
   const std::size_t shard_windows = end - begin;
 
-  util::ThreadPool pool(config.threads);
-  const int lanes = pool.size();
-  std::mutex progress_mu;
-  std::size_t completed = 0;
-  auto note_progress = [&] {
-    if (!progress) return;
-    // Serialized and strictly increasing: each completion bumps the
-    // counter exactly once, and total/total is exactly 1.0.
-    std::lock_guard<std::mutex> lock(progress_mu);
-    ++completed;
-    progress(static_cast<double>(completed) /
-             static_cast<double>(shard_windows));
-  };
-
-  if (lanes == 1) {
-    // Single lane: simulate and stream straight into the sink — no
-    // consumer thread, no rings, and trivially the canonical order.
-    for (std::size_t w = begin; w < end; ++w) {
-      const int hour = static_cast<int>(w / racks.size());
-      const workload::RackMeta& rack = racks[w % racks.size()];
-      sink.on_window(w, simulate_window(config, burst_cfg, rack, hour));
-      note_progress();
-    }
-    if (progress && shard_windows == 0) progress(1.0);
-    return;
-  }
-
-  // Windows are simulated in bounded chunks: each chunk fans out over the
-  // pool while a dedicated consumer thread merges completed windows into
-  // the sink in canonical order.  Peak memory is one chunk of window
-  // records, independent of shard (or day) size.
+  // Windows are simulated in bounded chunks that fan out over the pool, so
+  // peak memory is one chunk of window records, independent of shard (or
+  // day) size.  Each lane re-arms one FluidRack for all its windows (an
+  // unarmed rack holds no storage, so a run without windows allocates none).
   //
-  // Handoff: each lane owns one SPSC ring and pushes the *slot index* of
-  // every window it finishes; the ring's release/acquire edge publishes
-  // the slot's contents to the consumer, which marks indices ready and
-  // advances a cursor so the sink sees windows strictly in canonical
-  // order with no gaps — the bytes cannot depend on which lane ran which
-  // window, or in what order.  The rings replace the old mutexed
-  // collect-then-drain step on the caller thread.
+  // Commit: the lane that finishes the window at the chunk's cursor hands
+  // it and every ready successor to the sink, under one mutex, so the sink
+  // sees windows strictly in canonical order with no gaps — the bytes
+  // cannot depend on which lane ran which window, or in what order.
+  util::ThreadPool pool(config.threads);
+  std::vector<FluidRack> fluid(static_cast<std::size_t>(pool.size()));
   const std::size_t chunk_windows =
-      std::max<std::size_t>(static_cast<std::size_t>(lanes) * 8, 64);
-  constexpr std::size_t kRingCapacity = 256;
-  std::vector<std::unique_ptr<util::SpscRing<std::size_t>>> rings;
-  rings.reserve(static_cast<std::size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) {
-    rings.push_back(
-        std::make_unique<util::SpscRing<std::size_t>>(kRingCapacity));
-  }
-
+      std::max<std::size_t>(static_cast<std::size_t>(pool.size()) * 8, 64);
+  std::mutex commit_mu;
+  std::size_t committed = 0;
   for (std::size_t chunk = begin; chunk < end; chunk += chunk_windows) {
     const std::size_t n = std::min(chunk_windows, end - chunk);
     std::vector<WindowRecords> slots(n);
-    // `abort` is the one cross-thread escape hatch: the consumer raises it
-    // when the sink throws (so blocked producers stop spinning on a full
-    // ring), and the producer side raises it when a body throws (so the
-    // consumer stops waiting for windows that will never arrive).
-    std::atomic<bool> abort{false};
-    std::exception_ptr consumer_error;
-    std::thread consumer([&] {
-      try {
-        std::vector<unsigned char> ready(n, 0);
-        std::size_t cursor = 0;
-        while (cursor < n && !abort.load(std::memory_order_acquire)) {
-          bool popped = false;
-          for (auto& ring : rings) {
-            std::size_t i = 0;
-            while (ring->try_pop(i)) {
-              ready[i] = 1;
-              popped = true;
+    std::vector<unsigned char> ready(n, 0);
+    std::size_t cursor = 0;
+    pool.parallel_for(
+        n, std::function<void(int, std::size_t)>([&](int lane,
+                                                     std::size_t i) {
+          const std::size_t w = chunk + i;
+          const int hour = static_cast<int>(w / racks.size());
+          const workload::RackMeta& rack = racks[w % racks.size()];
+          slots[i] = simulate_window(fluid[static_cast<std::size_t>(lane)],
+                                     config, burst_cfg, rack, hour);
+          std::lock_guard<std::mutex> lock(commit_mu);
+          ready[i] = 1;
+          try {
+            for (; cursor < n && ready[cursor]; ++cursor) {
+              sink.on_window(chunk + cursor, std::move(slots[cursor]));
+              // Serialized and strictly increasing: each commit bumps the
+              // counter exactly once, and total/total is exactly 1.0.
+              ++committed;
+              if (progress) {
+                progress(static_cast<double>(committed) /
+                         static_cast<double>(shard_windows));
+              }
             }
+          } catch (...) {
+            cursor = n;  // a failed sink receives no further window
+            throw;
           }
-          while (cursor < n && ready[cursor]) {
-            sink.on_window(chunk + cursor, std::move(slots[cursor]));
-            ++cursor;
-          }
-          if (!popped) std::this_thread::yield();
-        }
-      } catch (...) {
-        consumer_error = std::current_exception();
-        abort.store(true, std::memory_order_release);
-      }
-    });
-    try {
-      pool.parallel_for(
-          n, std::function<void(int, std::size_t)>(
-                 [&](int lane, std::size_t i) {
-                   const std::size_t w = chunk + i;
-                   const int hour = static_cast<int>(w / racks.size());
-                   const workload::RackMeta& rack = racks[w % racks.size()];
-                   slots[i] = simulate_window(config, burst_cfg, rack, hour);
-                   note_progress();
-                   while (!rings[static_cast<std::size_t>(lane)]->try_push(
-                       std::size_t{i})) {
-                     if (abort.load(std::memory_order_acquire)) return;
-                     std::this_thread::yield();
-                   }
-                 }));
-    } catch (...) {
-      abort.store(true, std::memory_order_release);
-      consumer.join();
-      throw;
-    }
-    consumer.join();
-    if (consumer_error) std::rethrow_exception(consumer_error);
+        }));
   }
   if (progress && shard_windows == 0) progress(1.0);
 }

@@ -27,12 +27,15 @@ namespace msamp::fleet {
 /// (region, hour, rack) sequence) on `config.threads` lanes (positive =
 /// exact count; 0 = MSAMP_THREADS if set, else all cores) and streams
 /// each completed window into `sink` strictly in canonical window order,
-/// on the calling thread.  Windows are handed over in bounded chunks, so
-/// peak memory is a few chunks of window records — never the whole shard,
-/// let alone the whole day.  `progress` (optional) is invoked serially
-/// after each completed window with a strictly increasing fraction of the
-/// *shard's* windows that ends at exactly 1.0 (also for empty shards).
-/// Throws std::invalid_argument if `shard` is invalid.
+/// one call at a time, from the lane that completes it (see WindowSink).
+/// Windows are handed over in bounded chunks, so peak memory is a few
+/// chunks of window records — never the whole shard, let alone the whole
+/// day.  `progress` (optional) is invoked serially after each committed
+/// window with a strictly increasing fraction of the *shard's* windows
+/// that ends at exactly 1.0 (also for empty shards).  When the sink or
+/// `progress` throws, no later window reaches the sink and the exception
+/// is rethrown here once the lanes drain.  Throws std::invalid_argument
+/// if `shard` is invalid.
 void run_fleet(const FleetConfig& config, const ShardSpec& shard,
                WindowSink& sink,
                std::function<void(double)> progress = nullptr);

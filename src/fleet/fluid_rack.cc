@@ -16,10 +16,20 @@ static_assert(offsetof(workload::StepDemand, bytes) == 0,
               "bytes must be the first StepDemand field");
 static_assert(sizeof(workload::StepDemand) % sizeof(std::int64_t) == 0,
               "StepDemand must be a whole number of 64-bit words");
+constexpr std::size_t kDemandStride =
+    sizeof(workload::StepDemand) / sizeof(std::int64_t);
 
 FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
-                     int hour, util::Rng rng)
-    : config_(config), rng_(rng), num_servers_(static_cast<int>(rack.server_kind.size())) {
+                     int hour, util::Rng rng) {
+  arm(rack, config, hour, rng);
+}
+
+void FluidRack::arm(const workload::RackMeta& rack, const FleetConfig& config,
+                    int hour, util::Rng rng) {
+  config_ = config;
+  rng_ = rng;
+  num_servers_ = static_cast<int>(rack.server_kind.size());
+  const auto n = static_cast<std::size_t>(num_servers_);
   drain_per_ms_ =
       static_cast<std::int64_t>(config.line_rate_gbps * 1e9 / 8.0 / 1000.0);
   reserve_ = config.buffer.reserve_per_queue;
@@ -28,6 +38,7 @@ FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
 
   // Same shared-pool carve-out as net::SharedBuffer.
   const int quads = config.buffer.quadrants;
+  const auto nq = static_cast<std::size_t>(quads);
   int max_in_quadrant = 0;
   for (int q = 0; q < quads; ++q) {
     int cnt = 0;
@@ -36,25 +47,34 @@ FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
   }
   shared_capacity_per_quadrant_ = std::max<std::int64_t>(
       0, config.buffer.total_bytes / quads - max_in_quadrant * reserve_);
-  shared_used_.assign(static_cast<std::size_t>(quads), 0);
-  quad_transient_.assign(static_cast<std::size_t>(quads), 0);
-  bursting_prev_.assign(static_cast<std::size_t>(num_servers_), 0);
-  fabric_carry_.assign(static_cast<std::size_t>(num_servers_), 0);
+  shared_used_.assign(nq, 0);
+  quad_transient_.assign(nq, 0);
+  bursting_prev_.assign(n, 0);
+  fabric_carry_.assign(n, 0);
   policy_ = net::make_policy(config.buffer, num_servers_);
-  queues_per_quadrant_.assign(static_cast<std::size_t>(quads), 0);
+  queues_per_quadrant_.assign(nq, 0);
   for (int s = 0; s < num_servers_; ++s) {
     ++queues_per_quadrant_[static_cast<std::size_t>(s % quads)];
   }
-  queues_.assign(static_cast<std::size_t>(num_servers_), Queue{});
+  queues_.assign(n, Queue{});
+  shared_snapshot_.resize(nq);
+  new_transient_.resize(nq);
+  quad_bursting_.resize(nq);
+  demands_.resize(n);
+  demand_bytes_.resize(n);
+  limit_v_.resize(n);
+  qlen_v_.resize(n);
+  free_shared_v_.resize(n);
+  accepted_v_.resize(n);
 
   const double diurnal = workload::diurnal_multiplier(rack.region, hour);
   core::ClockModelConfig clock_cfg = config.clocks;
   util::Rng clock_rng = rng_.fork(0x17);
   core::ClockModel clocks(clock_cfg, num_servers_, clock_rng);
 
-  processes_.reserve(static_cast<std::size_t>(num_servers_));
-  filters_.reserve(static_cast<std::size_t>(num_servers_));
-  clock_offsets_.reserve(static_cast<std::size_t>(num_servers_));
+  processes_.clear();
+  processes_.reserve(n);
+  clock_offsets_.clear();
   for (int s = 0; s < num_servers_; ++s) {
     workload::BurstProcessConfig bp;
     bp.line_rate_gbps = config.line_rate_gbps;
@@ -68,12 +88,17 @@ FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
     processes_.emplace_back(
         workload::profile_for(rack.server_kind[static_cast<std::size_t>(s)]),
         bp, flow_base, rng_.fork(static_cast<std::uint64_t>(s) + 100));
-
-    core::TcFilterConfig fc;
-    fc.num_cpus = config.filter_cpus;
-    fc.num_buckets = config.samples_per_run;
-    filters_.push_back(std::make_unique<core::TcFilter>(fc));
     clock_offsets_.push_back(clocks.offset(s));
+  }
+
+  // The filters persist while the window shape does: run() re-enables
+  // them, which clears every counter.
+  core::TcFilterConfig fc;
+  fc.num_cpus = config.filter_cpus;
+  fc.num_buckets = config.samples_per_run;
+  if (filters_.size() != n || (n > 0 && filters_.front().config() != fc)) {
+    filters_.clear();
+    for (std::size_t s = 0; s < n; ++s) filters_.emplace_back(fc);
   }
 }
 
@@ -82,34 +107,31 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
   // Snapshot shared occupancy (including last step's transient component)
   // so every queue sees the same DT limit this step — packets interleave
   // within the millisecond in reality.
-  std::vector<std::int64_t> shared_snapshot(shared_used_.size());
   for (std::size_t q = 0; q < shared_used_.size(); ++q) {
-    shared_snapshot[q] = shared_used_[q] + quad_transient_[q];
+    shared_snapshot_[q] = shared_used_[q] + quad_transient_[q];
   }
-  std::vector<std::int64_t> new_transient(shared_used_.size(), 0);
+  std::fill(new_transient_.begin(), new_transient_.end(), 0);
 
   // Simultaneously bursting servers per quadrant (last step's view): the
   // collision count for the sub-ms micro-drop model below.
-  std::vector<int> quad_bursting(shared_used_.size(), 0);
+  std::fill(quad_bursting_.begin(), quad_bursting_.end(), 0);
   for (int s = 0; s < num_servers_; ++s) {
     if (bursting_prev_[static_cast<std::size_t>(s)] != 0) {
-      ++quad_bursting[static_cast<std::size_t>(s % quads)];
+      ++quad_bursting_[static_cast<std::size_t>(s % quads)];
     }
   }
 
   // Workload demands for this step; optionally shaped by the fabric stage
   // before they reach the ToR downlinks (§8.1).
-  std::vector<workload::StepDemand> demands(
-      static_cast<std::size_t>(num_servers_));
   for (int s = 0; s < num_servers_; ++s) {
-    demands[static_cast<std::size_t>(s)] =
+    demands_[static_cast<std::size_t>(s)] =
         processes_[static_cast<std::size_t>(s)].step();
   }
   if (config_.fabric.enabled) {
     // 1. Smoothing: a slice of each server's arrivals sits in the fabric's
     //    deep buffers for one step (bytes conserved via the carry).
     for (int s = 0; s < num_servers_; ++s) {
-      auto& d = demands[static_cast<std::size_t>(s)];
+      auto& d = demands_[static_cast<std::size_t>(s)];
       auto& carry = fabric_carry_[static_cast<std::size_t>(s)];
       const auto held = static_cast<std::int64_t>(
           config_.fabric.smoothing * static_cast<double>(d.bytes));
@@ -128,19 +150,16 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
     //    retransmitted by the senders like any other loss.
     const auto uplink_per_ms = static_cast<std::int64_t>(
         config_.fabric.uplink_gbps * 1e9 / 8.0 / 1000.0);
-    constexpr std::size_t kDemandStride =
-        sizeof(workload::StepDemand) / sizeof(std::int64_t);
-    std::vector<std::int64_t> demand_col(demands.size());
     util::simd::gather_stride_i64(
-        reinterpret_cast<const std::int64_t*>(demands.data()), kDemandStride,
-        demands.size(), demand_col.data());
+        reinterpret_cast<const std::int64_t*>(demands_.data()), kDemandStride,
+        demands_.size(), demand_bytes_.data());
     const std::int64_t aggregate =
-        util::simd::sum_i64(demand_col.data(), demand_col.size());
+        util::simd::sum_i64(demand_bytes_.data(), demand_bytes_.size());
     if (aggregate > uplink_per_ms) {
       const double keep = static_cast<double>(uplink_per_ms) /
                           static_cast<double>(aggregate);
       for (int s = 0; s < num_servers_; ++s) {
-        auto& d = demands[static_cast<std::size_t>(s)];
+        auto& d = demands_[static_cast<std::size_t>(s)];
         const auto kept =
             static_cast<std::int64_t>(keep * static_cast<double>(d.bytes));
         const std::int64_t trimmed = d.bytes - kept;
@@ -161,55 +180,49 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
   // and phase 3 below replays the rest of the per-server pipeline. All the
   // math between the phases is integer, so the split is byte-identical.
   const auto n_servers = static_cast<std::size_t>(num_servers_);
-  std::vector<std::int64_t> demand_bytes(n_servers);
-  std::vector<std::int64_t> limit_v(n_servers);
-  std::vector<std::int64_t> qlen_v(n_servers);
-  std::vector<std::int64_t> free_shared_v(n_servers);
-  std::vector<std::int64_t> accepted_v(n_servers);
-  constexpr std::size_t kDemandStride =
-      sizeof(workload::StepDemand) / sizeof(std::int64_t);
   util::simd::gather_stride_i64(
-      reinterpret_cast<const std::int64_t*>(demands.data()), kDemandStride,
-      n_servers, demand_bytes.data());
+      reinterpret_cast<const std::int64_t*>(demands_.data()), kDemandStride,
+      n_servers, demand_bytes_.data());
   for (int s = 0; s < num_servers_; ++s) {
     const auto si = static_cast<std::size_t>(s);
     const Queue& q = queues_[si];
     const int quad = s % quads;
-    const workload::StepDemand& d = demands[si];
-    free_shared_v[si] = std::max<std::int64_t>(
+    const workload::StepDemand& d = demands_[si];
+    free_shared_v_[si] = std::max<std::int64_t>(
         shared_capacity_per_quadrant_ -
-            shared_snapshot[static_cast<std::size_t>(quad)],
+            shared_snapshot_[static_cast<std::size_t>(quad)],
         0);
     net::PolicyQueueState ps;
     ps.queue_len = q.len;
     ps.shared_len = std::max<std::int64_t>(q.len - reserve_, 0);
-    ps.free_shared = free_shared_v[si];
+    ps.free_shared = free_shared_v_[si];
     ps.shared_capacity = shared_capacity_per_quadrant_;
     ps.queues_in_quadrant = queues_per_quadrant_[static_cast<std::size_t>(quad)];
     ps.arriving_bytes = d.bytes;
     ps.drain_bytes_per_ms = drain_per_ms_;
-    limit_v[si] = reserve_ + policy_->policy_limit(s, ps);
+    limit_v_[si] = reserve_ + policy_->policy_limit(s, ps);
     // The whole step's demand is one arrival observation, accepted or not
     // (kBurstAbsorbDt keys burst freshness off offered demand).
     policy_->on_enqueue(s, d.bytes);
-    qlen_v[si] = q.len;
+    qlen_v_[si] = q.len;
   }
   // The queue drains while it fills, so up to (limit - len) + drain bytes
   // fit within the step: accepted = min(demand, max(limit - len, 0) + drain).
-  util::simd::dt_admit_i64(demand_bytes.data(), limit_v.data(), qlen_v.data(),
-                           drain_per_ms_, accepted_v.data(), n_servers);
+  util::simd::dt_admit_i64(demand_bytes_.data(), limit_v_.data(),
+                           qlen_v_.data(), drain_per_ms_, accepted_v_.data(),
+                           n_servers);
 
   for (int s = 0; s < num_servers_; ++s) {
     auto& proc = processes_[static_cast<std::size_t>(s)];
     Queue& q = queues_[static_cast<std::size_t>(s)];
     const int quad = s % quads;
 
-    const workload::StepDemand& d = demands[static_cast<std::size_t>(s)];
+    const workload::StepDemand& d = demands_[static_cast<std::size_t>(s)];
 
     const std::int64_t free_shared =
-        free_shared_v[static_cast<std::size_t>(s)];
-    const std::int64_t limit = limit_v[static_cast<std::size_t>(s)];
-    std::int64_t accepted = accepted_v[static_cast<std::size_t>(s)];
+        free_shared_v_[static_cast<std::size_t>(s)];
+    const std::int64_t limit = limit_v_[static_cast<std::size_t>(s)];
+    std::int64_t accepted = accepted_v_[static_cast<std::size_t>(s)];
     std::int64_t dropped = d.bytes - accepted;
 
     // Sub-millisecond collision drops: when several bursts share a
@@ -220,9 +233,9 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
     // tighter clumps); one collision costs about a clump of packets.
     // This is the mechanism behind Figures 16 and 19.
     const bool hot = accepted > drain_per_ms_ / 2;
-    if (hot && quad_bursting[static_cast<std::size_t>(quad)] >
+    if (hot && quad_bursting_[static_cast<std::size_t>(quad)] >
                    (bursting_prev_[static_cast<std::size_t>(s)] ? 1 : 0)) {
-      const int others = quad_bursting[static_cast<std::size_t>(quad)] -
+      const int others = quad_bursting_[static_cast<std::size_t>(quad)] -
                          (bursting_prev_[static_cast<std::size_t>(s)] ? 1 : 0);
       const double incast = std::clamp(d.conns / 40.0, 0.15, 2.0);
       const double load = static_cast<double>(accepted) /
@@ -300,7 +313,7 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
         std::max<std::int64_t>(q0 - reserve_, 0);
     // ~30% of a step's arrivals sit in the buffer at any instant within
     // the millisecond (sub-ms interleaving), visible to next step's limit.
-    new_transient[static_cast<std::size_t>(quad)] += (accepted * 3) / 10;
+    new_transient_[static_cast<std::size_t>(quad)] += (accepted * 3) / 10;
 
     // --- congestion feedback to the senders (applied next step) ---
     proc.on_feedback(
@@ -318,7 +331,7 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
       batch.out_bytes = delivered / 32 + 1500;
       batch.sketch[0] = d.sketch[0];
       batch.sketch[1] = d.sketch[1];
-      filters_[static_cast<std::size_t>(s)]->process_batch(
+      filters_[static_cast<std::size_t>(s)].process_batch(
           0, batch, now + clock_offsets_[static_cast<std::size_t>(s)]);
     }
 
@@ -329,35 +342,34 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
       result->ecn_bytes += delivered_ecn;
     }
   }
-  quad_transient_ = new_transient;
+  quad_transient_.swap(new_transient_);
 }
 
-FluidRackResult FluidRack::run() {
-  FluidRackResult result;
+const FluidRackResult& FluidRack::run() {
+  // Zero the byte counters; the sync run keeps its storage for reuse.
+  result_ = FluidRackResult{.sync = std::move(result_.sync)};
   sim::SimTime now = 0;
   for (int t = 0; t < config_.warmup_ms; ++t) {
     step(now, /*sampling=*/false, nullptr);
     now += sim::kMillisecond;
   }
-  for (auto& f : filters_) f->enable(sim::kMillisecond);
+  for (auto& f : filters_) f.enable(sim::kMillisecond);
   // One extra step beyond the bucket count lets late-started (clock-offset)
   // filters fill their last bucket before the window closes.
   for (int t = 0; t <= config_.samples_per_run; ++t) {
-    step(now, /*sampling=*/true, &result);
+    step(now, /*sampling=*/true, &result_);
     now += sim::kMillisecond;
   }
-  std::vector<core::RunRecord> records;
-  records.reserve(filters_.size());
+  records_.resize(filters_.size());
   for (int s = 0; s < num_servers_; ++s) {
-    core::RunRecord r;
+    core::RunRecord& r = records_[static_cast<std::size_t>(s)];
     r.host = static_cast<net::HostId>(s);
-    r.start = filters_[static_cast<std::size_t>(s)]->start_time();
+    r.start = filters_[static_cast<std::size_t>(s)].start_time();
     r.interval = sim::kMillisecond;
-    r.buckets = filters_[static_cast<std::size_t>(s)]->read_aggregated();
-    records.push_back(std::move(r));
+    filters_[static_cast<std::size_t>(s)].read_aggregated(r.buckets);
   }
-  result.sync = core::combine_runs(records);
-  return result;
+  core::combine_runs(records_, result_.sync);
+  return result_;
 }
 
 }  // namespace msamp::fleet

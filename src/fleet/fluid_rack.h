@@ -36,15 +36,29 @@ struct FluidRackResult {
   std::int64_t fabric_drop_bytes = 0;  ///< upstream fabric discards
 };
 
-/// One-shot fluid simulation of a rack observation window.
+/// Fluid simulation of a rack observation window.  Like a loaded
+/// Millisampler filter that each run's `enable` only clears (§4.1), one
+/// rack object serves window after window: `arm` resets all window state,
+/// while the TcFilters, the step scratch and the result storage persist,
+/// so re-arming for windows of one shape allocates nothing large.
 class FluidRack {
  public:
-  /// `hour` selects the diurnal multiplier; `rng` seeds all randomness.
+  /// An unarmed rack; arm() it before run().
+  FluidRack() = default;
+
+  /// Constructs, then arms (see arm()).
   FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
             int hour, util::Rng rng);
 
-  /// Runs warmup + sampled window and returns the combined result.
-  FluidRackResult run();
+  /// Prepares one window of `rack`: `hour` selects the diurnal
+  /// multiplier; `rng` seeds all randomness.  The next run() equals a
+  /// fresh rack constructed with the same arguments.
+  void arm(const workload::RackMeta& rack, const FleetConfig& config,
+           int hour, util::Rng rng);
+
+  /// Runs warmup + sampled window and returns the combined result, which
+  /// stays valid until the next arm().  Call once per arm().
+  const FluidRackResult& run();
 
  private:
   struct Queue {
@@ -56,13 +70,13 @@ class FluidRack {
   void step(sim::SimTime now, bool sampling, FluidRackResult* result);
 
   FleetConfig config_;  // by value: callers may pass temporaries
-  util::Rng rng_;
-  int num_servers_;
-  std::int64_t drain_per_ms_;
-  std::int64_t reserve_;
-  std::int64_t shared_capacity_per_quadrant_;
-  double alpha_;
-  std::int64_t ecn_threshold_;
+  util::Rng rng_{0};
+  int num_servers_ = 0;
+  std::int64_t drain_per_ms_ = 0;
+  std::int64_t reserve_ = 0;
+  std::int64_t shared_capacity_per_quadrant_ = 0;
+  double alpha_ = 0.0;
+  std::int64_t ecn_threshold_ = 0;
   /// The sharing discipline charging queues for shared-pool usage.  All
   /// policy state (e.g. kBurstAbsorbDt's arrival history) lives inside.
   std::unique_ptr<net::BufferSharingPolicy> policy_;
@@ -81,8 +95,22 @@ class FluidRack {
   std::vector<std::uint8_t> bursting_prev_;
   /// Fabric stage: bytes buffered upstream per server, released next step.
   std::vector<std::int64_t> fabric_carry_;
-  std::vector<std::unique_ptr<core::TcFilter>> filters_;
+  std::vector<core::TcFilter> filters_;
   std::vector<sim::SimDuration> clock_offsets_;
+
+  // step() scratch, sized by arm(): per quadrant, then per server.
+  std::vector<std::int64_t> shared_snapshot_;
+  std::vector<std::int64_t> new_transient_;
+  std::vector<int> quad_bursting_;
+  std::vector<workload::StepDemand> demands_;
+  std::vector<std::int64_t> demand_bytes_;
+  std::vector<std::int64_t> limit_v_;
+  std::vector<std::int64_t> qlen_v_;
+  std::vector<std::int64_t> free_shared_v_;
+  std::vector<std::int64_t> accepted_v_;
+
+  std::vector<core::RunRecord> records_;  ///< run()'s per-server reads
+  FluidRackResult result_;
 };
 
 }  // namespace msamp::fleet

@@ -48,9 +48,9 @@ struct WindowRecords {
 
 /// Receives each completed window of a shard, strictly in canonical
 /// window order.  Calls are always serial (never concurrent), but they
-/// arrive on the runner's consumer thread when the pool has more than one
-/// lane — on the calling thread only in single-lane runs — so a sink must
-/// not assume thread identity (thread-locals, thread-affine handles).
+/// arrive on whichever pool lane commits the window — the calling thread
+/// only in single-lane runs — so a sink must not assume thread identity
+/// (thread-locals, thread-affine handles).
 /// Implementations decide what to keep: DatasetBuilder accumulates in
 /// RAM; a custom sink can stream straight to disk or fold running
 /// statistics.

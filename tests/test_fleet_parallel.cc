@@ -9,6 +9,9 @@
 #include <fstream>
 #include <iterator>
 #include <mutex>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -138,6 +141,51 @@ TEST(FleetParallel, MergedShardsByteIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(merged_blob == serial_blob)
       << "merged shard bytes differ from the single-process run";
   std::filesystem::remove_all(dir);
+}
+
+struct SinkFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Counts its calls, keeps the windows it accepts, and throws on
+/// window `fail_at`.
+class ThrowingSink : public WindowSink {
+ public:
+  explicit ThrowingSink(std::size_t fail_at) : fail_at_(fail_at) {}
+  void on_window(std::size_t window, WindowRecords&&) override {
+    ++calls;
+    if (window == fail_at_) throw SinkFailure("sink rejects window");
+    received.push_back(window);
+  }
+  std::size_t calls = 0;
+  std::vector<std::size_t> received;
+
+ private:
+  std::size_t fail_at_;
+};
+
+TEST(FleetParallel, ThrowingSinkStopsTheRunCleanly) {
+  // The sink's exception must come back out of run_fleet (no hang, no
+  // other error), and the sink must have seen windows 0..k-1 in order and
+  // no call after the one that threw — also when the failure sits in a
+  // later chunk (80 windows: chunks of 64).
+  ScopedNoEnvThreads no_env;
+  FleetConfig base = small_day();
+  base.hours = 10;
+  for (int threads : {1, 2, 4}) {
+    for (std::size_t k : {std::size_t{0}, std::size_t{5}, std::size_t{70}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " k " +
+                   std::to_string(k));
+      FleetConfig cfg = base;
+      cfg.threads = threads;
+      ThrowingSink sink(k);
+      EXPECT_THROW(run_fleet(cfg, ShardSpec{}, sink), SinkFailure);
+      std::vector<std::size_t> want(k);
+      std::iota(want.begin(), want.end(), std::size_t{0});
+      EXPECT_EQ(sink.received, want);
+      EXPECT_EQ(sink.calls, k + 1);
+    }
+  }
 }
 
 TEST(FleetParallel, SharedDatasetRejectsPartialShardCache) {

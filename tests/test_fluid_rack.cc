@@ -1,6 +1,8 @@
 // Tests for the millisecond-granularity fluid rack simulator.
 #include "fleet/fluid_rack.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "analysis/contention.h"
@@ -130,6 +132,49 @@ TEST(FluidRack, DeterministicForSeed) {
     for (std::size_t k = 0; k < ra.sync.num_samples(); ++k) {
       ASSERT_EQ(ra.sync.series[s][k].in_bytes, rb.sync.series[s][k].in_bytes);
     }
+  }
+}
+
+TEST(FluidRack, RearmEqualsFreshConstruction) {
+  // One rack re-armed window after window, as each run_fleet lane does,
+  // must give every window exactly what a freshly constructed rack gives:
+  // through a shape change (92 -> 46 servers) and back, and across two
+  // fabric-stage windows, whose per-server carry must not leak into the
+  // next window.  Heavy load leaves queues and shared-pool usage behind,
+  // and with no warmup any state a re-arm failed to reset reaches the
+  // sampled steps instead of draining away before them.
+  const auto big = make_rack(92, workload::TaskKind::kMlTraining, 2.5);
+  const auto other = make_rack(46, workload::TaskKind::kCache, 4.0);
+  FleetConfig plain = small_config();
+  plain.warmup_ms = 0;
+  FleetConfig fabric = plain;
+  fabric.fabric.enabled = true;
+  struct Window {
+    const workload::RackMeta& rack;
+    FleetConfig config;
+    int hour;
+    std::uint64_t seed;
+  };
+  const Window windows[] = {{big, plain, 6, 41},
+                            {other, plain, 14, 42},
+                            {big, fabric, 6, 43},
+                            {other, fabric, 20, 44}};
+  FluidRack reused;
+  for (const Window& w : windows) {
+    SCOPED_TRACE("servers " + std::to_string(w.rack.server_kind.size()) +
+                 " hour " + std::to_string(w.hour));
+    reused.arm(w.rack, w.config, w.hour, util::Rng(w.seed));
+    const FluidRackResult& got = reused.run();
+    FluidRack fresh(w.rack, w.config, w.hour, util::Rng(w.seed));
+    const FluidRackResult& want = fresh.run();
+    EXPECT_EQ(got.sync.grid_start, want.sync.grid_start);
+    EXPECT_EQ(got.sync.hosts, want.sync.hosts);
+    EXPECT_TRUE(got.sync.series == want.sync.series);
+    EXPECT_EQ(got.offered_bytes, want.offered_bytes);
+    EXPECT_EQ(got.delivered_bytes, want.delivered_bytes);
+    EXPECT_EQ(got.drop_bytes, want.drop_bytes);
+    EXPECT_EQ(got.ecn_bytes, want.ecn_bytes);
+    EXPECT_EQ(got.fabric_drop_bytes, want.fabric_drop_bytes);
   }
 }
 

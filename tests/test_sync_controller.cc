@@ -2,6 +2,8 @@
 // collection across a rack's samplers.
 #include "core/sync_controller.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace msamp::core {
@@ -75,6 +77,48 @@ TEST(CombineRuns, DisjointWindowsYieldEmpty) {
 TEST(CombineRuns, DurationHelper) {
   const auto sync = combine_runs({record(0, 0, 10, 1)});
   EXPECT_EQ(sync.duration(), 10 * sim::kMillisecond);
+}
+
+TEST(CombineRuns, ReusedOutputEqualsByValue) {
+  // One output combined into again and again must equal a fresh
+  // combination every time: more hosts then fewer, a longer grid then a
+  // shorter one, an empty input, a non-overlapping one, and a recovery.
+  RunRecord idle;
+  idle.host = 9;
+  idle.interval = sim::kMillisecond;
+  struct Case {
+    std::vector<RunRecord> records;
+    bool early_return;  ///< empty input or no common window
+  };
+  const Case cases[] = {
+      {{record(0, 0, 10, 100), record(1, 3 * sim::kMillisecond, 10, 200),
+        record(2, 300 * sim::kMicrosecond, 12, 300)},
+       false},
+      {{record(4, sim::kMillisecond, 10, 5)}, false},
+      {{record(0, 0, 40, 7), record(1, 500 * sim::kMicrosecond, 40, 8)},
+       false},
+      {{record(0, 2 * sim::kMillisecond, 6, 9), idle, record(2, 0, 8, 4)},
+       false},
+      {{}, true},
+      {{record(0, 0, 5, 1), record(1, 100 * sim::kMillisecond, 5, 1)}, true},
+      {{record(3, 0, 10, 1), idle}, false},
+  };
+  SyncRun out;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("hosts " + std::to_string(c.records.size()));
+    combine_runs(c.records, out);
+    const SyncRun want = combine_runs(c.records);
+    EXPECT_EQ(out.grid_start, want.grid_start);
+    EXPECT_EQ(out.interval, want.interval);
+    EXPECT_EQ(out.hosts, want.hosts);
+    EXPECT_TRUE(out.series == want.series);
+    if (c.early_return) {
+      EXPECT_EQ(out.grid_start, -1);
+      EXPECT_EQ(out.num_samples(), 0u);
+    } else {
+      EXPECT_GT(out.num_samples(), 0u);
+    }
+  }
 }
 
 struct ControllerFixture : ::testing::Test {
