@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "common.h"
+#include "fleet/aggregate.h"
 
 using namespace msamp;
 
@@ -65,7 +66,7 @@ int main() {
                 "hours 4 and 10 (avg +27.6%); RegB rises at high "
                 "percentiles later in the day");
   const auto& ds = bench::dataset_view();
-  const auto classes = bench::class_map(ds);
+  const auto classes = fleet::build_class_map(ds);
   const auto& rrs = ds.rack_runs();
 
   diurnal_panel(

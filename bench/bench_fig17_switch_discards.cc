@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common.h"
+#include "fleet/aggregate.h"
 
 using namespace msamp;
 
@@ -14,7 +15,7 @@ int main() {
                 "RegA-Typical, confirming the Table 2 loss inversion with "
                 "switch counters");
   const auto& ds = bench::dataset_view();
-  const auto classes = bench::class_map(ds);
+  const auto classes = fleet::build_class_map(ds);
 
   // Aggregate each rack's discards and volume across the whole day, then
   // normalize (discarded bytes per delivered GB).  Ordered map: the

@@ -36,7 +36,7 @@ DayStats run_day(std::uint64_t seed) {
     std::cerr << "attach failed: " << st.to_string() << "\n";
     std::abort();
   }
-  const auto classes = bench::class_map(view);
+  const auto classes = fleet::build_class_map(view);
 
   DayStats out{};
   long bursty = 0, servers = 0;

@@ -1,6 +1,5 @@
 #include "common.h"
 
-#include "fleet/aggregate.h"
 #include "util/thread_pool.h"
 
 #include <cstdio>
@@ -50,17 +49,6 @@ const fleet::DatasetView& dataset_view() {
                  cache_path.c_str());
   }
   return fleet::shared_view(bench_config(), cache_path);
-}
-
-std::unordered_map<std::uint32_t, analysis::RackClass> class_map(
-    const fleet::DatasetView& view) {
-  return fleet::build_class_map(view);
-}
-
-analysis::RackClass burst_class(
-    const fleet::BurstRecord& burst,
-    const std::unordered_map<std::uint32_t, analysis::RackClass>& classes) {
-  return fleet::burst_class(burst, classes);
 }
 
 util::Series cdf_series(const std::string& name, std::vector<double> samples,

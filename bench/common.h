@@ -1,11 +1,10 @@
 // Shared infrastructure for the figure/table bench binaries: dataset
 // access (generated once, cached on disk under bench_out/), parallel
-// window execution, class lookup maps, CDF printing, and CSV export.
+// window execution, CDF printing, and CSV export.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,15 +46,6 @@ auto parallel_windows(std::size_t n, Fn&& body) {
 /// silently served.  Benches read the v6 columns straight from the
 /// mapping — no record vectors are materialized.
 const fleet::DatasetView& dataset_view();
-
-/// rack_id -> measured RackClass for the dataset.
-std::unordered_map<std::uint32_t, analysis::RackClass> class_map(
-    const fleet::DatasetView& view);
-
-/// Resolves a burst record's class (RegB bursts are always kRegB).
-analysis::RackClass burst_class(
-    const fleet::BurstRecord& burst,
-    const std::unordered_map<std::uint32_t, analysis::RackClass>& classes);
 
 /// Prints an empirical-CDF figure: ASCII plot + downsampled value table,
 /// and writes the full series to bench_out/<name>.csv.

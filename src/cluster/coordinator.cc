@@ -70,9 +70,7 @@ std::vector<std::string> Coordinator::command_for(const Slot& slot) const {
           "--attempt",
           std::to_string(slot.attempts),
           "--fault-rate",
-          std::to_string(cfg_.fault_rate),
-          "--chunk-bytes",
-          std::to_string(cfg_.chunk_bytes)};
+          std::to_string(cfg_.fault_rate)};
 }
 
 bool Coordinator::run(std::function<void(double)> progress, std::ostream* log,

@@ -24,7 +24,6 @@
 #include "fleet/config.h"
 #include "fleet/dataset.h"
 #include "fleet/merge.h"
-#include "fleet/spill_sink.h"
 
 namespace msamp::cluster {
 
@@ -42,7 +41,6 @@ struct ClusterConfig {
   /// Forwarded to every worker (see WorkerConfig).  Nonzero values are
   /// for the fault-injection tests and check scripts only.
   double fault_rate = 0.0;
-  std::size_t chunk_bytes = fleet::SpillSink::kDefaultChunkBytes;
 
   RetryPolicy retry{};
   /// A running worker that emits no heartbeat for this long is presumed

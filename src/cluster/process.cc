@@ -58,8 +58,10 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
     return fail("fork");
   }
   if (pid == 0) {
-    // Child: stdout becomes the heartbeat pipe; stderr stays shared so
+    // Child: its own process group, so kill_hard reaches everything it
+    // starts.  stdout becomes the heartbeat pipe; stderr stays shared so
     // worker diagnostics land in the coordinator's stderr.
+    ::setpgid(0, 0);
     ::dup2(fds[1], STDOUT_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
@@ -70,6 +72,10 @@ bool ChildProcess::spawn(const std::vector<std::string>& argv,
     ::execv(cargv[0], cargv.data());
     ::_exit(127);
   }
+  // The parent sets the group too: whichever call runs first creates it,
+  // so it exists before kill_hard can signal it.  EACCES after the
+  // child's exec only means the child got there first.
+  ::setpgid(pid, pid);
   ::close(fds[1]);
   ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
   pid_ = pid;
@@ -109,7 +115,8 @@ bool ChildProcess::try_wait(int* raw_status) {
 
 void ChildProcess::kill_hard() {
   if (pid_ <= 0) return;
-  ::kill(pid_, SIGKILL);
+  // The whole group: a wedged worker's own children die with it.
+  ::kill(-pid_, SIGKILL);
   int status = 0;
   while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
   }

@@ -138,7 +138,6 @@ bool run_sweep(const SweepConfig& config, SweepResult* result,
       cc.workers = config.workers;
       cc.out_path = ds_path;
       cc.fault_rate = config.fault_rate;
-      cc.chunk_bytes = config.chunk_bytes;
       cc.retry = config.retry;
       cc.stall_timeout_ms = config.stall_timeout_ms;
       cc.max_parallel = config.max_parallel;
@@ -148,8 +147,7 @@ bool run_sweep(const SweepConfig& config, SweepResult* result,
         return fail("cell " + cell.name + ": " + why);
       }
     } else {
-      fleet::SpillSink sink(cell.config, fleet::ShardSpec{}, ds_path,
-                            config.chunk_bytes);
+      fleet::SpillSink sink(cell.config, fleet::ShardSpec{}, ds_path);
       try {
         fleet::run_fleet(cell.config, fleet::ShardSpec{}, sink, nullptr);
       } catch (const std::exception& e) {

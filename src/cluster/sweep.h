@@ -55,7 +55,6 @@ struct SweepConfig {
   /// Cluster knobs forwarded verbatim to each cell's Coordinator when
   /// `workers > 0` (see ClusterConfig).
   double fault_rate = 0.0;
-  std::size_t chunk_bytes = fleet::SpillSink::kDefaultChunkBytes;
   RetryPolicy retry{};
   int stall_timeout_ms = 30000;
   int max_parallel = 0;

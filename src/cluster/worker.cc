@@ -7,6 +7,7 @@
 
 #include "cluster/protocol.h"
 #include "fleet/fleet_runner.h"
+#include "fleet/spill_sink.h"
 #include "util/rng.h"
 
 namespace msamp::cluster {
@@ -71,8 +72,7 @@ int run_worker(const WorkerConfig& config, std::ostream& heartbeats) {
     return 1;
   };
   try {
-    fleet::SpillSink sink(config.fleet, config.shard, config.out_path,
-                          config.chunk_bytes);
+    fleet::SpillSink sink(config.fleet, config.shard, config.out_path);
     const auto plan = fault_plan(config);
     FaultInjectingSink faulty(sink, plan);
     double last = -1.0;

@@ -20,7 +20,6 @@
 
 #include "fleet/config.h"
 #include "fleet/dataset.h"
-#include "fleet/spill_sink.h"
 
 namespace msamp::cluster {
 
@@ -32,7 +31,6 @@ struct WorkerConfig {
   fleet::FleetConfig fleet;
   fleet::ShardSpec shard;
   std::string out_path = "shard.bin";
-  std::size_t chunk_bytes = fleet::SpillSink::kDefaultChunkBytes;
   double fault_rate = 0.0;    ///< P(self-kill) per attempt; test-only
   std::uint32_t attempt = 0;  ///< launch number, keys the fault plan
 };

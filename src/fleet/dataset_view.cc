@@ -12,148 +12,20 @@
 
 namespace msamp::fleet {
 
-namespace {
-
-template <typename T>
-std::span<const T> col_span(const std::uint8_t* base, std::uint64_t offset,
-                            std::uint64_t count) {
-  // v6 columns are kSegmentAlign-aligned relative to the file start
-  // (enforced below and by the static_asserts in wire.h) and init()
-  // rejects a base pointer that is not kMaxColumnAlign-aligned, so the
-  // cast pointer is always properly aligned for T — a precondition the
-  // SIMD kernels reading these spans rely on.
-  static_assert(alignof(T) <= wire::kMaxColumnAlign,
-                "column element alignment exceeds the v6 guarantee");
-  static_assert(std::is_trivially_copyable_v<T>);
-  return {reinterpret_cast<const T*>(base + offset),
-          static_cast<std::size_t>(count)};
-}
-
-}  // namespace
-
 RackInfo RackInfoColumns::operator[](std::size_t i) const {
-  RackInfo v;
-  v.rack_id = rack_id[i];
-  v.region = region[i];
-  v.ml_dense = ml_dense[i];
-  v.distinct_tasks = distinct_tasks[i];
-  v.dominant_share = dominant_share[i];
-  v.intensity = intensity[i];
-  v.busy_hour_avg_contention = busy_hour_avg_contention[i];
-  v.rack_class = rack_class[i];
-  return v;
+  return wire::row(*this, i);
 }
 
 RackRunRecord RackRunColumns::operator[](std::size_t i) const {
-  RackRunRecord v;
-  v.rack_id = rack_id[i];
-  v.region = region[i];
-  v.hour = hour[i];
-  v.usable = usable[i];
-  v.avg_contention = avg_contention[i];
-  v.min_active_contention = min_active_contention[i];
-  v.p90_contention = p90_contention[i];
-  v.max_contention = max_contention[i];
-  v.in_bytes = in_bytes[i];
-  v.drop_bytes = drop_bytes[i];
-  v.ecn_bytes = ecn_bytes[i];
-  return v;
-}
-
-RackRunColumns RackRunColumns::slice(std::size_t off, std::size_t n) const {
-  RackRunColumns s;
-  s.rack_id = rack_id.subspan(off, n);
-  s.region = region.subspan(off, n);
-  s.hour = hour.subspan(off, n);
-  s.usable = usable.subspan(off, n);
-  s.avg_contention = avg_contention.subspan(off, n);
-  s.min_active_contention = min_active_contention.subspan(off, n);
-  s.p90_contention = p90_contention.subspan(off, n);
-  s.max_contention = max_contention.subspan(off, n);
-  s.in_bytes = in_bytes.subspan(off, n);
-  s.drop_bytes = drop_bytes.subspan(off, n);
-  s.ecn_bytes = ecn_bytes.subspan(off, n);
-  return s;
+  return wire::row(*this, i);
 }
 
 ServerRunRecord ServerRunColumns::operator[](std::size_t i) const {
-  ServerRunRecord v;
-  v.rack_id = rack_id[i];
-  v.region = region[i];
-  v.hour = hour[i];
-  v.bursty = bursty[i];
-  v.avg_util = avg_util[i];
-  v.util_inside = util_inside[i];
-  v.util_outside = util_outside[i];
-  v.bursts_per_sec = bursts_per_sec[i];
-  v.conns_inside = conns_inside[i];
-  v.conns_outside = conns_outside[i];
-  return v;
-}
-
-ServerRunColumns ServerRunColumns::slice(std::size_t off,
-                                         std::size_t n) const {
-  ServerRunColumns s;
-  s.rack_id = rack_id.subspan(off, n);
-  s.region = region.subspan(off, n);
-  s.hour = hour.subspan(off, n);
-  s.bursty = bursty.subspan(off, n);
-  s.avg_util = avg_util.subspan(off, n);
-  s.util_inside = util_inside.subspan(off, n);
-  s.util_outside = util_outside.subspan(off, n);
-  s.bursts_per_sec = bursts_per_sec.subspan(off, n);
-  s.conns_inside = conns_inside.subspan(off, n);
-  s.conns_outside = conns_outside.subspan(off, n);
-  return s;
-}
-
-std::span<const std::byte> ServerRunColumns::column_bytes(
-    std::size_t col) const {
-  const std::span<const std::byte> cols[] = {
-      std::as_bytes(rack_id),        std::as_bytes(region),
-      std::as_bytes(hour),           std::as_bytes(bursty),
-      std::as_bytes(avg_util),       std::as_bytes(util_inside),
-      std::as_bytes(util_outside),   std::as_bytes(bursts_per_sec),
-      std::as_bytes(conns_inside),   std::as_bytes(conns_outside)};
-  return cols[col];
+  return wire::row(*this, i);
 }
 
 BurstRecord BurstColumns::operator[](std::size_t i) const {
-  BurstRecord v;
-  v.rack_id = rack_id[i];
-  v.region = region[i];
-  v.hour = hour[i];
-  v.len_ms = len_ms[i];
-  v.volume_bytes = volume_bytes[i];
-  v.max_contention = max_contention[i];
-  v.avg_conns = avg_conns[i];
-  v.contended = contended[i];
-  v.lossy = lossy[i];
-  return v;
-}
-
-BurstColumns BurstColumns::slice(std::size_t off, std::size_t n) const {
-  BurstColumns s;
-  s.rack_id = rack_id.subspan(off, n);
-  s.region = region.subspan(off, n);
-  s.hour = hour.subspan(off, n);
-  s.len_ms = len_ms.subspan(off, n);
-  s.volume_bytes = volume_bytes.subspan(off, n);
-  s.max_contention = max_contention.subspan(off, n);
-  s.avg_conns = avg_conns.subspan(off, n);
-  s.contended = contended.subspan(off, n);
-  s.lossy = lossy.subspan(off, n);
-  return s;
-}
-
-std::span<const std::byte> BurstColumns::column_bytes(std::size_t col) const {
-  const std::span<const std::byte> cols[] = {
-      std::as_bytes(rack_id),      std::as_bytes(region),
-      std::as_bytes(hour),         std::as_bytes(len_ms),
-      std::as_bytes(volume_bytes), std::as_bytes(max_contention),
-      std::as_bytes(avg_conns),    std::as_bytes(contended),
-      std::as_bytes(lossy)};
-  return cols[col];
+  return wire::row(*this, i);
 }
 
 WindowCounts WindowView::counts() const {
@@ -301,63 +173,20 @@ util::Status DatasetView::init(const std::uint8_t* data, std::size_t size,
 
   const auto& wcols = lay.columns[wire::kSecWindows];
   const std::uint64_t nw = h.counts.windows;
-  windows_.has_run = col_span<std::uint8_t>(data, wcols[0], nw);
-  windows_.server_runs = col_span<std::uint32_t>(data, wcols[1], nw);
-  windows_.bursts = col_span<std::uint32_t>(data, wcols[2], nw);
-  windows_.run_off = col_span<std::uint64_t>(data, wcols[3], nw);
-  windows_.server_off = col_span<std::uint64_t>(data, wcols[4], nw);
-  windows_.burst_off = col_span<std::uint64_t>(data, wcols[5], nw);
-
-  const auto& rcols = lay.columns[wire::kSecRacks];
-  const std::uint64_t nr = h.counts.racks;
-  racks_.rack_id = col_span<std::uint32_t>(data, rcols[0], nr);
-  racks_.region = col_span<std::uint8_t>(data, rcols[1], nr);
-  racks_.ml_dense = col_span<std::uint8_t>(data, rcols[2], nr);
-  racks_.distinct_tasks = col_span<std::uint16_t>(data, rcols[3], nr);
-  racks_.dominant_share = col_span<float>(data, rcols[4], nr);
-  racks_.intensity = col_span<float>(data, rcols[5], nr);
-  racks_.busy_hour_avg_contention = col_span<float>(data, rcols[6], nr);
-  racks_.rack_class = col_span<std::uint8_t>(data, rcols[7], nr);
-
-  const auto& rrcols = lay.columns[wire::kSecRackRuns];
-  const std::uint64_t nrr = h.counts.rack_runs;
-  rack_runs_.rack_id = col_span<std::uint32_t>(data, rrcols[0], nrr);
-  rack_runs_.region = col_span<std::uint8_t>(data, rrcols[1], nrr);
-  rack_runs_.hour = col_span<std::uint8_t>(data, rrcols[2], nrr);
-  rack_runs_.usable = col_span<std::uint8_t>(data, rrcols[3], nrr);
-  rack_runs_.avg_contention = col_span<float>(data, rrcols[4], nrr);
-  rack_runs_.min_active_contention =
-      col_span<std::uint16_t>(data, rrcols[5], nrr);
-  rack_runs_.p90_contention = col_span<std::uint16_t>(data, rrcols[6], nrr);
-  rack_runs_.max_contention = col_span<std::uint16_t>(data, rrcols[7], nrr);
-  rack_runs_.in_bytes = col_span<double>(data, rrcols[8], nrr);
-  rack_runs_.drop_bytes = col_span<double>(data, rrcols[9], nrr);
-  rack_runs_.ecn_bytes = col_span<double>(data, rrcols[10], nrr);
-
-  const auto& scols = lay.columns[wire::kSecServerRuns];
-  const std::uint64_t ns = h.counts.server_runs;
-  server_runs_.rack_id = col_span<std::uint32_t>(data, scols[0], ns);
-  server_runs_.region = col_span<std::uint8_t>(data, scols[1], ns);
-  server_runs_.hour = col_span<std::uint8_t>(data, scols[2], ns);
-  server_runs_.bursty = col_span<std::uint8_t>(data, scols[3], ns);
-  server_runs_.avg_util = col_span<float>(data, scols[4], ns);
-  server_runs_.util_inside = col_span<float>(data, scols[5], ns);
-  server_runs_.util_outside = col_span<float>(data, scols[6], ns);
-  server_runs_.bursts_per_sec = col_span<float>(data, scols[7], ns);
-  server_runs_.conns_inside = col_span<float>(data, scols[8], ns);
-  server_runs_.conns_outside = col_span<float>(data, scols[9], ns);
-
-  const auto& bcols = lay.columns[wire::kSecBursts];
-  const std::uint64_t nb = h.counts.bursts;
-  bursts_.rack_id = col_span<std::uint32_t>(data, bcols[0], nb);
-  bursts_.region = col_span<std::uint8_t>(data, bcols[1], nb);
-  bursts_.hour = col_span<std::uint8_t>(data, bcols[2], nb);
-  bursts_.len_ms = col_span<std::uint16_t>(data, bcols[3], nb);
-  bursts_.volume_bytes = col_span<float>(data, bcols[4], nb);
-  bursts_.max_contention = col_span<std::uint16_t>(data, bcols[5], nb);
-  bursts_.avg_conns = col_span<float>(data, bcols[6], nb);
-  bursts_.contended = col_span<std::uint8_t>(data, bcols[7], nb);
-  bursts_.lossy = col_span<std::uint8_t>(data, bcols[8], nb);
+  windows_.has_run = wire::col_span<std::uint8_t>(data, wcols[0], nw);
+  windows_.server_runs = wire::col_span<std::uint32_t>(data, wcols[1], nw);
+  windows_.bursts = wire::col_span<std::uint32_t>(data, wcols[2], nw);
+  windows_.run_off = wire::col_span<std::uint64_t>(data, wcols[3], nw);
+  windows_.server_off = wire::col_span<std::uint64_t>(data, wcols[4], nw);
+  windows_.burst_off = wire::col_span<std::uint64_t>(data, wcols[5], nw);
+  racks_ = wire::map_columns<RackInfoColumns>(
+      data, lay.columns[wire::kSecRacks], h.counts.racks);
+  rack_runs_ = wire::map_columns<RackRunColumns>(
+      data, lay.columns[wire::kSecRackRuns], h.counts.rack_runs);
+  server_runs_ = wire::map_columns<ServerRunColumns>(
+      data, lay.columns[wire::kSecServerRuns], h.counts.server_runs);
+  bursts_ = wire::map_columns<BurstColumns>(
+      data, lay.columns[wire::kSecBursts], h.counts.bursts);
 
   // The window directory must tie out exactly: offsets are the running
   // sums of the counts, and the totals match the record sections.  After
@@ -381,7 +210,8 @@ util::Status DatasetView::init(const std::uint8_t* data, std::size_t size,
     servers += windows_.server_runs[i];
     bursts += windows_.bursts[i];
   }
-  if (runs != nrr || servers != ns || bursts != nb) {
+  if (runs != h.counts.rack_runs || servers != h.counts.server_runs ||
+      bursts != h.counts.bursts) {
     return util::Status::error(
         "window directory totals disagree with the record sections", path_,
         static_cast<std::int64_t>(lay.dir[wire::kSecWindows].offset));
@@ -421,15 +251,15 @@ WindowView DatasetView::window(std::size_t ordinal) const {
   v.index = window_begin_ + ordinal;
   v.key = key_of(v.index);
   v.has_run = windows_.has_run[ordinal] != 0;
-  v.rack_run = rack_runs_.slice(
-      static_cast<std::size_t>(windows_.run_off[ordinal]),
+  v.rack_run = wire::slice(
+      rack_runs_, static_cast<std::size_t>(windows_.run_off[ordinal]),
       v.has_run ? 1 : 0);
-  v.server_runs = server_runs_.slice(
-      static_cast<std::size_t>(windows_.server_off[ordinal]),
+  v.server_runs = wire::slice(
+      server_runs_, static_cast<std::size_t>(windows_.server_off[ordinal]),
       windows_.server_runs[ordinal]);
-  v.bursts =
-      bursts_.slice(static_cast<std::size_t>(windows_.burst_off[ordinal]),
-                    windows_.bursts[ordinal]);
+  v.bursts = wire::slice(
+      bursts_, static_cast<std::size_t>(windows_.burst_off[ordinal]),
+      windows_.bursts[ordinal]);
   return v;
 }
 
@@ -443,10 +273,7 @@ analysis::RackClass DatasetView::class_of(std::uint32_t rack_id) const {
 }
 
 std::vector<RackInfo> DatasetView::rack_table() const {
-  std::vector<RackInfo> out;
-  out.reserve(racks_.size());
-  for (std::size_t i = 0; i < racks_.size(); ++i) out.push_back(racks_[i]);
-  return out;
+  return wire::to_rows(racks_);
 }
 
 // --- Dataset <-> view adapters -----------------------------------------
@@ -473,18 +300,9 @@ Dataset Dataset::from_view(const DatasetView& v) {
     ds.window_counts.push_back(c);
   }
   ds.racks = v.rack_table();
-  ds.rack_runs.reserve(v.rack_runs().size());
-  for (std::size_t i = 0; i < v.rack_runs().size(); ++i) {
-    ds.rack_runs.push_back(v.rack_runs()[i]);
-  }
-  ds.server_runs.reserve(v.server_runs().size());
-  for (std::size_t i = 0; i < v.server_runs().size(); ++i) {
-    ds.server_runs.push_back(v.server_runs()[i]);
-  }
-  ds.bursts.reserve(v.bursts().size());
-  for (std::size_t i = 0; i < v.bursts().size(); ++i) {
-    ds.bursts.push_back(v.bursts()[i]);
-  }
+  ds.rack_runs = wire::to_rows(v.rack_runs());
+  ds.server_runs = wire::to_rows(v.server_runs());
+  ds.bursts = wire::to_rows(v.bursts());
   ds.low_contention_example = v.low_contention_example();
   ds.high_contention_example = v.high_contention_example();
   return ds;

@@ -32,6 +32,7 @@ namespace msamp::fleet {
 /// One typed column per field, all the same length.  `operator[]`
 /// materializes a record for call sites that want row access; hot loops
 /// should read the individual spans instead (that is the point of v6).
+/// Each span's place in the file is its entry in fleet/column_table.h.
 struct RackInfoColumns {
   std::span<const std::uint32_t> rack_id;
   std::span<const std::uint8_t> region;
@@ -61,7 +62,6 @@ struct RackRunColumns {
 
   std::size_t size() const { return rack_id.size(); }
   RackRunRecord operator[](std::size_t i) const;
-  RackRunColumns slice(std::size_t off, std::size_t n) const;
 };
 
 struct ServerRunColumns {
@@ -78,10 +78,6 @@ struct ServerRunColumns {
 
   std::size_t size() const { return rack_id.size(); }
   ServerRunRecord operator[](std::size_t i) const;
-  ServerRunColumns slice(std::size_t off, std::size_t n) const;
-  /// Raw bytes of column `col`, in field order (what `merge_shards`
-  /// concatenates across shards).
-  std::span<const std::byte> column_bytes(std::size_t col) const;
 };
 
 struct BurstColumns {
@@ -97,8 +93,6 @@ struct BurstColumns {
 
   std::size_t size() const { return rack_id.size(); }
   BurstRecord operator[](std::size_t i) const;
-  BurstColumns slice(std::size_t off, std::size_t n) const;
-  std::span<const std::byte> column_bytes(std::size_t col) const;
 };
 
 /// The per-window directory: counts plus shard-local running record

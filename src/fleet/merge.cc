@@ -131,7 +131,7 @@ util::Status merge_shards(const std::vector<std::string>& paths,
     return wire::ColumnSource{
         records, [&shards, columns_of](std::size_t col, wire::Out& out) {
           for (const DatasetView& s : shards) {
-            const auto bytes = columns_of(s).column_bytes(col);
+            const auto bytes = wire::column_bytes(columns_of(s), col);
             out.write(bytes.data(), bytes.size());
           }
           return util::Status::ok();

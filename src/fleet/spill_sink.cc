@@ -15,12 +15,14 @@ SpillSink::SpillSink(const FleetConfig& config, ShardSpec shard,
       // spill RSS stays near `chunk_bytes` no matter how many columns v6
       // has.
       col_chunk_bytes_(std::max<std::size_t>(
-          chunk_bytes_ / (wire::kServerRunCols + wire::kBurstCols), 64)) {
+          chunk_bytes_ / (wire::kWidths<ServerRunRecord>.size() +
+                          wire::kWidths<BurstRecord>.size()),
+          64)) {
   std::error_code ec;
   const auto parent = std::filesystem::path(out_).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  open_section(servers_, "servers", wire::kServerRunWidths);
-  open_section(bursts_, "bursts", wire::kBurstWidths);
+  open_section(servers_, "servers", wire::kWidths<ServerRunRecord>);
+  open_section(bursts_, "bursts", wire::kWidths<BurstRecord>);
 }
 
 SpillSink::~SpillSink() {
@@ -63,7 +65,7 @@ void SpillSink::on_window(std::size_t window, WindowRecords&& records) {
   const auto spill = [this](SectionSpills& sec, const auto& recs) {
     for (std::size_t c = 0; c < sec.cols.size(); ++c) {
       Spill& s = sec.cols[c];
-      for (const auto& rec : recs) wire::put_column(s.buf, rec, c);
+      wire::put_column(s.buf, std::span(recs), c);
       if (s.buf.out.size() >= col_chunk_bytes_) flush(s);
     }
     sec.records += recs.size();

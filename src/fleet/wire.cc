@@ -3,153 +3,105 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 namespace msamp::fleet::wire {
 
-// --- columnar field appenders ------------------------------------------
-// Column order must match the width tables in wire.h.
+namespace {
 
-void put_column(Writer& w, const RackInfo& v, std::size_t col) {
-  switch (col) {
-    case 0: w.put(v.rack_id); return;
-    case 1: w.put(v.region); return;
-    case 2: w.put(v.ml_dense); return;
-    case 3: w.put(v.distinct_tasks); return;
-    case 4: w.put(v.dominant_share); return;
-    case 5: w.put(v.intensity); return;
-    case 6: w.put(v.busy_hour_avg_contention); return;
-    case 7: w.put(v.rack_class); return;
-    default: std::abort();
+/// Wire type of one serialized FleetConfig field.
+template <typename W>
+struct As {
+  using type = W;
+};
+
+/// The serialized FleetConfig fields in wire order, each with its wire
+/// type: `field(c.<member>, As<wire type>{})` per field.  `threads` is
+/// absent: execution detail, never data.
+template <typename Config, typename Fn>
+void config_fields(Config& c, Fn&& field) {
+  field(c.seed, As<std::uint64_t>{});
+  field(c.racks_per_region, As<std::int32_t>{});
+  field(c.servers_per_rack, As<std::int32_t>{});
+  field(c.hours, As<std::int32_t>{});
+  field(c.samples_per_run, As<std::int32_t>{});
+  field(c.warmup_ms, As<std::int32_t>{});
+  field(c.line_rate_gbps, As<double>{});
+  field(c.buffer.total_bytes, As<std::int64_t>{});
+  field(c.buffer.quadrants, As<std::int32_t>{});
+  field(c.buffer.reserve_per_queue, As<std::int64_t>{});
+  field(c.buffer.alpha, As<double>{});
+  field(c.buffer.ecn_threshold, As<std::int64_t>{});
+  field(c.buffer.policy, As<std::uint8_t>{});
+  field(c.buffer.burst_alpha_boost, As<double>{});
+  field(c.buffer.delay.target_delay_ms, As<double>{});
+  field(c.buffer.delay.min_gain, As<double>{});
+  field(c.buffer.delay.max_gain, As<double>{});
+  field(c.buffer.delay.drain_gbps, As<double>{});
+  field(c.rtt_ms, As<double>{});
+  field(c.mss, As<std::int64_t>{});
+  field(c.fabric.enabled, As<std::uint8_t>{});
+  field(c.fabric.uplink_gbps, As<double>{});
+  field(c.fabric.smoothing, As<double>{});
+  field(c.filter_cpus, As<std::int32_t>{});
+  field(c.clocks.offset_stddev, As<std::int64_t>{});
+  field(c.clocks.offset_max, As<std::int64_t>{});
+  field(c.loss.rtt_shift_samples, As<std::int32_t>{});
+  field(c.loss.lag_samples, As<std::int32_t>{});
+  field(c.classify.high_threshold, As<double>{});
+}
+
+void put_header_v6(Writer& w, const V6Header& h) {
+  w.put(kMagic);
+  w.put(kVersion);
+  w.put(h.fingerprint);
+  put_config(w, h.config);
+  w.put(h.shard.index);
+  w.put(h.shard.count);
+  w.put(h.window_begin);
+  w.put(h.window_end);
+  w.put(h.counts.racks);
+  w.put(h.counts.rack_runs);
+  w.put(h.counts.server_runs);
+  w.put(h.counts.bursts);
+  for (const auto& d : h.dir) {
+    w.put(d.offset);
+    w.put(d.bytes);
   }
 }
 
-void put_column(Writer& w, const RackRunRecord& v, std::size_t col) {
-  switch (col) {
-    case 0: w.put(v.rack_id); return;
-    case 1: w.put(v.region); return;
-    case 2: w.put(v.hour); return;
-    case 3: w.put(v.usable); return;
-    case 4: w.put(v.avg_contention); return;
-    case 5: w.put(v.min_active_contention); return;
-    case 6: w.put(v.p90_contention); return;
-    case 7: w.put(v.max_contention); return;
-    case 8: w.put(v.in_bytes); return;
-    case 9: w.put(v.drop_bytes); return;
-    case 10: w.put(v.ecn_bytes); return;
-    default: std::abort();
-  }
-}
+/// Column widths of the five columnar sections, indexed by Section.
+constexpr std::span<const std::size_t> kSectionWidths[] = {
+    kWindowDirWidths, kWidths<RackInfo>, kWidths<RackRunRecord>,
+    kWidths<ServerRunRecord>, kWidths<BurstRecord>};
 
-void put_column(Writer& w, const ServerRunRecord& v, std::size_t col) {
-  switch (col) {
-    case 0: w.put(v.rack_id); return;
-    case 1: w.put(v.region); return;
-    case 2: w.put(v.hour); return;
-    case 3: w.put(v.bursty); return;
-    case 4: w.put(v.avg_util); return;
-    case 5: w.put(v.util_inside); return;
-    case 6: w.put(v.util_outside); return;
-    case 7: w.put(v.bursts_per_sec); return;
-    case 8: w.put(v.conns_inside); return;
-    case 9: w.put(v.conns_outside); return;
-    default: std::abort();
-  }
-}
-
-void put_column(Writer& w, const BurstRecord& v, std::size_t col) {
-  switch (col) {
-    case 0: w.put(v.rack_id); return;
-    case 1: w.put(v.region); return;
-    case 2: w.put(v.hour); return;
-    case 3: w.put(v.len_ms); return;
-    case 4: w.put(v.volume_bytes); return;
-    case 5: w.put(v.max_contention); return;
-    case 6: w.put(v.avg_conns); return;
-    case 7: w.put(v.contended); return;
-    case 8: w.put(v.lossy); return;
-    default: std::abort();
-  }
-}
+}  // namespace
 
 // --- config / exemplar codecs ------------------------------------------
 
 void put_config(Writer& w, const FleetConfig& c) {
-  w.put(c.seed);
-  w.put(static_cast<std::int32_t>(c.racks_per_region));
-  w.put(static_cast<std::int32_t>(c.servers_per_rack));
-  w.put(static_cast<std::int32_t>(c.hours));
-  w.put(static_cast<std::int32_t>(c.samples_per_run));
-  w.put(static_cast<std::int32_t>(c.warmup_ms));
-  w.put(c.line_rate_gbps);
-  w.put(c.buffer.total_bytes);
-  w.put(static_cast<std::int32_t>(c.buffer.quadrants));
-  w.put(c.buffer.reserve_per_queue);
-  w.put(c.buffer.alpha);
-  w.put(c.buffer.ecn_threshold);
-  w.put(static_cast<std::uint8_t>(c.buffer.policy));
-  w.put(c.buffer.burst_alpha_boost);
-  w.put(c.buffer.delay.target_delay_ms);
-  w.put(c.buffer.delay.min_gain);
-  w.put(c.buffer.delay.max_gain);
-  w.put(c.buffer.delay.drain_gbps);
-  w.put(c.rtt_ms);
-  w.put(static_cast<std::int64_t>(c.mss));
-  w.put(static_cast<std::uint8_t>(c.fabric.enabled ? 1 : 0));
-  w.put(c.fabric.uplink_gbps);
-  w.put(c.fabric.smoothing);
-  w.put(static_cast<std::int32_t>(c.filter_cpus));
-  w.put(static_cast<std::int64_t>(c.clocks.offset_stddev));
-  w.put(static_cast<std::int64_t>(c.clocks.offset_max));
-  w.put(static_cast<std::int32_t>(c.loss.rtt_shift_samples));
-  w.put(static_cast<std::int32_t>(c.loss.lag_samples));
-  w.put(c.classify.high_threshold);
+  config_fields(c, [&w](const auto& v, auto as) {
+    w.put(static_cast<typename decltype(as)::type>(v));
+  });
 }
 
 bool get_config(Reader& r, FleetConfig* c) {
-  std::int32_t racks = 0, servers = 0, hours = 0, samples = 0, warmup = 0;
-  std::int32_t quadrants = 0, filter_cpus = 0, rtt_shift = 0, lag = 0;
-  std::uint8_t policy = 0, fabric_enabled = 0;
-  std::int64_t mss = 0, stddev = 0, offmax = 0;
-  if (!(r.get(&c->seed) && r.get(&racks) && r.get(&servers) &&
-        r.get(&hours) && r.get(&samples) && r.get(&warmup) &&
-        r.get(&c->line_rate_gbps) && r.get(&c->buffer.total_bytes) &&
-        r.get(&quadrants) && r.get(&c->buffer.reserve_per_queue) &&
-        r.get(&c->buffer.alpha) && r.get(&c->buffer.ecn_threshold) &&
-        r.get(&policy) && r.get(&c->buffer.burst_alpha_boost) &&
-        r.get(&c->buffer.delay.target_delay_ms) &&
-        r.get(&c->buffer.delay.min_gain) &&
-        r.get(&c->buffer.delay.max_gain) &&
-        r.get(&c->buffer.delay.drain_gbps) && r.get(&c->rtt_ms) &&
-        r.get(&mss) && r.get(&fabric_enabled) &&
-        r.get(&c->fabric.uplink_gbps) && r.get(&c->fabric.smoothing) &&
-        r.get(&filter_cpus) && r.get(&stddev) && r.get(&offmax) &&
-        r.get(&rtt_shift) && r.get(&lag) &&
-        r.get(&c->classify.high_threshold))) {
-    return false;
-  }
+  bool ok = true;
+  config_fields(*c, [&](auto& v, auto as) {
+    typename decltype(as)::type x{};
+    ok = ok && r.get(&x);
+    v = static_cast<std::remove_reference_t<decltype(v)>>(x);
+  });
   // The scale fields size window ranges and allocations downstream; reject
   // negatives (and an out-of-range policy byte) as corruption up front.
-  if (racks < 0 || servers < 0 || hours < 0 || samples < 0 || warmup < 0) {
+  if (!ok || c->racks_per_region < 0 || c->servers_per_rack < 0 ||
+      c->hours < 0 || c->samples_per_run < 0 || c->warmup_ms < 0 ||
+      c->buffer.policy > net::BufferPolicy::kDelayDriven) {
     return false;
   }
-  if (policy > static_cast<std::uint8_t>(net::BufferPolicy::kDelayDriven)) {
-    return false;
-  }
-  c->racks_per_region = racks;
-  c->servers_per_rack = servers;
-  c->hours = hours;
-  c->samples_per_run = samples;
-  c->warmup_ms = warmup;
-  c->buffer.quadrants = quadrants;
-  c->buffer.policy = static_cast<net::BufferPolicy>(policy);
-  c->mss = mss;
-  c->fabric.enabled = fabric_enabled != 0;
-  c->filter_cpus = filter_cpus;
-  c->clocks.offset_stddev = stddev;
-  c->clocks.offset_max = offmax;
-  c->loss.rtt_shift_samples = rtt_shift;
-  c->loss.lag_samples = lag;
   c->threads = 0;  // execution detail; never travels with data
   return true;
 }
@@ -178,35 +130,24 @@ std::size_t config_wire_size() {
 }
 
 std::size_t header_bytes_v6() {
-  // magic, version, fingerprint, config, shard index/count, window range,
-  // four record-count u64s, section directory.
-  return 4 + 4 + 8 + config_wire_size() + 4 + 4 + 8 + 8 + 4 * 8 +
-         kNumSections * 16;
+  Writer w;
+  put_header_v6(w, V6Header{});
+  return w.out.size();
 }
 
 V6Layout v6_layout(const SectionCounts& counts) {
-  struct Spec {
-    std::size_t n_cols;
-    const std::size_t* widths;
-    std::uint64_t count;
-  };
-  const Spec specs[] = {
-      {kWindowDirCols, kWindowDirWidths, counts.windows},
-      {kRackCols, kRackWidths, counts.racks},
-      {kRackRunCols, kRackRunWidths, counts.rack_runs},
-      {kServerRunCols, kServerRunWidths, counts.server_runs},
-      {kBurstCols, kBurstWidths, counts.bursts},
-  };
+  const std::uint64_t records[] = {counts.windows, counts.racks,
+                                   counts.rack_runs, counts.server_runs,
+                                   counts.bursts};
   V6Layout lay;
   lay.header_bytes = header_bytes_v6();
   std::uint64_t cursor = lay.header_bytes;
-  for (std::size_t s = 0; s < std::size(specs); ++s) {
+  for (std::size_t s = 0; s < std::size(records); ++s) {
     auto& cols = lay.columns[s];
-    cols.resize(specs[s].n_cols);
-    for (std::size_t c = 0; c < specs[s].n_cols; ++c) {
+    for (const std::size_t width : kSectionWidths[s]) {
       cursor = align_segment(cursor);
-      cols[c] = cursor;
-      cursor += specs[s].count * specs[s].widths[c];
+      cols.push_back(cursor);
+      cursor += records[s] * width;
     }
     lay.dir[s].offset = cols.front();
     lay.dir[s].bytes = cursor - cols.front();
@@ -357,29 +298,6 @@ void Out::pad_to(std::uint64_t target) {
 
 namespace {
 
-std::size_t exemplar_wire_bytes(const ExemplarRun& e) {
-  return 4 + 4 + 2 + 2 + 8 + e.raster.size() + 8 + 2 * e.contention.size();
-}
-
-void put_header_v6(Writer& w, const V6Header& h) {
-  w.put(kMagic);
-  w.put(kVersion);
-  w.put(h.fingerprint);
-  put_config(w, h.config);
-  w.put(h.shard.index);
-  w.put(h.shard.count);
-  w.put(h.window_begin);
-  w.put(h.window_end);
-  w.put(h.counts.racks);
-  w.put(h.counts.rack_runs);
-  w.put(h.counts.server_runs);
-  w.put(h.counts.bursts);
-  for (const auto& d : h.dir) {
-    w.put(d.offset);
-    w.put(d.bytes);
-  }
-}
-
 /// Lays `head` and the two bulky sources out as one v6 file on `out`.
 util::Status lay_out(const Dataset& head, const ColumnSource& server_runs,
                      const ColumnSource& bursts, Out& out) {
@@ -394,8 +312,10 @@ util::Status lay_out(const Dataset& head, const ColumnSource& server_runs,
   h.counts.rack_runs = head.rack_runs.size();
   h.counts.server_runs = server_runs.records;
   h.counts.bursts = bursts.records;
-  h.counts.exemplar_bytes = exemplar_wire_bytes(head.low_contention_example) +
-                            exemplar_wire_bytes(head.high_contention_example);
+  Writer exemplars;
+  put_exemplar(exemplars, head.low_contention_example);
+  put_exemplar(exemplars, head.high_contention_example);
+  h.counts.exemplar_bytes = exemplars.out.size();
   const V6Layout lay = v6_layout(h.counts);
   h.dir = lay.dir;
   if (out.file == nullptr) out.w.out.reserve(lay.file_bytes);
@@ -426,9 +346,6 @@ util::Status lay_out(const Dataset& head, const ColumnSource& server_runs,
 
   // Record sections, one column at a time; each column must end exactly
   // where the layout says before the next one is padded to.
-  const std::size_t* const widths[] = {kWindowDirWidths, kRackWidths,
-                                       kRackRunWidths, kServerRunWidths,
-                                       kBurstWidths};
   const std::pair<Section, ColumnSource> sections[] = {
       {kSecRacks, rows(head.racks)},
       {kSecRackRuns, rows(head.rack_runs)},
@@ -439,7 +356,7 @@ util::Status lay_out(const Dataset& head, const ColumnSource& server_runs,
     for (std::size_t c = 0; c < cols.size(); ++c) {
       out.pad_to(cols[c]);
       if (auto st = src.put(c, out); !st) return st;
-      const std::uint64_t end = cols[c] + src.records * widths[sec][c];
+      const std::uint64_t end = cols[c] + src.records * kSectionWidths[sec][c];
       if (out.pos() != end) {
         return util::Status::error(
             "column " + std::to_string(c) + " of section " +
@@ -451,8 +368,7 @@ util::Status lay_out(const Dataset& head, const ColumnSource& server_runs,
   }
 
   out.pad_to(lay.columns[kSecExemplars][0]);
-  put_exemplar(out.w, head.low_contention_example);
-  put_exemplar(out.w, head.high_contention_example);
+  out.write(exemplars.out.data(), exemplars.out.size());
   if (out.pos() != lay.file_bytes) {  // layout is the law
     return util::Status::error("wrote " + std::to_string(out.pos()) +
                                " bytes, layout needs " +

@@ -15,26 +15,30 @@
 // per field, so `Dataset::open_mapped` can hand out typed spans straight
 // over the mapping — zero copies, bounded RSS — while the window directory
 // (per-window counts plus running record offsets) gives O(1) window
-// slicing.  Every column value is written member by member: the file never
-// contains compiler-inserted padding, which is what lets shards generated
-// in different processes merge into bytes identical to a single-process
-// run.  Gap bytes between columns are always zero.
+// slicing.  The record sections' columns are listed once, in
+// fleet/column_table.h.  Every column value is written member by member:
+// the file never contains compiler-inserted padding, which is what lets
+// shards generated in different processes merge into bytes identical to a
+// single-process run.  Gap bytes between columns are always zero.
 //
 // This header is wire-format code for msamp_lint purposes: whole-struct
 // `sizeof(<RecordType>)` copies are banned here exactly as in dataset.cc
 // (the codec templates' `sizeof(T)` is guarded by the static_asserts).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iosfwd>
-#include <iterator>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "fleet/column_table.h"
 #include "fleet/dataset.h"
 #include "util/status.h"
 
@@ -52,16 +56,8 @@ inline constexpr std::uint32_t kVersion = 6;
 /// aligned for their element type and readahead streams whole columns.
 inline constexpr std::uint64_t kSegmentAlign = 4096;
 
-/// Widest column element the v6 format stores (u64/i64/double). SIMD loads
-/// over mapped columns rely on column offsets — and the mapping base —
-/// being at least this aligned; DatasetView::init rejects a misaligned
-/// base with a util::Status instead of handing out UB spans.
-inline constexpr std::uint64_t kMaxColumnAlign = 8;
 static_assert(kSegmentAlign % kMaxColumnAlign == 0,
               "page-aligned columns must imply element alignment");
-static_assert(kMaxColumnAlign >= alignof(double) &&
-                  kMaxColumnAlign >= alignof(std::uint64_t),
-              "kMaxColumnAlign must cover the widest column element");
 
 constexpr std::uint64_t align_segment(std::uint64_t off) {
   return (off + kSegmentAlign - 1) / kSegmentAlign * kSegmentAlign;
@@ -135,24 +131,12 @@ enum Section : std::size_t {
   kNumSections = 6,
 };
 
-// Per-section column byte widths, in field order (matching the
-// `put_column` overloads).  The window directory's columns are: has_run
-// u8, server_runs u32, bursts u32, then the shard-local running record
-// offsets run_off/server_off/burst_off u64 (prefix sums of the counts;
-// first window is 0), which give O(1) window slicing.
+// Column byte widths of the window directory: has_run u8, server_runs
+// u32, bursts u32, then the shard-local running record offsets
+// run_off/server_off/burst_off u64 (prefix sums of the counts; first
+// window is 0), which give O(1) window slicing.  The record sections'
+// widths derive from their column tables (fleet/column_table.h).
 inline constexpr std::size_t kWindowDirWidths[] = {1, 4, 4, 8, 8, 8};
-inline constexpr std::size_t kRackWidths[] = {4, 1, 1, 2, 4, 4, 4, 1};
-inline constexpr std::size_t kRackRunWidths[] = {4, 1, 1, 1, 4, 2, 2, 2,
-                                                 8, 8, 8};
-inline constexpr std::size_t kServerRunWidths[] = {4, 1, 1, 1, 4,
-                                                   4, 4, 4, 4, 4};
-inline constexpr std::size_t kBurstWidths[] = {4, 1, 1, 2, 4, 2, 4, 1, 1};
-
-inline constexpr std::size_t kWindowDirCols = std::size(kWindowDirWidths);
-inline constexpr std::size_t kRackCols = std::size(kRackWidths);
-inline constexpr std::size_t kRackRunCols = std::size(kRackRunWidths);
-inline constexpr std::size_t kServerRunCols = std::size(kServerRunWidths);
-inline constexpr std::size_t kBurstCols = std::size(kBurstWidths);
 
 /// Record counts that fully determine a v6 file's layout (plus the byte
 /// length of the row-encoded exemplar section, which is data-dependent).
@@ -184,11 +168,10 @@ struct V6Layout {
 
 /// Size of the fixed v6 prefix: magic, version, fingerprint, config,
 /// shard index/count, window range, four record-count u64s, and the
-/// section directory.
+/// section directory (measured by writing one).
 std::size_t header_bytes_v6();
 
-/// Serialized size of the FleetConfig codec (part of the header
-/// arithmetic).
+/// Serialized size of the FleetConfig codec.
 std::size_t config_wire_size();
 
 V6Layout v6_layout(const SectionCounts& counts);
@@ -217,13 +200,6 @@ struct V6Header {
 util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
                             std::uint64_t file_size, V6Header* h,
                             V6Layout* layout);
-
-// Columnar field appenders: append column `col` (field order as in the
-// width tables above) of one record to `w`.
-void put_column(Writer& w, const RackInfo& v, std::size_t col);
-void put_column(Writer& w, const RackRunRecord& v, std::size_t col);
-void put_column(Writer& w, const ServerRunRecord& v, std::size_t col);
-void put_column(Writer& w, const BurstRecord& v, std::size_t col);
 
 /// FleetConfig travels with the dataset so a merge (and `report`/`query`)
 /// can see the scale and classification knobs without re-supplying them.
@@ -271,12 +247,33 @@ struct ColumnSource {
   std::function<util::Status(std::size_t col, Out& out)> put;
 };
 
+/// Appends column `c` of `records` to `w`: the c-th field of each record,
+/// in record order.
+template <typename Rec>
+void put_column(Writer& w, std::span<const Rec> records, std::size_t c) {
+  if (c >= kWidths<Rec>.size()) std::abort();
+  for_each_column<Rec>([&](auto col, std::size_t i) {
+    if (i != c) return;
+    const std::size_t old = w.out.size();
+    w.out.resize(old + records.size() * col.width);
+    std::uint8_t* dst = w.out.data() + old;
+    for (const Rec& r : records) {
+      std::memcpy(dst, &(r.*col.field), col.width);
+      dst += col.width;
+    }
+  });
+}
+
 /// The ColumnSource over records held in RAM; `records` must outlive it.
 template <typename Rec>
 ColumnSource rows(const std::vector<Rec>& records) {
-  return {records.size(), [&records](std::size_t col, Out& out) {
-            for (const Rec& r : records) {
-              put_column(out.w, r, col);
+  return {records.size(), [&records](std::size_t c, Out& out) {
+            // Batches keep a file writer's staging buffer near kOutChunk.
+            constexpr std::size_t kBatch = std::size_t{1} << 14;
+            const std::span<const Rec> all(records);
+            for (std::size_t i = 0; i < all.size(); i += kBatch) {
+              const std::size_t n = std::min(kBatch, all.size() - i);
+              put_column(out.w, all.subspan(i, n), c);
               out.flush_if_full();
             }
             return util::Status::ok();

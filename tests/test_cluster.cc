@@ -2,11 +2,15 @@
 // retry backoff arithmetic, POSIX child plumbing, the deterministic
 // fault plan, the in-process worker, and the coordinator driven through
 // its spawn_command test hook with /bin/sh stand-in workers — covering
-// the success path, crash-then-retry, retry exhaustion, stall detection,
-// the no-shard-file exit, and the post-merge fingerprint guard.  The
-// real fork/exec-of-msampctl path is exercised end to end by the
-// cli_cluster ctest and scripts/check_dataset_determinism.sh.
+// the success path, crash-then-retry, retry exhaustion, stall detection
+// (and that its kill takes the worker's own children), the no-shard-file
+// exit, and the post-merge fingerprint guard.  The real
+// fork/exec-of-msampctl path is exercised end to end by the cli_cluster
+// ctest and scripts/check_dataset_determinism.sh.
 #include "cluster/coordinator.h"
+
+#include <poll.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -383,6 +387,35 @@ TEST(Coordinator, StallDetectionKillsAWedgedWorker) {
   Coordinator coordinator(config);
   EXPECT_FALSE(coordinator.run(nullptr, nullptr, &why));
   EXPECT_NE(why.find("stalled"), std::string::npos) << why;
+  fs::remove_all(dir);
+}
+
+TEST(Coordinator, StallKillTakesTheWorkersDescendants) {
+  // The wedged stub's `sleep` inherits the write end of this pipe.  Once
+  // run() returns, no process may still hold it: the stall kill reached
+  // the whole process group, not only the direct child.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const fs::path dir = fresh_dir("coord_stall_group");
+  ClusterConfig config = stub_cluster(dir, 1);
+  config.retry.max_attempts = 1;
+  config.stall_timeout_ms = 100;
+  config.spawn_command = [](const fleet::ShardSpec&, std::uint32_t,
+                            const std::string&) {
+    return std::vector<std::string>{"/bin/sh", "-c", "sleep 30; exit 0"};
+  };
+
+  std::string why;
+  Coordinator coordinator(config);
+  EXPECT_FALSE(coordinator.run(nullptr, nullptr, &why));
+  EXPECT_NE(why.find("stalled"), std::string::npos) << why;
+  ::close(fds[1]);
+  pollfd p{fds[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&p, 1, /*timeout_ms=*/2000), 1)
+      << "a descendant of the killed worker still holds the pipe";
+  char byte = 0;
+  EXPECT_EQ(::read(fds[0], &byte, 1), 0);
+  ::close(fds[0]);
   fs::remove_all(dir);
 }
 

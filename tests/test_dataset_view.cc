@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,43 +115,214 @@ TEST(DatasetView, MappedEqualsAttached) {
   fs::remove_all(dir);
 }
 
-TEST(DatasetView, ColumnsMatchTheRowRecords) {
-  const Dataset& ds = small_dataset();
-  DatasetView view;
-  ASSERT_TRUE(
-      DatasetView::attach(small_blob().data(), small_blob().size(), &view));
+/// A hand-built shard in which every field of every v6 section holds a
+/// value its neighbours of the same width do not: a reordered or
+/// mis-mapped column changes the blob's bytes or a named span's values.
+Dataset layout_pin_dataset() {
+  Dataset ds;
+  ds.fingerprint = 0x0123456789abcdefULL;
+  FleetConfig& c = ds.config;
+  c.seed = 1001;
+  c.racks_per_region = 1;
+  c.servers_per_rack = 3;
+  c.hours = 2;
+  c.samples_per_run = 5;
+  c.warmup_ms = 6;
+  c.line_rate_gbps = 7.5;
+  c.buffer.total_bytes = 1008;
+  c.buffer.quadrants = 9;
+  c.buffer.reserve_per_queue = 1010;
+  c.buffer.alpha = 11.5;
+  c.buffer.ecn_threshold = 1012;
+  c.buffer.policy = net::BufferPolicy::kBurstAbsorbDt;
+  c.buffer.burst_alpha_boost = 13.5;
+  c.buffer.delay.target_delay_ms = 14.5;
+  c.buffer.delay.min_gain = 15.5;
+  c.buffer.delay.max_gain = 16.5;
+  c.buffer.delay.drain_gbps = 17.5;
+  c.rtt_ms = 18.5;
+  c.mss = 1019;
+  c.fabric.enabled = true;
+  c.fabric.uplink_gbps = 20.5;
+  c.fabric.smoothing = 21.5;
+  c.filter_cpus = 22;
+  c.clocks.offset_stddev = 1023;
+  c.clocks.offset_max = 1024;
+  c.loss.rtt_shift_samples = 25;
+  c.loss.lag_samples = 26;
+  c.classify.high_threshold = 27.5;
+  // Shard 1 of 2 over a 2-rack x 2-hour day: canonical windows [2, 4).
+  ds.shard = {1, 2};
+  ds.window_begin = 2;
+  ds.window_end = 4;
+  ds.window_counts = {{/*has_run=*/1, /*server_runs=*/2, /*bursts=*/3},
+                      {/*has_run=*/1, /*server_runs=*/1, /*bursts=*/1}};
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    RackInfo r;
+    r.rack_id = 10 + i;
+    r.region = static_cast<std::uint8_t>(i);
+    r.ml_dense = static_cast<std::uint8_t>(5 + i);
+    r.distinct_tasks = static_cast<std::uint16_t>(40 + i);
+    r.dominant_share = 1.25f + i;
+    r.intensity = 2.5f + i;
+    r.busy_hour_avg_contention = 3.75f + i;
+    r.rack_class = static_cast<std::uint8_t>(1 + i);  // RegA-High, RegB
+    ds.racks.push_back(r);
+  }
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    RackRunRecord r;
+    r.rack_id = 50 + i;
+    r.region = static_cast<std::uint8_t>(i);
+    r.hour = static_cast<std::uint8_t>(7 + i);
+    r.usable = static_cast<std::uint8_t>(1 - i);
+    r.avg_contention = 5.5f + i;
+    r.min_active_contention = static_cast<std::uint16_t>(60 + i);
+    r.p90_contention = static_cast<std::uint16_t>(70 + i);
+    r.max_contention = static_cast<std::uint16_t>(80 + i);
+    r.in_bytes = 1e9 + i;
+    r.drop_bytes = 2e5 + i;
+    r.ecn_bytes = 3e4 + i;
+    ds.rack_runs.push_back(r);
+  }
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ServerRunRecord s;
+    s.rack_id = 90 + i;
+    s.region = static_cast<std::uint8_t>(i / 2);
+    s.hour = static_cast<std::uint8_t>(9 + i);
+    s.bursty = static_cast<std::uint8_t>(i % 2);
+    s.avg_util = 0.125f + i;
+    s.util_inside = 0.25f + i;
+    s.util_outside = 0.375f + i;
+    s.bursts_per_sec = 0.5f + i;
+    s.conns_inside = 0.625f + i;
+    s.conns_outside = 0.75f + i;
+    ds.server_runs.push_back(s);
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    BurstRecord b;
+    b.rack_id = 100 + i;
+    b.region = static_cast<std::uint8_t>(i / 2);
+    b.hour = static_cast<std::uint8_t>(12 + i);
+    b.len_ms = static_cast<std::uint16_t>(2 + i);
+    b.volume_bytes = 1500.5f + i;
+    b.max_contention = static_cast<std::uint16_t>(20 + i);
+    b.avg_conns = 3.25f + i;
+    b.contended = static_cast<std::uint8_t>(i % 2);
+    b.lossy = static_cast<std::uint8_t>(i / 3);
+    ds.bursts.push_back(b);
+  }
+  ds.low_contention_example = {200, 1.5f, 2, 3, {1, 0, 0, 0, 1, 1}, {4, 5, 6}};
+  ds.high_contention_example = {201, 9.5f, 1, 2, {1, 0}, {7, 8}};
+  return ds;
+}
 
-  ASSERT_EQ(view.bursts().size(), ds.bursts.size());
-  for (std::size_t i = 0; i < ds.bursts.size(); ++i) {
-    EXPECT_EQ(view.bursts().rack_id[i], ds.bursts[i].rack_id);
-    EXPECT_EQ(view.bursts().len_ms[i], ds.bursts[i].len_ms);
-    EXPECT_EQ(view.bursts().lossy[i], ds.bursts[i].lossy);
-    EXPECT_FLOAT_EQ(view.bursts().avg_conns[i], ds.bursts[i].avg_conns);
-  }
-  ASSERT_EQ(view.rack_runs().size(), ds.rack_runs.size());
-  for (std::size_t i = 0; i < ds.rack_runs.size(); ++i) {
-    EXPECT_EQ(view.rack_runs().hour[i], ds.rack_runs[i].hour);
-    EXPECT_FLOAT_EQ(view.rack_runs().avg_contention[i],
-                    ds.rack_runs[i].avg_contention);
-    EXPECT_DOUBLE_EQ(view.rack_runs().drop_bytes[i],
-                     ds.rack_runs[i].drop_bytes);
-  }
-  ASSERT_EQ(view.server_runs().size(), ds.server_runs.size());
-  for (std::size_t i = 0; i < ds.server_runs.size(); ++i) {
-    EXPECT_EQ(view.server_runs().bursty[i], ds.server_runs[i].bursty);
-    EXPECT_FLOAT_EQ(view.server_runs().bursts_per_sec[i],
-                    ds.server_runs[i].bursts_per_sec);
-  }
-  ASSERT_EQ(view.racks().size(), ds.racks.size());
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+TEST(DatasetView, ColumnsMatchTheRowRecords) {
+  // Pins the v6 layout: every record column and window-directory column
+  // is read back through its named span, and the blob's digest is fixed,
+  // so a column that moves in the file fails here.
+  const Dataset ds = layout_pin_dataset();
+  const std::vector<std::uint8_t> blob = ds.serialize();
+  EXPECT_EQ(fnv1a64(blob), 0xe037a06129f316b3ULL)
+      << std::hex << fnv1a64(blob);
+  DatasetView view;
+  ASSERT_TRUE(DatasetView::attach(blob.data(), blob.size(), &view));
+  EXPECT_EQ(view.fingerprint(), ds.fingerprint);
+  EXPECT_EQ(view.config().fingerprint(), ds.config.fingerprint());
+  EXPECT_EQ(view.shard().index, 1u);
+  EXPECT_EQ(view.shard().count, 2u);
+  EXPECT_EQ(Dataset::from_view(view).serialize(), blob);
+
+  const WindowDirColumns& w = view.windows();
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(w.has_run[0], 1);
+  EXPECT_EQ(w.has_run[1], 1);
+  EXPECT_EQ(w.server_runs[0], 2u);
+  EXPECT_EQ(w.server_runs[1], 1u);
+  EXPECT_EQ(w.bursts[0], 3u);
+  EXPECT_EQ(w.bursts[1], 1u);
+  EXPECT_EQ(w.run_off[0], 0u);
+  EXPECT_EQ(w.run_off[1], 1u);
+  EXPECT_EQ(w.server_off[0], 0u);
+  EXPECT_EQ(w.server_off[1], 2u);
+  EXPECT_EQ(w.burst_off[0], 0u);
+  EXPECT_EQ(w.burst_off[1], 3u);
+
+  const RackInfoColumns& racks = view.racks();
+  ASSERT_EQ(racks.size(), ds.racks.size());
   for (std::size_t i = 0; i < ds.racks.size(); ++i) {
-    EXPECT_EQ(view.racks().rack_id[i], ds.racks[i].rack_id);
-    EXPECT_EQ(view.racks().rack_class[i], ds.racks[i].rack_class);
-    EXPECT_EQ(view.class_of(ds.racks[i].rack_id), ds.class_of(ds.racks[i].rack_id));
+    const RackInfo& r = ds.racks[i];
+    EXPECT_EQ(racks.rack_id[i], r.rack_id);
+    EXPECT_EQ(racks.region[i], r.region);
+    EXPECT_EQ(racks.ml_dense[i], r.ml_dense);
+    EXPECT_EQ(racks.distinct_tasks[i], r.distinct_tasks);
+    EXPECT_EQ(racks.dominant_share[i], r.dominant_share);
+    EXPECT_EQ(racks.intensity[i], r.intensity);
+    EXPECT_EQ(racks.busy_hour_avg_contention[i], r.busy_hour_avg_contention);
+    EXPECT_EQ(racks.rack_class[i], r.rack_class);
+    EXPECT_EQ(view.class_of(r.rack_id), ds.class_of(r.rack_id));
   }
-  EXPECT_EQ(view.low_contention_example().raster,
-            ds.low_contention_example.raster);
-  EXPECT_EQ(view.high_contention_example().contention,
-            ds.high_contention_example.contention);
+  const RackRunColumns& runs = view.rack_runs();
+  ASSERT_EQ(runs.size(), ds.rack_runs.size());
+  for (std::size_t i = 0; i < ds.rack_runs.size(); ++i) {
+    const RackRunRecord& r = ds.rack_runs[i];
+    EXPECT_EQ(runs.rack_id[i], r.rack_id);
+    EXPECT_EQ(runs.region[i], r.region);
+    EXPECT_EQ(runs.hour[i], r.hour);
+    EXPECT_EQ(runs.usable[i], r.usable);
+    EXPECT_EQ(runs.avg_contention[i], r.avg_contention);
+    EXPECT_EQ(runs.min_active_contention[i], r.min_active_contention);
+    EXPECT_EQ(runs.p90_contention[i], r.p90_contention);
+    EXPECT_EQ(runs.max_contention[i], r.max_contention);
+    EXPECT_EQ(runs.in_bytes[i], r.in_bytes);
+    EXPECT_EQ(runs.drop_bytes[i], r.drop_bytes);
+    EXPECT_EQ(runs.ecn_bytes[i], r.ecn_bytes);
+  }
+  const ServerRunColumns& servers = view.server_runs();
+  ASSERT_EQ(servers.size(), ds.server_runs.size());
+  for (std::size_t i = 0; i < ds.server_runs.size(); ++i) {
+    const ServerRunRecord& s = ds.server_runs[i];
+    EXPECT_EQ(servers.rack_id[i], s.rack_id);
+    EXPECT_EQ(servers.region[i], s.region);
+    EXPECT_EQ(servers.hour[i], s.hour);
+    EXPECT_EQ(servers.bursty[i], s.bursty);
+    EXPECT_EQ(servers.avg_util[i], s.avg_util);
+    EXPECT_EQ(servers.util_inside[i], s.util_inside);
+    EXPECT_EQ(servers.util_outside[i], s.util_outside);
+    EXPECT_EQ(servers.bursts_per_sec[i], s.bursts_per_sec);
+    EXPECT_EQ(servers.conns_inside[i], s.conns_inside);
+    EXPECT_EQ(servers.conns_outside[i], s.conns_outside);
+  }
+  const BurstColumns& bursts = view.bursts();
+  ASSERT_EQ(bursts.size(), ds.bursts.size());
+  for (std::size_t i = 0; i < ds.bursts.size(); ++i) {
+    const BurstRecord& b = ds.bursts[i];
+    EXPECT_EQ(bursts.rack_id[i], b.rack_id);
+    EXPECT_EQ(bursts.region[i], b.region);
+    EXPECT_EQ(bursts.hour[i], b.hour);
+    EXPECT_EQ(bursts.len_ms[i], b.len_ms);
+    EXPECT_EQ(bursts.volume_bytes[i], b.volume_bytes);
+    EXPECT_EQ(bursts.max_contention[i], b.max_contention);
+    EXPECT_EQ(bursts.avg_conns[i], b.avg_conns);
+    EXPECT_EQ(bursts.contended[i], b.contended);
+    EXPECT_EQ(bursts.lossy[i], b.lossy);
+  }
+  for (const auto& [got, want] :
+       {std::pair{&view.low_contention_example(), &ds.low_contention_example},
+        std::pair{&view.high_contention_example(),
+                  &ds.high_contention_example}}) {
+    EXPECT_EQ(got->rack_id, want->rack_id);
+    EXPECT_EQ(got->avg_contention, want->avg_contention);
+    EXPECT_EQ(got->num_servers, want->num_servers);
+    EXPECT_EQ(got->num_samples, want->num_samples);
+    EXPECT_EQ(got->raster, want->raster);
+    EXPECT_EQ(got->contention, want->contention);
+  }
 }
 
 TEST(DatasetView, RejectsTruncationAtEverySegmentBoundary) {

@@ -327,11 +327,13 @@ void put(std::vector<unsigned char>& out, const T& v) {
 TEST(LintWire, RuleIsScopedToTheWireFormatFiles) {
   const char* src = R"(std::size_t f() { return sizeof(RackInfo); }
 )";
-  // fleet_runner.cc never touches serialized bytes; merge.cc and
-  // spill_sink.cc do, so the same snippet is flagged there.
+  // fleet_runner.cc never touches serialized bytes; merge.cc,
+  // spill_sink.cc and the column tables do, so the same snippet is
+  // flagged there.
   EXPECT_TRUE(lint_source("src/fleet/fleet_runner.cc", src).empty());
   EXPECT_FALSE(lint_source("src/fleet/merge.cc", src).empty());
   EXPECT_FALSE(lint_source("src/fleet/spill_sink.cc", src).empty());
+  EXPECT_FALSE(lint_source("src/fleet/column_table.h", src).empty());
 }
 
 TEST(LintCounters, CounterReadInOutputPathIsFlagged) {

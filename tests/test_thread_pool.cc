@@ -235,8 +235,12 @@ TEST(ThreadPool, SerialFastPathLeavesCountersAtZero) {
   EXPECT_EQ(s.notifies, 0u);
   EXPECT_EQ(s.lock_contention_rate(), 0.0);  // 0/0 reads as 0, not NaN
 
-  // n == 1 takes the serial path on any pool: no counter movement.
+  // n == 1 takes the serial path on any pool: no counter movement.  Each
+  // of the 3 workers takes one probed lock as it starts, possibly after
+  // the constructor returned, and counts one wait as it parks; once all
+  // 3 have parked, nothing moves the lock counters until a job starts.
   ThreadPool four(4);
+  while (four.contention_snapshot().waits < 3) std::this_thread::yield();
   const ContentionSnapshot before = four.contention_snapshot();
   four.parallel_for(1, [](std::size_t) {});
   const ContentionSnapshot after = four.contention_snapshot();

@@ -26,11 +26,10 @@ if(NOT whole_hash STREQUAL c0_hash)
   message(FATAL_ERROR "cluster output differs from single-process fleet run")
 endif()
 
-# Injected worker kills: retries must reproduce the identical bytes.  A
-# small chunk size also exercises the spill-flush path; the fast retry
-# clock keeps the test quick.
+# Injected worker kills: retries must reproduce the identical bytes.  The
+# fast retry clock keeps the test quick.
 run(cluster ${scale} --workers 3 --fault-rate 0.5 --retry-base-ms 10
-    --chunk-bytes 256 --out c1.bin)
+    --out c1.bin)
 file(SHA256 ${work}/c1.bin c1_hash)
 if(NOT whole_hash STREQUAL c1_hash)
   message(FATAL_ERROR "cluster output changed under fault injection")

@@ -39,6 +39,9 @@ expect_usage_error(fleet --shard 2/2)               # index out of range
 expect_usage_error(fleet --shard a/b)               # non-numeric halves
 expect_usage_error(merge)                           # no shard files given
 expect_usage_error(merge --bogus x shard.bin)       # unknown flag
+expect_usage_error(cluster --chunk-bytes 256)       # removed flag
+expect_usage_error(worker --chunk-bytes 256)        # removed flag
+expect_usage_error(sweep --chunk-bytes 256)         # removed flag
 
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)

@@ -522,10 +522,12 @@ FileRole classify_path(std::string_view path) {
                      is("src/analysis/trace_io.cc") ||
                      is("src/analysis/trace_io.h") ||
                      is("tools/msampctl.cc");
-  // Every file that writes dataset bytes: the one v6 writer (wire.h/.cc)
-  // and its three callers.
+  // Every file that writes dataset bytes: the one v6 writer (wire.h/.cc),
+  // the column tables it writes from (column_table.h), and its three
+  // callers.
   role.wire_format = is("src/fleet/dataset.cc") || is("src/fleet/wire.h") ||
                      is("src/fleet/wire.cc") ||
+                     is("src/fleet/column_table.h") ||
                      is("src/fleet/spill_sink.cc") ||
                      is("src/fleet/merge.cc");
   // Counter reads are banned exactly where output bytes are produced —

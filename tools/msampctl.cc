@@ -36,7 +36,7 @@
 //   msampctl cluster [--workers N] [fleet flags] [--out dataset.bin]
 //                    [--shard-dir D] [--keep-shards 1] [--max-parallel M]
 //                    [--stall-ms T] [--retry-max A] [--retry-base-ms B]
-//                    [--chunk-bytes C] [--fault-rate p]
+//                    [--fault-rate p]
 //       Fault-tolerant multi-process generation: N worker processes (one
 //       per shard, re-exec'd `msampctl worker`), crash/stall detection,
 //       capped-backoff retries, then a streaming merge — byte-identical
@@ -45,7 +45,7 @@
 //       has the architecture and the worker heartbeat protocol.
 //
 //   msampctl worker --shard I/N --out shard.bin [fleet flags]
-//                   [--attempt A] [--fault-rate p] [--chunk-bytes C]
+//                   [--attempt A] [--fault-rate p]
 //       The cluster worker role (normally spawned by `msampctl cluster`,
 //       but usable standalone): generates one shard through a disk-backed
 //       spill sink — peak RSS is a few spill chunks, not the shard — and
@@ -111,7 +111,6 @@
 #include "fleet/fleet_runner.h"
 #include "fleet/fluid_rack.h"
 #include "fleet/merge.h"
-#include "fleet/spill_sink.h"
 #include "fleet/wire.h"
 #include "util/flags.h"
 #include "util/simd/simd.h"
@@ -350,9 +349,6 @@ int cmd_worker(const Flags& flags) {
   cfg.out_path = flags.str("out", "shard.bin");
   cfg.attempt = static_cast<std::uint32_t>(flags.num("attempt", 0));
   cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.chunk_bytes = static_cast<std::size_t>(flags.num(
-      "chunk-bytes",
-      static_cast<long>(fleet::SpillSink::kDefaultChunkBytes)));
   return cluster::run_worker(cfg, std::cout);
 }
 
@@ -364,9 +360,6 @@ int cmd_cluster(const Flags& flags) {
   cfg.shard_dir = flags.str("shard-dir", "");
   cfg.keep_shards = flags.num("keep-shards", 0) != 0;
   cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.chunk_bytes = static_cast<std::size_t>(flags.num(
-      "chunk-bytes",
-      static_cast<long>(fleet::SpillSink::kDefaultChunkBytes)));
   cfg.stall_timeout_ms = static_cast<int>(flags.num("stall-ms", 30000));
   cfg.max_parallel = static_cast<int>(flags.num("max-parallel", 0));
   cfg.retry.max_attempts = static_cast<int>(flags.num("retry-max", 5));
@@ -431,9 +424,6 @@ int cmd_sweep(const Flags& flags) {
   cfg.out_dir = flags.str("out-dir", "sweep-out");
   cfg.keep_datasets = flags.num("keep-datasets", 0) != 0;
   cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.chunk_bytes = static_cast<std::size_t>(flags.num(
-      "chunk-bytes",
-      static_cast<long>(fleet::SpillSink::kDefaultChunkBytes)));
   cfg.stall_timeout_ms = static_cast<int>(flags.num("stall-ms", 30000));
   cfg.max_parallel = static_cast<int>(flags.num("max-parallel", 0));
   cfg.retry.max_attempts = static_cast<int>(flags.num("retry-max", 5));
@@ -788,16 +778,16 @@ int main(int argc, char** argv) {
       {"cluster", with_policy_flags(
                       {"racks", "hours", "samples", "seed", "threads",
                        "workers", "out", "shard-dir", "keep-shards",
-                       "fault-rate", "chunk-bytes", "stall-ms",
-                       "max-parallel", "retry-max", "retry-base-ms"})},
+                       "fault-rate", "stall-ms", "max-parallel", "retry-max",
+                       "retry-base-ms"})},
       {"worker", with_policy_flags({"racks", "hours", "samples", "seed",
                                     "threads", "shard", "out", "attempt",
-                                    "fault-rate", "chunk-bytes"})},
+                                    "fault-rate"})},
       {"sweep", with_policy_flags(
                     {"racks", "hours", "samples", "seed", "threads",
                      "policies", "alphas", "boosts", "target-delays",
                      "workers", "out-dir", "keep-datasets", "fault-rate",
-                     "chunk-bytes", "stall-ms", "max-parallel", "retry-max",
+                     "stall-ms", "max-parallel", "retry-max",
                      "retry-base-ms"})},
       {"report", {"dataset"}},
       {"query", {"dataset", "region", "hour", "racks", "class", "what",
