@@ -125,37 +125,20 @@ bool run_sweep(const SweepConfig& config, SweepResult* result,
     const std::string ds_path =
         (fs::path(config.out_dir) / (cell.name + ".bin")).string();
     say("cell " + std::to_string(i + 1) + "/" +
-        std::to_string(cells.size()) + " " + cell.name +
-        (config.workers > 0
-             ? " (" + std::to_string(config.workers) + " workers)"
-             : " (serial)"));
+        std::to_string(cells.size()) + " " + cell.name);
 
-    // Both paths produce a v6 file at ds_path and summarize it through a
-    // mapped view — the summary never materializes record vectors.
-    if (config.workers > 0) {
-      ClusterConfig cc;
-      cc.fleet = cell.config;
-      cc.workers = config.workers;
-      cc.out_path = ds_path;
-      cc.fault_rate = config.fault_rate;
-      cc.retry = config.retry;
-      cc.stall_timeout_ms = config.stall_timeout_ms;
-      cc.max_parallel = config.max_parallel;
-      Coordinator coordinator(cc);
-      std::string why;
-      if (!coordinator.run(nullptr, log, &why)) {
-        return fail("cell " + cell.name + ": " + why);
-      }
-    } else {
+    // The cell's day goes to a v6 file at ds_path and is summarized
+    // through a mapped view — the summary never materializes record
+    // vectors.  The sink is inside the try: one that throws fails the
+    // cell, not the process.
+    try {
       fleet::SpillSink sink(cell.config, fleet::ShardSpec{}, ds_path);
-      try {
-        fleet::run_fleet(cell.config, fleet::ShardSpec{}, sink, nullptr);
-      } catch (const std::exception& e) {
-        return fail("cell " + cell.name + ": " + e.what());
-      }
+      fleet::run_fleet(cell.config, fleet::ShardSpec{}, sink, nullptr);
       if (auto st = sink.finalize(); !st) {
         return fail("cell " + cell.name + ": " + st.to_string());
       }
+    } catch (const std::exception& e) {
+      return fail("cell " + cell.name + ": " + e.what());
     }
 
     fleet::DatasetView view;

@@ -1,16 +1,16 @@
 // Policy-lab sweep: expands a buffer-sharing policy x parameter grid into
 // deterministic cells (one fully-specified FleetConfig each, named after
-// its parameters), generates every cell's measurement day — serially
-// in-process or fanned across cluster::Coordinator worker processes — and
-// reduces each dataset to the comparison metrics the paper's contention
-// story is built on (burst absorption, contention CDF, loss rate).
+// its parameters), generates every cell's measurement day in-process
+// through a SpillSink, and reduces each dataset to the comparison metrics
+// the paper's contention story is built on (burst absorption, contention
+// CDF, loss rate).
 //
-// Cells are just fleet runs: each carries its own FleetConfig fingerprint,
-// so the coordinator's post-merge fingerprint guard applies per cell, and
-// re-running a grid reproduces byte-identical datasets and therefore
-// byte-identical summary tables (`cli_sweep` ctest proves it, serial vs
-// cluster).  The policy catalogue lives in net/buffer_policy.h and
-// docs/POLICIES.md; the CLI front end is `msampctl sweep`.
+// Cells are just fleet runs: each carries its own FleetConfig
+// fingerprint, so re-running a grid reproduces byte-identical datasets
+// and therefore byte-identical summary tables, and a kept cell equals a
+// direct `msampctl fleet` run (`cli_sweep` ctest proves both).  The
+// policy catalogue lives in net/buffer_policy.h and docs/POLICIES.md; the
+// CLI front end is `msampctl sweep`.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/coordinator.h"
 #include "fleet/config.h"
 #include "fleet/dataset_view.h"
 #include "net/buffer_policy.h"
@@ -44,20 +43,11 @@ struct SweepConfig {
   std::vector<double> boosts = {4.0};
   std::vector<double> target_delays_ms = {0.5};
 
-  /// Worker processes per cell; 0 = generate serially in this process.
-  int workers = 0;
   /// Where per-cell datasets (and the summary CSVs) are written.
   std::string out_dir = "sweep-out";
   /// Keep the per-cell dataset files after aggregation (default: delete;
   /// the summaries are the product).
   bool keep_datasets = false;
-
-  /// Cluster knobs forwarded verbatim to each cell's Coordinator when
-  /// `workers > 0` (see ClusterConfig).
-  double fault_rate = 0.0;
-  RetryPolicy retry{};
-  int stall_timeout_ms = 30000;
-  int max_parallel = 0;
 };
 
 /// One grid cell: a name derived from its parameters ("dt-a0.25",
@@ -109,7 +99,7 @@ CellSummary summarize_cell(const std::string& name,
 
 /// Runs the whole grid.  `log` (optional) receives one line per cell.
 /// Returns false with a reason in `*error` on the first cell that fails
-/// (cluster failure, unwritable out_dir, ...).
+/// (a generation or I/O error, unwritable out_dir, ...).
 bool run_sweep(const SweepConfig& config, SweepResult* result,
                std::ostream* log = nullptr, std::string* error = nullptr);
 

@@ -10,9 +10,10 @@
 // completed window into a WindowSink in canonical order, so a day can be
 // split across processes and machines and the shard files merged back
 // (fleet/merge.h) into bytes identical to a single-process run.  The
-// historic `run_fleet(config) -> Dataset` stays as a thin wrapper over
-// the full-range shard and a DatasetBuilder sink.  `shared_view` adds a
-// disk cache so all bench binaries reuse one generation pass.
+// historic `run_fleet(config) -> Dataset` wraps the full-range shard and
+// the in-memory reference DatasetBuilder for tests and examples.
+// `shared_view` adds a disk cache so all bench binaries reuse one
+// generation pass.
 #pragma once
 
 #include <functional>
@@ -40,8 +41,9 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
                WindowSink& sink,
                std::function<void(double)> progress = nullptr);
 
-/// Generates the full dataset: the full-range shard streamed into a
-/// DatasetBuilder.  Same determinism contract as above — the result is
+/// Generates the full dataset in RAM: the full-range shard streamed into
+/// a DatasetBuilder (for tests and examples; commands write through a
+/// SpillSink).  Same determinism contract as above — the result is
 /// byte-identical for any thread count, and to any shard split merged
 /// with merge_shards.
 Dataset run_fleet(const FleetConfig& config,

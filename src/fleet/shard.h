@@ -9,10 +9,11 @@
 // WindowSink strictly in canonical order, so a sink can write to disk (or
 // fold incrementally) without ever holding the whole day in RAM.
 //
-// DatasetBuilder is the standard in-memory sink: it accumulates one
+// DatasetBuilder is the in-memory reference sink: it accumulates one
 // shard's records into a `Dataset` whose shard header `merge_shards`
 // (fleet/merge.h) later validates and folds — byte-identical to a
-// single-process run.
+// single-process run.  Generation commands write through the disk-backed
+// SpillSink (fleet/spill_sink.h) instead; tests byte-compare the two.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +53,7 @@ struct WindowRecords {
 /// only in single-lane runs — so a sink must not assume thread identity
 /// (thread-locals, thread-affine handles).
 /// Implementations decide what to keep: DatasetBuilder accumulates in
-/// RAM; a custom sink can stream straight to disk or fold running
+/// RAM, SpillSink streams to disk; a custom sink can fold running
 /// statistics.
 class WindowSink {
  public:

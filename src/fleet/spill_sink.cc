@@ -18,11 +18,8 @@ SpillSink::SpillSink(const FleetConfig& config, ShardSpec shard,
           chunk_bytes_ / (wire::kWidths<ServerRunRecord>.size() +
                           wire::kWidths<BurstRecord>.size()),
           64)) {
-  std::error_code ec;
-  const auto parent = std::filesystem::path(out_).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  open_section(servers_, "servers", wire::kWidths<ServerRunRecord>);
-  open_section(bursts_, "bursts", wire::kWidths<BurstRecord>);
+  name_section(servers_, "servers", wire::kWidths<ServerRunRecord>);
+  name_section(bursts_, "bursts", wire::kWidths<BurstRecord>);
 }
 
 SpillSink::~SpillSink() {
@@ -35,14 +32,22 @@ SpillSink::~SpillSink() {
   }
 }
 
-void SpillSink::open_section(SectionSpills& sec, const char* name,
+void SpillSink::name_section(SectionSpills& sec, const char* name,
                              std::span<const std::size_t> widths) {
   sec.widths = widths;
   sec.cols.resize(widths.size());
   for (std::size_t c = 0; c < widths.size(); ++c) {
-    Spill& s = sec.cols[c];
-    s.path = std::filesystem::path(out_ + ".spill-" + name + "-c" +
-                                   std::to_string(c));
+    sec.cols[c].path = std::filesystem::path(out_ + ".spill-" + name + "-c" +
+                                             std::to_string(c));
+  }
+}
+
+void SpillSink::flush(Spill& s) {
+  if (s.buf.out.empty()) return;
+  if (!s.on_disk) {
+    std::error_code ec;
+    const auto parent = s.path.parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
     // trunc: a leftover temp from a crashed earlier attempt is discarded,
     // which is what keeps a retry byte-identical to a first run.
     s.file.open(s.path, std::ios::binary | std::ios::trunc);
@@ -50,11 +55,8 @@ void SpillSink::open_section(SectionSpills& sec, const char* name,
       throw std::runtime_error("SpillSink: cannot open spill file " +
                                s.path.string());
     }
+    s.on_disk = true;
   }
-}
-
-void SpillSink::flush(Spill& s) {
-  if (s.buf.out.empty()) return;
   s.file.write(reinterpret_cast<const char*>(s.buf.out.data()),
                static_cast<std::streamsize>(s.buf.out.size()));
   s.buf.out.clear();
@@ -77,6 +79,10 @@ void SpillSink::on_window(std::size_t window, WindowRecords&& records) {
 wire::ColumnSource SpillSink::spilled(SectionSpills& sec) {
   return {sec.records, [this, &sec](std::size_t c, wire::Out& out) {
             const Spill& s = sec.cols[c];
+            if (!s.on_disk) {
+              out.write(s.buf.out.data(), s.buf.out.size());
+              return util::Status::ok();
+            }
             const std::uint64_t bytes = sec.records * sec.widths[c];
             std::ifstream in(s.path, std::ios::binary);
             std::vector<char> buf(static_cast<std::size_t>(
@@ -108,19 +114,22 @@ util::Status SpillSink::finalize() {
   for (SectionSpills* sec : {&servers_, &bursts_}) {
     for (std::size_t c = 0; c < sec->cols.size(); ++c) {
       Spill& s = sec->cols[c];
-      flush(s);
-      s.file.close();
-      if (s.file.fail()) {
-        return util::Status::error("cannot write spill file",
-                                   s.path.string());
-      }
-      // Non-throwing file_size: a spill file that vanished (or sits on a
-      // flaky mount) must surface as an error Status, not as a
-      // filesystem_error unwinding through the worker.
+      // A column that never overflowed is still all in its buffer.
+      std::uintmax_t size = s.buf.out.size();
       std::error_code size_ec;
-      const std::uintmax_t spill_size =
-          std::filesystem::file_size(s.path, size_ec);
-      if (size_ec || spill_size != sec->records * sec->widths[c]) {
+      if (s.on_disk) {
+        flush(s);
+        s.file.close();
+        if (s.file.fail()) {
+          return util::Status::error("cannot write spill file",
+                                     s.path.string());
+        }
+        // Non-throwing file_size: a spill file that vanished (or sits on
+        // a flaky mount) must surface as an error Status, not as a
+        // filesystem_error unwinding through the worker.
+        size = std::filesystem::file_size(s.path, size_ec);
+      }
+      if (size_ec || size != sec->records * sec->widths[c]) {
         return util::Status::error("spill file size disagrees with its "
                                    "record count",
                                    s.path.string());

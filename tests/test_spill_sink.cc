@@ -1,10 +1,12 @@
-// SpillSink is the disk-backed WindowSink behind cluster workers.  The
-// load-bearing property is byte identity: the file it assembles must be
-// exactly what DatasetBuilder + Dataset::save would have produced, for
-// full, partial, and empty shards, at any chunk size.  The lifecycle
-// tests pin the crash-safety contract worker retries rely on: windows
-// out of order or an early/double finalize throw, and a sink destroyed
-// without finalize leaves no output file and no spill temps behind.
+// SpillSink is the disk-backed WindowSink every generation command writes
+// through.  The load-bearing property is byte identity: the file it
+// assembles must be exactly what the in-memory reference, DatasetBuilder
+// + Dataset::save, would have produced, for full, partial, and empty
+// shards, at any chunk size.  A column reaches the disk only when it
+// overflows its buffer.  The lifecycle tests pin the crash-safety
+// contract worker retries rely on: windows out of order or an
+// early/double finalize throw, and a sink destroyed without finalize
+// leaves no output file and no spill temps behind.
 #include "fleet/spill_sink.h"
 
 #include <gtest/gtest.h>
@@ -43,6 +45,22 @@ std::string file_bytes(const fs::path& path) {
   EXPECT_TRUE(in.is_open()) << path;
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+std::size_t spill_temps(const fs::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    n += e.path().filename().string().find(".spill-") != std::string::npos;
+  }
+  return n;
+}
+
+// A window of `n` default server runs: at 64-byte chunks it overflows
+// every server-run column, so each one spills.
+WindowRecords server_runs_window(std::size_t n) {
+  WindowRecords records;
+  records.server_runs.resize(n);
+  return records;
 }
 
 // Generates `shard` through both sinks and returns (builder bytes,
@@ -95,6 +113,41 @@ TEST(SpillSink, EmptyShardMatches) {
   const auto [builder, spill] = both_paths(tiny_config(), ShardSpec{0, 16},
                                            dir, SpillSink::kDefaultChunkBytes);
   EXPECT_EQ(builder, spill);
+  fs::remove_all(dir);
+}
+
+TEST(SpillSink, ColumnsThatNeverOverflowCreateNoSpillFile) {
+  // At the default chunk size no column of the tiny day overflows, so
+  // nothing reaches the disk before finalize; a zero-window shard (0/16
+  // of 8 windows) never creates a spill file either.  At 64-byte chunks
+  // the same day does spill, and finalize removes the temps; a sink that
+  // spilled and is destroyed without finalize removes them too and
+  // writes no output.
+  const FleetConfig config = tiny_config();
+  const fs::path dir = fresh_dir("lazy");
+  const fs::path out = dir / "out.bin";
+  for (const ShardSpec shard : {ShardSpec{}, ShardSpec{0, 16}}) {
+    SpillSink sink(config, shard, out.string());
+    run_fleet(config, shard, sink);
+    EXPECT_EQ(spill_temps(dir), 0u) << "shard " << shard.index;
+    ASSERT_TRUE(sink.finalize());
+    EXPECT_EQ(spill_temps(dir), 0u);
+  }
+  SpillSink spilling(config, ShardSpec{}, out.string(), /*chunk_bytes=*/64);
+  run_fleet(config, ShardSpec{}, spilling);
+  EXPECT_GT(spill_temps(dir), 0u);
+  ASSERT_TRUE(spilling.finalize());
+  EXPECT_EQ(spill_temps(dir), 0u);
+
+  const fs::path abandoned = dir / "abandoned.bin";
+  {
+    SpillSink sink(config, ShardSpec{}, abandoned.string(),
+                   /*chunk_bytes=*/64);
+    sink.on_window(0, server_runs_window(100));
+    EXPECT_GT(spill_temps(dir), 0u);
+  }
+  EXPECT_EQ(spill_temps(dir), 0u);
+  EXPECT_FALSE(fs::exists(abandoned));
   fs::remove_all(dir);
 }
 
@@ -181,14 +234,15 @@ TEST(SpillSink, VanishedSpillFileFailsFinalizeInsteadOfThrowing) {
   // finalize, one spill temp is replaced by a directory, so both the
   // ifstream read and (crucially) std::filesystem::file_size on it fail.
   // finalize must funnel that into a false return with a reason — never
-  // let filesystem_error unwind through the worker.
+  // let filesystem_error unwind through the worker.  64-byte chunks and
+  // 100 server runs make the server-run columns spill, so the temp exists.
   FleetConfig config = tiny_config();
   config.racks_per_region = 1;
   config.hours = 1;
   const fs::path dir = fresh_dir("vanish");
   const fs::path out = dir / "out.bin";
-  SpillSink sink(config, ShardSpec{}, out.string());
-  sink.on_window(0, WindowRecords{});
+  SpillSink sink(config, ShardSpec{}, out.string(), /*chunk_bytes=*/64);
+  sink.on_window(0, server_runs_window(100));
   sink.on_window(1, WindowRecords{});
 
   const fs::path servers_spill = dir / "out.bin.spill-servers-c0";
@@ -206,31 +260,36 @@ TEST(SpillSink, VanishedSpillFileFailsFinalizeInsteadOfThrowing) {
 
 TEST(SpillSink, TruncatesSpillTempsLeftByAKilledAttempt) {
   // Retry idempotence: garbage spill temps from a previous attempt must
-  // not leak into the next attempt's bytes.
+  // not leak into the next attempt's bytes — neither when the column
+  // never spills (the stale file is never read) nor when it does (the
+  // stale file is reopened with trunc).
   FleetConfig config = tiny_config();
   config.racks_per_region = 1;
   config.hours = 1;
   const fs::path dir = fresh_dir("retry");
   const fs::path out = dir / "out.bin";
-  std::ofstream(dir / "out.bin.spill-servers-c0")
-      << "stale garbage from attempt 0";
+  for (const std::size_t runs : {std::size_t{0}, std::size_t{100}}) {
+    std::ofstream(dir / "out.bin.spill-servers-c0")
+        << "stale garbage from attempt 0";
 
-  std::string clean_bytes;
-  {
-    const fs::path ref = dir / "ref.bin";
-    DatasetBuilder builder(config, ShardSpec{});
-    builder.on_window(0, WindowRecords{});
-    builder.on_window(1, WindowRecords{});
-    ASSERT_TRUE(builder.take().save(ref.string()));
-    clean_bytes = file_bytes(ref);
-    fs::remove(ref);
+    std::string clean_bytes;
+    {
+      const fs::path ref = dir / "ref.bin";
+      DatasetBuilder builder(config, ShardSpec{});
+      builder.on_window(0, server_runs_window(runs));
+      builder.on_window(1, WindowRecords{});
+      ASSERT_TRUE(builder.take().save(ref.string()));
+      clean_bytes = file_bytes(ref);
+      fs::remove(ref);
+    }
+
+    SpillSink sink(config, ShardSpec{}, out.string(),
+                   runs == 0 ? SpillSink::kDefaultChunkBytes : 64);
+    sink.on_window(0, server_runs_window(runs));
+    sink.on_window(1, WindowRecords{});
+    ASSERT_TRUE(sink.finalize());
+    EXPECT_EQ(file_bytes(out), clean_bytes) << runs << " server runs";
   }
-
-  SpillSink sink(config, ShardSpec{}, out.string());
-  sink.on_window(0, WindowRecords{});
-  sink.on_window(1, WindowRecords{});
-  ASSERT_TRUE(sink.finalize());
-  EXPECT_EQ(file_bytes(out), clean_bytes);
   fs::remove_all(dir);
 }
 

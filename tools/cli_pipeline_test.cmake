@@ -30,6 +30,38 @@ if(NOT whole_hash STREQUAL merged_hash)
 endif()
 run(report --dataset merged.bin)
 
+# The spill sink leaves nothing behind but its output.
+file(GLOB leftovers ${work}/*.spill-*)
+if(leftovers)
+  message(FATAL_ERROR "fleet left spill temps behind: ${leftovers}")
+endif()
+
+# A zero-window run never opens a spill file: a directory squatting on a
+# spill path would fail the open.
+foreach(cmd fleet worker)
+  file(MAKE_DIRECTORY ${work}/z-${cmd}.bin.spill-servers-c0)
+  run(${cmd} --racks 3 --hours 0 --out z-${cmd}.bin)
+endforeach()
+file(MAKE_DIRECTORY ${work}/zs/dt-a1.bin.spill-bursts-c0)
+run(sweep --racks 3 --hours 0 --policies dt --alphas 1 --out-dir zs)
+
+# This day's server runs overflow the default spill chunk, so the squatting
+# directory fails the open: `fleet` must exit 1 with an `error:` line, not
+# abort, and leave neither an output nor a spill temp behind.
+file(MAKE_DIRECTORY ${work}/sq.bin.spill-servers-c0)
+execute_process(COMMAND ${MSAMPCTL} fleet --racks 16 --hours 8 --samples 20
+                        --out sq.bin
+                WORKING_DIRECTORY ${work} RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "^error: ")
+  message(FATAL_ERROR "fleet with an unopenable spill file exited ${rc}: "
+                      "${err}")
+endif()
+file(GLOB leftovers ${work}/sq.bin*)
+if(leftovers)
+  message(FATAL_ERROR "failed fleet left files behind: ${leftovers}")
+endif()
+
 # Mixing shards of different configs must fail loudly, not merge.
 run(fleet --racks 3 --hours 2 --samples 150 --seed 7 --shard 1/2 --out w1.bin)
 execute_process(COMMAND ${MSAMPCTL} merge s0.bin w1.bin --out bad.bin

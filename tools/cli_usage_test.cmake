@@ -42,6 +42,20 @@ expect_usage_error(merge --bogus x shard.bin)       # unknown flag
 expect_usage_error(cluster --chunk-bytes 256)       # removed flag
 expect_usage_error(worker --chunk-bytes 256)        # removed flag
 expect_usage_error(sweep --chunk-bytes 256)         # removed flag
+# sweep generates every cell in-process: its cluster knobs are gone.
+foreach(flag workers fault-rate stall-ms max-parallel retry-max
+        retry-base-ms)
+  expect_usage_error(sweep --${flag} 1)
+endforeach()
+# Scale flags fail closed: no negative scale, and no value that would
+# wrap a record's u8 hour or u16 sample count.
+foreach(cmd fleet worker cluster sweep)
+  expect_usage_error(${cmd} --racks -2)
+  expect_usage_error(${cmd} --hours -1)
+  expect_usage_error(${cmd} --samples -5)
+  expect_usage_error(${cmd} --hours 257)
+  expect_usage_error(${cmd} --samples 65536)
+endforeach()
 
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)

@@ -12,8 +12,13 @@
 //   msampctl fleet [--racks N] [--hours H] [--samples N] [--seed S]
 //                  [--threads T] [--shard I/N] [--out dataset.bin]
 //                  [policy flags]
-//       Generate a two-region measurement day and save the distilled
-//       dataset.  The buffer-sharing policy flags — shared with `cluster`,
+//       Generate a two-region measurement day and stream the distilled
+//       dataset to --out through the disk-backed spill sink (peak RSS is
+//       a few spill chunks plus the day's small tables; an interrupted
+//       run can leave `<out>.spill-*` temps, which the next run removes).
+//       --racks, --hours and --samples must be >= 0, --hours <= 256 and
+//       --samples <= 65535 (a record's u8 hour and u16 sample count).
+//       The buffer-sharing policy flags — shared with `cluster`,
 //       `worker`, and `sweep` — select the MMU discipline (see
 //       docs/POLICIES.md): --policy dt|static|complete|burst-absorb|delay,
 //       --alpha A (DT alpha), --boost B (burst-absorb alpha multiplier),
@@ -47,22 +52,20 @@
 //   msampctl worker --shard I/N --out shard.bin [fleet flags]
 //                   [--attempt A] [--fault-rate p]
 //       The cluster worker role (normally spawned by `msampctl cluster`,
-//       but usable standalone): generates one shard through a disk-backed
-//       spill sink — peak RSS is a few spill chunks, not the shard — and
-//       emits `msamp-hb` heartbeat lines on stdout.
+//       but usable standalone): generates one shard through the same
+//       spill sink as `fleet` and emits `msamp-hb` heartbeat lines on
+//       stdout.
 //
 //   msampctl sweep [--policies dt,static,delay] [--alphas 0.25,1,4]
-//                  [--boosts 4] [--target-delays 0.5] [--workers W]
-//                  [--out-dir D] [--keep-datasets 1] [fleet scale flags]
-//                  [cluster knobs]
+//                  [--boosts 4] [--target-delays 0.5] [--out-dir D]
+//                  [--keep-datasets 1] [fleet scale flags]
 //       Policy lab: expand the buffer-sharing policy x parameter grid
 //       into deterministic cells, generate each cell's measurement day
-//       (serially with --workers 0, else fanned across the cluster
-//       coordinator per cell), and emit the comparison tables — burst
-//       absorption, contention CDF, and loss per policy — plus
-//       sweep_summary.csv / sweep_contention_cdf.csv under --out-dir.
-//       Re-runs are byte-identical, serial or clustered; docs/POLICIES.md
-//       has a worked walkthrough.
+//       in-process through the spill sink, one cell after another, and
+//       emit the comparison tables — burst absorption, contention CDF,
+//       and loss per policy — plus sweep_summary.csv /
+//       sweep_contention_cdf.csv under --out-dir.  Re-runs are
+//       byte-identical; docs/POLICIES.md has a worked walkthrough.
 //
 //   msampctl report --dataset dataset.bin
 //       Print the §7/§8 headline statistics of a saved dataset.  The file
@@ -92,6 +95,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -111,6 +115,7 @@
 #include "fleet/fleet_runner.h"
 #include "fleet/fluid_rack.h"
 #include "fleet/merge.h"
+#include "fleet/spill_sink.h"
 #include "fleet/wire.h"
 #include "util/flags.h"
 #include "util/simd/simd.h"
@@ -224,6 +229,18 @@ int cmd_analyze(const Flags& flags) {
   return 0;
 }
 
+/// A scale flag's value, which must lie in [0, max]: a negative scale
+/// has no day, and one past `max` would wrap a record's narrow field.
+int scale_flag(const Flags& flags, const std::string& key, long fallback,
+               long max) {
+  const long v = flags.num(key, fallback);
+  if (v < 0 || v > max) {
+    throw util::UsageError("--" + key + " " + std::to_string(v) +
+                           " out of range [0, " + std::to_string(max) + "]");
+  }
+  return static_cast<int>(v);
+}
+
 /// The CLI-expressible FleetConfig fields, parsed identically for
 /// `fleet`, `cluster`, `worker`, and `sweep` — the cluster coordinator
 /// re-execs workers with exactly these flags (cluster::Coordinator::
@@ -232,9 +249,11 @@ int cmd_analyze(const Flags& flags) {
 fleet::FleetConfig fleet_config_from_flags(const Flags& flags) {
   fleet::FleetConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 42));
-  cfg.racks_per_region = static_cast<int>(flags.num("racks", 32));
-  cfg.hours = static_cast<int>(flags.num("hours", 24));
-  cfg.samples_per_run = static_cast<int>(flags.num("samples", 500));
+  cfg.racks_per_region =
+      scale_flag(flags, "racks", 32, std::numeric_limits<int>::max());
+  // Records store the hour in a u8 and a run's sample count in a u16.
+  cfg.hours = scale_flag(flags, "hours", 24, 256);
+  cfg.samples_per_run = scale_flag(flags, "samples", 500, 65535);
   cfg.threads = static_cast<int>(flags.num("threads", 0));
   const std::string policy = flags.str("policy", "dt");
   if (!net::parse_policy(policy, &cfg.buffer.policy)) {
@@ -297,21 +316,29 @@ int cmd_fleet(const Flags& flags) {
   }
   std::cout << " on " << util::ThreadPool::resolve(cfg.threads)
             << " thread(s)...\n";
-  fleet::DatasetBuilder builder(cfg, shard);
-  fleet::run_fleet(cfg, shard, builder, [](double p) {
-    std::cout << "  " << static_cast<int>(100 * p) << "%\r" << std::flush;
-  });
-  const fleet::Dataset ds = builder.take();
   const std::string out = flags.str("out", "dataset.bin");
-  if (auto st = ds.save(out); !st) {
+  util::Status st;
+  try {
+    fleet::SpillSink sink(cfg, shard, out);
+    fleet::run_fleet(cfg, shard, sink, [](double p) {
+      std::cout << "  " << static_cast<int>(100 * p) << "%\r" << std::flush;
+    });
+    st = sink.finalize();
+  } catch (const std::exception& e) {
+    st = util::Status::error(e.what());
+  }
+  // The counts come from the written file: the sink keeps no records.
+  fleet::DatasetView ds;
+  if (st) st = fleet::Dataset::open_mapped(out, &ds);
+  if (!st) {
     std::cerr << "error: " << st.to_string() << "\n";
     return 1;
   }
-  std::cout << "\nwrote " << out << ": " << ds.rack_runs.size()
-            << " rack runs, " << ds.server_runs.size() << " server runs, "
-            << ds.bursts.size() << " bursts";
+  std::cout << "\nwrote " << out << ": " << ds.rack_runs().size()
+            << " rack runs, " << ds.server_runs().size() << " server runs, "
+            << ds.bursts().size() << " bursts";
   if (!shard.full_range()) {
-    std::cout << " (windows [" << ds.window_begin << ", " << ds.window_end
+    std::cout << " (windows [" << ds.window_begin() << ", " << ds.window_end()
               << ") of " << 2 * cfg.racks_per_region * cfg.hours
               << "; fold with `msampctl merge`)";
   }
@@ -420,23 +447,13 @@ int cmd_sweep(const Flags& flags) {
     cfg.target_delays_ms =
         parse_double_list(flags.str("target-delays", ""), "target-delays");
   }
-  cfg.workers = static_cast<int>(flags.num("workers", 0));
   cfg.out_dir = flags.str("out-dir", "sweep-out");
   cfg.keep_datasets = flags.num("keep-datasets", 0) != 0;
-  cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.stall_timeout_ms = static_cast<int>(flags.num("stall-ms", 30000));
-  cfg.max_parallel = static_cast<int>(flags.num("max-parallel", 0));
-  cfg.retry.max_attempts = static_cast<int>(flags.num("retry-max", 5));
-  cfg.retry.base_delay_ms = static_cast<int>(flags.num("retry-base-ms", 200));
 
   const auto cells = cluster::expand_grid(cfg);
   std::cout << "sweeping " << cells.size() << " policy cells x "
             << 2 * cfg.base.racks_per_region << " racks x " << cfg.base.hours
-            << " hours"
-            << (cfg.workers > 0 ? " via " + std::to_string(cfg.workers) +
-                                      " worker process(es) per cell"
-                                : " serially")
-            << "...\n";
+            << " hours serially...\n";
   cluster::SweepResult result;
   std::string err;
   if (!cluster::run_sweep(cfg, &result, &std::cout, &err)) {
@@ -783,12 +800,10 @@ int main(int argc, char** argv) {
       {"worker", with_policy_flags({"racks", "hours", "samples", "seed",
                                     "threads", "shard", "out", "attempt",
                                     "fault-rate"})},
-      {"sweep", with_policy_flags(
-                    {"racks", "hours", "samples", "seed", "threads",
-                     "policies", "alphas", "boosts", "target-delays",
-                     "workers", "out-dir", "keep-datasets", "fault-rate",
-                     "stall-ms", "max-parallel", "retry-max",
-                     "retry-base-ms"})},
+      {"sweep", with_policy_flags({"racks", "hours", "samples", "seed",
+                                   "threads", "policies", "alphas", "boosts",
+                                   "target-delays", "out-dir",
+                                   "keep-datasets"})},
       {"report", {"dataset"}},
       {"query", {"dataset", "region", "hour", "racks", "class", "what",
                  "limit"}},
