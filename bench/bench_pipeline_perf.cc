@@ -32,9 +32,12 @@ void BM_FluidRackWindow(benchmark::State& state) {
   const auto rack = bench_rack(92);
   fleet::FleetConfig cfg;
   cfg.samples_per_run = 700;
+  // One rack re-armed per window with a fresh seed, as each run_fleet
+  // lane does: only the first arm allocates.
+  fleet::FluidRack fluid;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    fleet::FluidRack fluid(rack, cfg, 6, util::Rng(seed++));
+    fluid.arm(rack, cfg, 6, util::Rng(seed++));
     benchmark::DoNotOptimize(fluid.run());
   }
   state.SetItemsProcessed(state.iterations() * 92 *
@@ -90,8 +93,12 @@ void BM_CombineRuns(benchmark::State& state) {
     }
     records.push_back(std::move(r));
   }
+  // The reusing overload, as FluidRack::run calls it.
+  core::SyncRun sync;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::combine_runs(records));
+    core::combine_runs(records, sync);
+    benchmark::DoNotOptimize(sync.series.data());
+    benchmark::ClobberMemory();
   }
   state.SetLabel("92 runs aligned + trimmed");
 }

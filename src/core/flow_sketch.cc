@@ -1,7 +1,9 @@
 #include "core/flow_sketch.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 
 namespace msamp::core {
 namespace {
@@ -14,6 +16,26 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 33;
   return x;
+}
+
+using EstimateTable = std::array<double, FlowSketch::kBits + 1>;
+
+/// The linear-counting estimate for every zero-bit count.  A plain
+/// function, not a lambda (which is implicitly constexpr): the compiler
+/// must not fold the table with its own log, so the entries are libm's
+/// run-time values, the ones a direct call returned.
+EstimateTable estimate_table() {
+  constexpr int kBits = FlowSketch::kBits;
+  EstimateTable table{};
+  for (int zeros = 0; zeros <= kBits; ++zeros) {
+    table[static_cast<std::size_t>(zeros)] =
+        zeros == 0
+            // Fully saturated: report the maximum resolvable estimate.
+            ? -static_cast<double>(kBits) * std::log(1.0 / kBits)
+            : -static_cast<double>(kBits) *
+                  std::log(static_cast<double>(zeros) / kBits);
+  }
+  return table;
 }
 
 }  // namespace
@@ -29,13 +51,8 @@ int FlowSketch::popcount() const noexcept {
 }
 
 double FlowSketch::estimate() const noexcept {
-  const int zeros = kBits - popcount();
-  if (zeros == 0) {
-    // Fully saturated: report the maximum resolvable estimate.
-    return -static_cast<double>(kBits) * std::log(1.0 / kBits);
-  }
-  return -static_cast<double>(kBits) *
-         std::log(static_cast<double>(zeros) / kBits);
+  static const EstimateTable kEstimates = estimate_table();
+  return kEstimates[static_cast<std::size_t>(kBits - popcount())];
 }
 
 }  // namespace msamp::core

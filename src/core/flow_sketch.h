@@ -26,6 +26,7 @@ class FlowSketch {
   /// Linear-counting estimate of the number of distinct flows added:
   /// n ≈ -m * ln(zero_bits / m).  When every bit is set the estimate
   /// saturates at -m*ln(1/m) ≈ 621 (the paper's "around 500" regime).
+  /// Reads a table of the 129 possible values, computed on first use.
   double estimate() const noexcept;
 
   /// Number of set bits.

@@ -1,25 +1,6 @@
 #include "core/interpolate.h"
 
-#include <cmath>
-
 namespace msamp::core {
-
-BucketSample lerp_sample(const BucketSample& a, const BucketSample& b,
-                         double t) {
-  auto mix = [t](std::int64_t x, std::int64_t y) {
-    return static_cast<std::int64_t>(
-        std::llround(static_cast<double>(x) +
-                     t * (static_cast<double>(y) - static_cast<double>(x))));
-  };
-  BucketSample out;
-  out.in_bytes = mix(a.in_bytes, b.in_bytes);
-  out.in_retx_bytes = mix(a.in_retx_bytes, b.in_retx_bytes);
-  out.out_bytes = mix(a.out_bytes, b.out_bytes);
-  out.out_retx_bytes = mix(a.out_retx_bytes, b.out_retx_bytes);
-  out.in_ecn_bytes = mix(a.in_ecn_bytes, b.in_ecn_bytes);
-  out.connections = a.connections + t * (b.connections - a.connections);
-  return out;
-}
 
 std::vector<BucketSample> align_series(const RunRecord& record,
                                        sim::SimTime grid_start,
@@ -31,18 +12,27 @@ std::vector<BucketSample> align_series(const RunRecord& record,
 
 void align_series(const RunRecord& record, sim::SimTime grid_start,
                   std::size_t n, std::vector<BucketSample>& out) {
-  out.assign(n, BucketSample{});
-  if (!record.valid()) return;
+  if (!record.valid()) {
+    out.assign(n, BucketSample{});
+    return;
+  }
+  // Every sample below is assigned, so resize() zero-fills nothing that
+  // the reused storage already holds.
+  out.resize(n);
   const double dt = static_cast<double>(record.interval);
+  const std::size_t size = record.buckets.size();
   for (std::size_t k = 0; k < n; ++k) {
     const sim::SimTime t =
         grid_start + static_cast<sim::SimDuration>(k) * record.interval;
     const double x = static_cast<double>(t - record.start) / dt;
-    if (x < 0.0) continue;
-    const auto i = static_cast<std::size_t>(x);
-    if (i >= record.buckets.size()) continue;
+    // Grid points before the record's start or past its end read zero.
+    const auto i = x < 0.0 ? size : static_cast<std::size_t>(x);
+    if (i >= size) {
+      out[k] = BucketSample{};
+      continue;
+    }
     const double frac = x - static_cast<double>(i);
-    if (frac == 0.0 || i + 1 >= record.buckets.size()) {
+    if (frac == 0.0 || i + 1 >= size) {
       out[k] = record.buckets[i];
     } else {
       out[k] = lerp_sample(record.buckets[i], record.buckets[i + 1], frac);

@@ -76,32 +76,6 @@ bool TcFilter::process(int cpu, const net::Packet& segment, bool ingress,
   return true;
 }
 
-bool TcFilter::process_batch(int cpu, const SegmentBatch& batch,
-                             sim::SimTime now) {
-  if (!enabled_) return false;
-  if (start_ < 0) start_ = now;
-  const sim::SimTime elapsed = now - start_;
-  const auto bucket = elapsed / interval_;
-  if (bucket < 0) return false;
-  if (bucket >= config_.num_buckets) {
-    enabled_ = false;
-    return false;
-  }
-  RawBucket& row = percpu_[static_cast<std::size_t>(cpu % config_.num_cpus) *
-                               static_cast<std::size_t>(config_.num_buckets) +
-                           static_cast<std::size_t>(bucket)];
-  row.in_bytes += static_cast<std::uint64_t>(batch.in_bytes);
-  row.in_retx_bytes += static_cast<std::uint64_t>(batch.in_retx_bytes);
-  row.in_ecn_bytes += static_cast<std::uint64_t>(batch.in_ecn_bytes);
-  row.out_bytes += static_cast<std::uint64_t>(batch.out_bytes);
-  row.out_retx_bytes += static_cast<std::uint64_t>(batch.out_retx_bytes);
-  if (config_.count_flows) {
-    row.sketch[0] |= batch.sketch[0];
-    row.sketch[1] |= batch.sketch[1];
-  }
-  return true;
-}
-
 std::vector<BucketSample> TcFilter::read_aggregated() const {
   std::vector<BucketSample> out;
   read_aggregated(out);
@@ -110,31 +84,44 @@ std::vector<BucketSample> TcFilter::read_aggregated() const {
 
 void TcFilter::read_aggregated(std::vector<BucketSample>& out) const {
   const auto buckets = static_cast<std::size_t>(config_.num_buckets);
-  const std::size_t row_words = buckets * util::simd::kRowWords;
-  // Fold every CPU's bucket array into one accumulator in a single strided
-  // pass per CPU: counter words saturating-add, sketch words OR. Counter
-  // sums never approach 2^63 (a full day of line-rate bytes is < 2^50), so
-  // the saturating u64 fold and the previous int64 += produce identical
-  // bytes; the sketch OR is associative.
-  std::vector<std::uint64_t> acc(row_words, 0);
-  const auto* words = reinterpret_cast<const std::uint64_t*>(percpu_.data());
-  for (int c = 0; c < config_.num_cpus; ++c) {
-    util::simd::tally_rows_u64(
-        acc.data(), words + static_cast<std::size_t>(c) * row_words,
-        row_words);
+  // With one CPU, folding its rows onto zeros is the identity (0 + x,
+  // 0 | x), so its rows are read in place.  Otherwise fold every CPU's
+  // bucket array into one zeroed accumulator in a single strided pass per
+  // CPU: counter words saturating-add, sketch words OR. Counter sums never
+  // approach 2^63 (a full day of line-rate bytes is < 2^50), so the
+  // saturating u64 fold and the previous int64 += produce identical bytes;
+  // the sketch OR is associative.
+  const RawBucket* rows = percpu_.data();
+  std::vector<RawBucket> acc;
+  if (config_.num_cpus > 1) {
+    acc.resize(buckets);
+    const std::size_t row_words = buckets * util::simd::kRowWords;
+    const auto* words = reinterpret_cast<const std::uint64_t*>(rows);
+    for (int c = 0; c < config_.num_cpus; ++c) {
+      util::simd::tally_rows_u64(
+          reinterpret_cast<std::uint64_t*>(acc.data()),
+          words + static_cast<std::size_t>(c) * row_words, row_words);
+    }
+    rows = acc.data();
   }
   out.resize(buckets);
+  // A flow set usually outlives a bucket, so the estimate is recomputed
+  // only when the sketch words change; the empty sketch counts 0.
+  FlowSketch sketch;
+  double connections = 0.0;
   for (std::size_t b = 0; b < buckets; ++b) {
+    const RawBucket& row = rows[b];
     BucketSample& s = out[b];
-    const std::uint64_t* row = acc.data() + b * util::simd::kRowWords;
-    s.in_bytes = static_cast<std::int64_t>(row[0]);
-    s.in_retx_bytes = static_cast<std::int64_t>(row[1]);
-    s.out_bytes = static_cast<std::int64_t>(row[2]);
-    s.out_retx_bytes = static_cast<std::int64_t>(row[3]);
-    s.in_ecn_bytes = static_cast<std::int64_t>(row[4]);
-    FlowSketch sketch;
-    sketch.set_words(row[5], row[6]);
-    s.connections = sketch.empty() ? 0.0 : sketch.estimate();
+    s.in_bytes = static_cast<std::int64_t>(row.in_bytes);
+    s.in_retx_bytes = static_cast<std::int64_t>(row.in_retx_bytes);
+    s.out_bytes = static_cast<std::int64_t>(row.out_bytes);
+    s.out_retx_bytes = static_cast<std::int64_t>(row.out_retx_bytes);
+    s.in_ecn_bytes = static_cast<std::int64_t>(row.in_ecn_bytes);
+    if (row.sketch[0] != sketch.word(0) || row.sketch[1] != sketch.word(1)) {
+      sketch.set_words(row.sketch[0], row.sketch[1]);
+      connections = sketch.empty() ? 0.0 : sketch.estimate();
+    }
+    s.connections = connections;
   }
 }
 

@@ -11,6 +11,7 @@
 //   * all counters are per-CPU to stay lock-free; user space aggregates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -73,15 +74,17 @@ class TcFilter {
                sim::SimTime now);
 
   /// Batched variant of `process`: folds a whole bucket's worth of traffic
-  /// in at once.  Identical start-latch / auto-stop semantics.
+  /// in at once.  Identical start-latch / auto-stop semantics.  Inline:
+  /// the fluid rack calls it once per server per simulated millisecond.
   bool process_batch(int cpu, const SegmentBatch& batch, sim::SimTime now);
 
   /// User-space read: sums the per-CPU rows (and ORs the sketches) into
   /// aggregated samples. Valid whether or not the run completed.
   std::vector<BucketSample> read_aggregated() const;
 
-  /// Same read into `out`, reusing its capacity (a re-armed filter's
-  /// reader allocates nothing once `out` has held one run).
+  /// Same read into `out`, reusing its capacity.  A one-CPU filter (the
+  /// fluid path's) is read in place and allocates nothing once `out` has
+  /// held one run; a multi-CPU read folds into a temporary accumulator.
   void read_aggregated(std::vector<BucketSample>& out) const;
 
   /// Direct access to a per-CPU row, for tests.
@@ -102,5 +105,31 @@ class TcFilter {
   /// Flat [cpu][bucket] array, matching the BPF per-CPU array map layout.
   std::vector<RawBucket> percpu_;
 };
+
+inline bool TcFilter::process_batch(int cpu, const SegmentBatch& batch,
+                                    sim::SimTime now) {
+  if (!enabled_) return false;
+  if (start_ < 0) start_ = now;
+  const sim::SimTime elapsed = now - start_;
+  const auto bucket = elapsed / interval_;
+  if (bucket < 0) return false;
+  if (bucket >= config_.num_buckets) {
+    enabled_ = false;
+    return false;
+  }
+  RawBucket& row = percpu_[static_cast<std::size_t>(cpu % config_.num_cpus) *
+                               static_cast<std::size_t>(config_.num_buckets) +
+                           static_cast<std::size_t>(bucket)];
+  row.in_bytes += static_cast<std::uint64_t>(batch.in_bytes);
+  row.in_retx_bytes += static_cast<std::uint64_t>(batch.in_retx_bytes);
+  row.in_ecn_bytes += static_cast<std::uint64_t>(batch.in_ecn_bytes);
+  row.out_bytes += static_cast<std::uint64_t>(batch.out_bytes);
+  row.out_retx_bytes += static_cast<std::uint64_t>(batch.out_retx_bytes);
+  if (config_.count_flows) {
+    row.sketch[0] |= batch.sketch[0];
+    row.sketch[1] |= batch.sketch[1];
+  }
+  return true;
+}
 
 }  // namespace msamp::core

@@ -354,8 +354,12 @@ const FluidRackResult& FluidRack::run() {
     now += sim::kMillisecond;
   }
   for (auto& f : filters_) f.enable(sim::kMillisecond);
-  // One extra step beyond the bucket count lets late-started (clock-offset)
-  // filters fill their last bucket before the window closes.
+  // One step beyond the bucket count.  Every filter latches its start on
+  // the first sampled step, so this step's batch lands past the last
+  // bucket and only ends the run; the step stays because its bytes count
+  // toward the window's totals (the rack-run record).  (With no warm-up,
+  // a negative clock offset re-latches the start on the second step, and
+  // this step fills that filter's last bucket.)
   for (int t = 0; t <= config_.samples_per_run; ++t) {
     step(now, /*sampling=*/true, &result_);
     now += sim::kMillisecond;

@@ -56,6 +56,15 @@ foreach(cmd fleet worker cluster sweep)
   expect_usage_error(${cmd} --hours 257)
   expect_usage_error(${cmd} --samples 65536)
 endforeach()
+# --seed and --threads fail closed too: a negative seed would wrap to a
+# huge u64 in-process while a cluster's workers reject it, and a negative
+# thread count would quietly mean the default.  The tiny scale keeps a
+# command that wrongly accepts them quick.
+foreach(cmd fleet worker cluster sweep)
+  expect_usage_error(${cmd} --racks 1 --hours 1 --samples 10 --seed -5)
+  expect_usage_error(${cmd} --racks 1 --hours 1 --samples 10 --threads -1)
+endforeach()
+expect_usage_error(simulate-rack --servers 4 --samples 10 --seed -5)
 
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)

@@ -16,8 +16,9 @@
 //       dataset to --out through the disk-backed spill sink (peak RSS is
 //       a few spill chunks plus the day's small tables; an interrupted
 //       run can leave `<out>.spill-*` temps, which the next run removes).
-//       --racks, --hours and --samples must be >= 0, --hours <= 256 and
-//       --samples <= 65535 (a record's u8 hour and u16 sample count).
+//       --racks, --hours, --samples, --seed and --threads must be >= 0,
+//       --hours <= 256 and --samples <= 65535 (a record's u8 hour and
+//       u16 sample count).
 //       The buffer-sharing policy flags — shared with `cluster`,
 //       `worker`, and `sweep` — select the MMU discipline (see
 //       docs/POLICIES.md): --policy dt|static|complete|burst-absorb|delay,
@@ -152,6 +153,17 @@ workload::TaskKind parse_task(const std::string& name) {
   return workload::TaskKind::kCache;
 }
 
+/// --seed, which must not be negative: cast to the u64 seed it would
+/// quietly wrap in-process, while a cluster's workers reject it.
+std::uint64_t seed_flag(const Flags& flags) {
+  const long v = flags.num("seed", 42);
+  if (v < 0) {
+    throw util::UsageError("--seed " + std::to_string(v) +
+                           " must not be negative");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 int cmd_simulate_rack(const Flags& flags) {
   workload::RackMeta rack;
   rack.rack_id = 1;
@@ -165,8 +177,7 @@ int cmd_simulate_rack(const Flags& flags) {
   fleet::FleetConfig cfg;
   cfg.samples_per_run = static_cast<int>(flags.num("samples", 1000));
   fleet::FluidRack fluid(rack, cfg, static_cast<int>(flags.num("hour", 6)),
-                         util::Rng(static_cast<std::uint64_t>(
-                             flags.num("seed", 42))));
+                         util::Rng(seed_flag(flags)));
   const auto result = fluid.run();
   const std::string out = flags.str("out", "trace.csv");
   if (!analysis::write_sync_trace_file(result.sync, out)) {
@@ -231,6 +242,8 @@ int cmd_analyze(const Flags& flags) {
 
 /// A scale flag's value, which must lie in [0, max]: a negative scale
 /// has no day, and one past `max` would wrap a record's narrow field.
+/// --threads goes through here too, so a negative count cannot quietly
+/// mean the default.
 int scale_flag(const Flags& flags, const std::string& key, long fallback,
                long max) {
   const long v = flags.num(key, fallback);
@@ -248,13 +261,15 @@ int scale_flag(const Flags& flags, const std::string& key, long fallback,
 /// workers' fingerprints would diverge.
 fleet::FleetConfig fleet_config_from_flags(const Flags& flags) {
   fleet::FleetConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 42));
+  cfg.seed = seed_flag(flags);
   cfg.racks_per_region =
       scale_flag(flags, "racks", 32, std::numeric_limits<int>::max());
   // Records store the hour in a u8 and a run's sample count in a u16.
   cfg.hours = scale_flag(flags, "hours", 24, 256);
   cfg.samples_per_run = scale_flag(flags, "samples", 500, 65535);
-  cfg.threads = static_cast<int>(flags.num("threads", 0));
+  // 0 asks for the default; the pool clamps any count to 1024.
+  cfg.threads =
+      scale_flag(flags, "threads", 0, std::numeric_limits<int>::max());
   const std::string policy = flags.str("policy", "dt");
   if (!net::parse_policy(policy, &cfg.buffer.policy)) {
     throw util::UsageError("unknown --policy '" + policy +
