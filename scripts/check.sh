@@ -49,13 +49,14 @@ fi
 # hardening tests, and the msampctl flag-parser/CLI tests — and the suites
 # whose code reuses buffers across windows (re-armed fluid racks, reused
 # combine/align/read outputs, the sketch's estimate table, the blend's
-# rounding fallback) with AddressSanitizer and UBSan watching the bounds
-# checks.  Skip with MSAMP_SKIP_ASAN=1.
+# rounding fallback, the burst process's retransmission ring) with
+# AddressSanitizer and UBSan watching the bounds checks.  Skip with
+# MSAMP_SKIP_ASAN=1.
 if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference)'
   # Cross-check: the unaligned-load/store forms in every vector kernel run
   # under ASan via the Simd suites above; the scalar path gets the same run.
   MSAMP_SIMD=scalar ctest --test-dir build-asan --output-on-failure \

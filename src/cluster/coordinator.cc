@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cluster/protocol.h"
+#include "cluster/worker.h"
 #include "net/buffer_policy.h"
 #include "util/stats.h"
 
@@ -128,10 +129,12 @@ bool Coordinator::run(std::function<void(double)> progress, std::ostream* log,
   };
 
   // One shard attempt ended without a shard file: retry with backoff, or
-  // give up and take the whole run down.
+  // give up and take the whole run down.  A failure that is not
+  // retryable (a usage error) gives up at once.
   const auto attempt_failed = [&](Slot& s, const std::string& why,
-                                  std::string* give_up) {
-    if (!cfg_.retry.can_retry(static_cast<int>(s.attempts))) {
+                                  std::string* give_up,
+                                  bool retryable = true) {
+    if (!retryable || !cfg_.retry.can_retry(static_cast<int>(s.attempts))) {
       *give_up = shard_label(s.shard) + " failed after " +
                  std::to_string(s.attempts) + " attempt(s): " + why;
       return;
@@ -230,8 +233,10 @@ bool Coordinator::run(std::function<void(double)> progress, std::ostream* log,
           std::string why = describe_status(status);
           if (!s.last_error.empty()) why += ": " + s.last_error;
           if (exited_ok(status)) why = "exited 0 without a shard file";
+          const bool usage_error = exited_with(status, kUsageExitCode);
+          if (usage_error) why += " (a usage error, not retried)";
           std::string give_up;
-          attempt_failed(s, why, &give_up);
+          attempt_failed(s, why, &give_up, !usage_error);
           if (!give_up.empty()) return fail(give_up);
         }
       } else if (steady_now_ms() - s.last_heartbeat_ms >

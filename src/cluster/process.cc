@@ -123,9 +123,11 @@ void ChildProcess::kill_hard() {
   pid_ = -1;
 }
 
-bool exited_ok(int raw_status) {
-  return WIFEXITED(raw_status) && WEXITSTATUS(raw_status) == 0;
+bool exited_with(int raw_status, int code) {
+  return WIFEXITED(raw_status) && WEXITSTATUS(raw_status) == code;
 }
+
+bool exited_ok(int raw_status) { return exited_with(raw_status, 0); }
 
 std::string describe_status(int raw_status) {
   if (WIFEXITED(raw_status)) {

@@ -69,6 +69,9 @@ class ChildProcess {
   int out_fd_ = -1;
 };
 
+/// True when the waitpid status is a normal exit with code `code`.
+bool exited_with(int raw_status, int code);
+
 /// True when the waitpid status is a normal exit with code 0.
 bool exited_ok(int raw_status);
 

@@ -27,6 +27,11 @@ namespace msamp::cluster {
 /// error, and 127, an exec failure), so logs can tell them apart.
 inline constexpr int kFaultExitCode = 75;
 
+/// Exit code of a usage error: a flag the command rejects, or an unknown
+/// command.  Rerunning the same command line fails the same way, so the
+/// coordinator does not retry it.
+inline constexpr int kUsageExitCode = 2;
+
 struct WorkerConfig {
   fleet::FleetConfig fleet;
   fleet::ShardSpec shard;

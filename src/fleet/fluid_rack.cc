@@ -267,13 +267,15 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
     }
     bursting_prev_[static_cast<std::size_t>(s)] = hot ? 1 : 0;
 
-    // Retransmission content of the accepted bytes (proportional share).
+    // Retransmission content of the accepted bytes (proportional share;
+    // a zero share needs no division).
     const std::int64_t accepted_retx =
-        d.bytes > 0 ? static_cast<std::int64_t>(
-                          static_cast<double>(d.retx_bytes) *
-                          static_cast<double>(accepted) /
-                          static_cast<double>(d.bytes))
-                    : 0;
+        d.bytes > 0 && d.retx_bytes != 0
+            ? static_cast<std::int64_t>(
+                  static_cast<double>(d.retx_bytes) *
+                  static_cast<double>(accepted) /
+                  static_cast<double>(d.bytes))
+            : 0;
 
     // --- ECN marking: fraction of the step the queue spent above K ---
     const std::int64_t q0 = q.len;
@@ -297,7 +299,8 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
     q.ecn_part += marked;
     const std::int64_t delivered = std::min(before_total, drain_per_ms_);
     std::int64_t delivered_retx = 0, delivered_ecn = 0;
-    if (before_total > 0) {
+    // Any finite share of zero bytes truncates to zero: skip the division.
+    if (before_total > 0 && (q.retx_part != 0 || q.ecn_part != 0)) {
       const double frac = static_cast<double>(delivered) /
                           static_cast<double>(before_total);
       delivered_retx = static_cast<std::int64_t>(

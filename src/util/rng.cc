@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -25,29 +21,8 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& s : s_) s = splitmix64(x);
 }
 
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 Rng Rng::fork(std::uint64_t salt) noexcept {
   return Rng(next() ^ (salt * 0x9e3779b97f4a7c15ULL) ^ 0xd1b54a32d192ed03ULL);
-}
-
-double Rng::uniform() noexcept {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) noexcept {
@@ -64,12 +39,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal() noexcept {

@@ -19,7 +19,10 @@ namespace msamp::util {
 /// Counter-free splittable PRNG (xoshiro256++) with distribution helpers.
 ///
 /// Deliberately not std::mt19937: we want cheap construction (fleet code
-/// creates one per server) and stable cross-platform streams.
+/// creates one per server) and stable cross-platform streams.  The draws
+/// the fluid step makes every server-millisecond (next, uniform,
+/// bernoulli) are defined here so they inline into their callers; the
+/// per-event distributions live in rng.cc.
 class Rng {
  public:
   /// Seeds the state via splitmix64 so that nearby seeds give independent
@@ -27,23 +30,43 @@ class Rng {
   explicit Rng(std::uint64_t seed) noexcept;
 
   /// Next raw 64-bit value.
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Derives an independent generator; `salt` distinguishes children created
   /// from the same parent state.
   Rng fork(std::uint64_t salt) noexcept;
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 random mantissa bits -> [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n).  n must be > 0.
   std::uint64_t uniform_int(std::uint64_t n) noexcept;
 
-  /// True with probability p (clamped to [0, 1]).
-  bool bernoulli(double p) noexcept;
+  /// True with probability p (clamped to [0, 1]).  A certain outcome
+  /// draws nothing.
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Standard normal via Box-Muller (no cached spare; simple and stateless).
   double normal() noexcept;
@@ -79,6 +102,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

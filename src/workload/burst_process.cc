@@ -5,15 +5,29 @@
 
 namespace msamp::workload {
 
+namespace {
+
+/// The line rate in whole bytes per ms.
+double line_bytes_per_ms(const BurstProcessConfig& config) {
+  return static_cast<double>(static_cast<std::int64_t>(
+      config.line_rate_gbps * 1e9 / 8.0 / 1000.0));
+}
+
+}  // namespace
+
 BurstProcess::BurstProcess(const TrafficProfile& profile,
                            const BurstProcessConfig& config,
                            std::uint64_t flow_base, util::Rng rng)
-    : profile_(profile), config_(config), flow_base_(flow_base), rng_(rng) {
+    : profile_(profile),
+      config_(config),
+      flow_base_(flow_base),
+      rng_(rng),
+      line_(line_bytes_per_ms(config)),
+      // Associated left to right, so step()'s bg_base_ * jitter rounds
+      // exactly as the whole five-factor product does.
+      bg_base_(line_ * profile.background_util * config.diurnal *
+               std::min(config.intensity, 2.0)) {
   begin_run();
-}
-
-std::int64_t BurstProcess::line_bytes_per_ms() const {
-  return static_cast<std::int64_t>(config_.line_rate_gbps * 1e9 / 8.0 / 1000.0);
 }
 
 void BurstProcess::begin_run() {
@@ -21,10 +35,18 @@ void BurstProcess::begin_run() {
   // Heavy-tailed per-window burst rate: the p90 server run sees ~5x the
   // median's bursts per second (Figure 6).
   run_rate_mult_ = rng_.lognormal(-0.55, 0.95);
+  // Poisson burst arrivals; the active-regime gate reproduces the paper's
+  // "34% of server runs are bursty" statistic, and the rack intensity
+  // scalar + diurnal multiplier scale load (§7.2's volume correlation).
+  double rate_hz = profile_.burst_rate_hz * config_.diurnal *
+                   config_.intensity * run_rate_mult_;
+  if (!active_regime_) rate_hz *= 0.02;
+  start_p_ = std::min(rate_hz / 1000.0, 0.95);
   burst_remaining_ms_ = 0;
   pending_marked_ = 0.0;
   pending_dropped_ = 0;
-  retx_pipeline_.clear();
+  retx_head_ = 0;
+  retx_size_ = 0;
   step_index_ = 0;
   // Non-persistent (poorly adapting, short-lived) senders start each window
   // at full rate; adapted long-running senders keep their operating point.
@@ -42,16 +64,7 @@ void BurstProcess::rebuild_flow_set(double mean_conns) {
   }
 }
 
-void BurstProcess::maybe_start_burst() {
-  // Poisson burst arrivals; the active-regime gate reproduces the paper's
-  // "34% of server runs are bursty" statistic, and the rack intensity
-  // scalar + diurnal multiplier scale load (§7.2's volume correlation).
-  double rate_hz = profile_.burst_rate_hz * config_.diurnal *
-                   config_.intensity * run_rate_mult_;
-  if (!active_regime_) rate_hz *= 0.02;
-  const double p = std::min(rate_hz / 1000.0, 0.95);
-  if (!rng_.bernoulli(p)) return;
-
+void BurstProcess::start_burst() {
   const double len_ms =
       rng_.lognormal(profile_.burst_len_mu, profile_.burst_len_sigma);
   burst_remaining_ms_ = std::max(1, static_cast<int>(std::lround(len_ms)));
@@ -66,79 +79,19 @@ void BurstProcess::maybe_start_burst() {
   rebuild_flow_set(profile_.conns_inside);
 }
 
-void BurstProcess::on_feedback(double marked_fraction,
-                               std::int64_t dropped_bytes) {
-  pending_marked_ = marked_fraction;
-  pending_dropped_ += dropped_bytes;
-}
-
-StepDemand BurstProcess::step() {
-  // 1. Apply last step's congestion feedback (one-step lag ~ several RTTs).
-  if (pending_marked_ > 0.0) {
-    rate_factor_ *=
-        1.0 - profile_.adaptivity * std::min(pending_marked_, 1.0) / 2.0;
-  }
-  if (pending_dropped_ > 0) {
-    // Loss halves every sender (DCTCP falls back to loss recovery too),
-    // and the dropped bytes come back as retransmissions a few ms later
-    // (fast-retransmit + requeue latency).
-    rate_factor_ *= 0.5;
-    const int lag =
-        2 + static_cast<int>(std::min(rng_.exponential(0.8), 6.0));
-    retx_pipeline_.emplace_back(step_index_ + lag, pending_dropped_);
-    pending_dropped_ = 0;
-  }
-  if (pending_marked_ <= 0.0) {
-    // Additive recovery toward full offered rate.
-    rate_factor_ += 0.02 + 0.10 * profile_.adaptivity;
-  }
-  pending_marked_ = 0.0;
-  rate_factor_ = std::clamp(rate_factor_, 0.02, 1.0);
-
-  // 2. Burst state machine.
-  const bool was_bursting = burst_remaining_ms_ > 0;
-  if (was_bursting) {
-    --burst_remaining_ms_;
-    if (burst_remaining_ms_ == 0) rebuild_flow_set(profile_.conns_outside);
-  } else {
-    maybe_start_burst();
-  }
-  const bool bursting = burst_remaining_ms_ > 0;
-
-  // 3. Offered demand.
-  const auto line = static_cast<double>(line_bytes_per_ms());
-  double demand = line * profile_.background_util * config_.diurnal *
-                  std::min(config_.intensity, 2.0) * rng_.uniform(0.5, 1.5);
-  if (bursting) {
-    const double offered = line * burst_intensity_;
-    double throttled = offered * rate_factor_;
-    // Incast floor: with C senders, one congestion window each per RTT
-    // cannot be reduced further; many-connection bursts keep arriving hot
-    // no matter what congestion control does (§8.2, Figure 19).
-    const double floor = static_cast<double>(conns_current_) *
-                         static_cast<double>(config_.mss) / config_.rtt_ms;
-    throttled = std::max(throttled, std::min(floor, offered));
-    demand += throttled;
-  }
-
-  StepDemand out;
-  out.in_burst = bursting;
-  out.smoothness = profile_.adaptivity;
-  out.conns = conns_current_;
-  out.sketch[0] = flow_sketch_.word(0);
-  out.sketch[1] = flow_sketch_.word(1);
-
-  // 4. Due retransmissions re-arrive on top of fresh demand.
-  std::int64_t retx = 0;
-  while (!retx_pipeline_.empty() && retx_pipeline_.front().first <= step_index_) {
-    retx += retx_pipeline_.front().second;
-    retx_pipeline_.pop_front();
-  }
-  out.retx_bytes = retx;
-  out.bytes = static_cast<std::int64_t>(demand) + retx;
-
-  ++step_index_;
-  return out;
+void BurstProcess::schedule_retransmission() {
+  // Loss halves every sender (DCTCP falls back to loss recovery too),
+  // and the dropped bytes come back as retransmissions a few ms later
+  // (fast-retransmit + requeue latency).
+  rate_factor_ *= 0.5;
+  const int lag =
+      kMinRetxLag +
+      static_cast<int>(std::min(rng_.exponential(0.8),
+                                static_cast<double>(kMaxRetxLag - kMinRetxLag)));
+  retx_ring_[(retx_head_ + retx_size_) % kRetxCapacity] = {
+      step_index_ + lag, pending_dropped_};
+  ++retx_size_;
+  pending_dropped_ = 0;
 }
 
 }  // namespace msamp::workload

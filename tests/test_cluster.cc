@@ -372,6 +372,30 @@ TEST(Coordinator, ReportsFailureWhenTheRetryBudgetIsExhausted) {
   fs::remove_all(dir);
 }
 
+TEST(Coordinator, UsageExitIsNotRetried) {
+  // A worker that rejects its command line rejects it again on every
+  // retry: the run fails on the first such exit, without backing off.
+  const fs::path dir = fresh_dir("coord_usage");
+  ClusterConfig config = stub_cluster(dir, 1);
+  config.retry.max_attempts = 5;
+  config.retry.base_delay_ms = 10000;
+  config.retry.max_delay_ms = 10000;
+  config.spawn_command = [](const fleet::ShardSpec&, std::uint32_t,
+                            const std::string&) {
+    return std::vector<std::string>{"/bin/sh", "-c", "exit 2"};
+  };
+
+  std::string why;
+  Coordinator coordinator(config);
+  const std::int64_t start = steady_now_ms();
+  EXPECT_FALSE(coordinator.run(nullptr, nullptr, &why));
+  EXPECT_LT(steady_now_ms() - start, 5000);
+  EXPECT_NE(why.find("after 1 attempt(s)"), std::string::npos) << why;
+  EXPECT_NE(why.find("exit code 2"), std::string::npos) << why;
+  EXPECT_FALSE(fs::exists(config.out_path));
+  fs::remove_all(dir);
+}
+
 TEST(Coordinator, StallDetectionKillsAWedgedWorker) {
   const fs::path dir = fresh_dir("coord_stall");
   ClusterConfig config = stub_cluster(dir, 1);

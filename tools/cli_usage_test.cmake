@@ -65,6 +65,10 @@ foreach(cmd fleet worker cluster sweep)
   expect_usage_error(${cmd} --racks 1 --hours 1 --samples 10 --threads -1)
 endforeach()
 expect_usage_error(simulate-rack --servers 4 --samples 10 --seed -5)
+# simulate-rack's scale fails closed as well: a negative server or sample
+# count must not reach a container size.
+expect_usage_error(simulate-rack --servers -1)
+expect_usage_error(simulate-rack --samples -3)
 
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)

@@ -4,7 +4,8 @@
 //                          [--samples N] [--hour H] [--seed S]
 //                          [--out trace.csv]
 //       Simulate one rack observation window and export the
-//       SyncMillisampler trace (msamp-sync-trace CSV).
+//       SyncMillisampler trace (msamp-sync-trace CSV).  --servers and
+//       --samples must lie in [0, 65535] and --seed must be >= 0.
 //
 //   msampctl analyze --trace trace.csv
 //       Run burst/contention/loss analysis on a trace file.
@@ -132,11 +133,12 @@ namespace {
 
 void usage();
 
-/// Prints a usage error and exits with status 2.
+/// Prints a usage error and exits with status 2, which the cluster
+/// coordinator does not retry.
 [[noreturn]] void die_usage(const std::string& message) {
   std::cerr << "error: " << message << "\n";
   usage();
-  std::exit(2);
+  std::exit(cluster::kUsageExitCode);
 }
 
 workload::TaskKind parse_task(const std::string& name) {
@@ -164,18 +166,33 @@ std::uint64_t seed_flag(const Flags& flags) {
   return static_cast<std::uint64_t>(v);
 }
 
+/// A scale flag's value, which must lie in [0, max]: a negative scale
+/// has no day, and one past `max` would wrap a record's narrow field.
+/// --threads goes through here too, so a negative count cannot quietly
+/// mean the default.
+int scale_flag(const Flags& flags, const std::string& key, long fallback,
+               long max) {
+  const long v = flags.num(key, fallback);
+  if (v < 0 || v > max) {
+    throw util::UsageError("--" + key + " " + std::to_string(v) +
+                           " out of range [0, " + std::to_string(max) + "]");
+  }
+  return static_cast<int>(v);
+}
+
 int cmd_simulate_rack(const Flags& flags) {
   workload::RackMeta rack;
   rack.rack_id = 1;
   rack.region = workload::RegionId::kRegA;
   rack.intensity = flags.real("intensity", 1.5);
-  const int servers = static_cast<int>(flags.num("servers", 92));
+  // Same u16 bound as a fleet run's --samples; zero writes an empty trace.
+  const int servers = scale_flag(flags, "servers", 92, 65535);
   const auto kind = parse_task(flags.str("task", "cache"));
   rack.server_service.assign(static_cast<std::size_t>(servers), 0);
   rack.server_kind.assign(static_cast<std::size_t>(servers), kind);
 
   fleet::FleetConfig cfg;
-  cfg.samples_per_run = static_cast<int>(flags.num("samples", 1000));
+  cfg.samples_per_run = scale_flag(flags, "samples", 1000, 65535);
   fleet::FluidRack fluid(rack, cfg, static_cast<int>(flags.num("hour", 6)),
                          util::Rng(seed_flag(flags)));
   const auto result = fluid.run();
@@ -238,20 +255,6 @@ int cmd_analyze(const Flags& flags) {
     std::cout << "\n";
   }
   return 0;
-}
-
-/// A scale flag's value, which must lie in [0, max]: a negative scale
-/// has no day, and one past `max` would wrap a record's narrow field.
-/// --threads goes through here too, so a negative count cannot quietly
-/// mean the default.
-int scale_flag(const Flags& flags, const std::string& key, long fallback,
-               long max) {
-  const long v = flags.num(key, fallback);
-  if (v < 0 || v > max) {
-    throw util::UsageError("--" + key + " " + std::to_string(v) +
-                           " out of range [0, " + std::to_string(max) + "]");
-  }
-  return static_cast<int>(v);
 }
 
 /// The CLI-expressible FleetConfig fields, parsed identically for
@@ -795,7 +798,7 @@ void usage() {
 int main(int argc, char** argv) {
   if (argc < 2) {
     usage();
-    return 2;
+    return cluster::kUsageExitCode;
   }
   const std::string cmd = argv[1];
   // Per-command flag vocabulary: anything else is a usage error.  Only
@@ -827,7 +830,7 @@ int main(int argc, char** argv) {
   const auto it = known_flags.find(cmd);
   if (it == known_flags.end()) {
     usage();
-    return 2;
+    return cluster::kUsageExitCode;
   }
   try {
     const Flags flags(argc, argv, 2, it->second,
