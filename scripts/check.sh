@@ -36,8 +36,11 @@ scripts/check_docs.sh build
 if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan "${GEN[@]}" -DMSAMP_TSAN=ON
   cmake --build build-tsan --target msamp_tests msamp_lint
+  # The two byte-fuzz cases are single-threaded, so they cannot show a
+  # race, and under TSan they take minutes; the ASan lane runs them.
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd)'
+    -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd)' \
+    -E '^Dataset\.(SingleByteMutationsNeverCrash|RejectsTruncationAtEveryLength)$'
   # Cross-check: the scalar SIMD path must pass the same suites (the vector
   # kernels' scalar twins are what every other host falls back to).
   MSAMP_SIMD=scalar ctest --test-dir build-tsan --output-on-failure \
@@ -49,14 +52,15 @@ fi
 # hardening tests, and the msampctl flag-parser/CLI tests — and the suites
 # whose code reuses buffers across windows (re-armed fluid racks, reused
 # combine/align/read outputs, the sketch's estimate table, the blend's
-# rounding fallback, the burst process's retransmission ring) with
-# AddressSanitizer and UBSan watching the bounds checks.  Skip with
-# MSAMP_SKIP_ASAN=1.
+# rounding fallback, the burst process's retransmission ring, the event
+# engine's slab of inline callbacks and the packet-path suites that drive
+# it) with AddressSanitizer and UBSan watching the bounds checks.  Skip
+# with MSAMP_SKIP_ASAN=1.
 if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture)'
   # Cross-check: the unaligned-load/store forms in every vector kernel run
   # under ASan via the Simd suites above; the scalar path gets the same run.
   MSAMP_SIMD=scalar ctest --test-dir build-asan --output-on-failure \

@@ -25,7 +25,8 @@ inline constexpr HostId kNoHost = 0xffffffffu;
 /// the ToR replicates such packets to all subscribed downlink ports.
 inline constexpr HostId kMulticastBase = 0xff000000u;
 
-/// A simulated packet.  Copied by value along the path; 64 bytes.
+/// A simulated packet.  Copied by value along the path, and captured by
+/// value in link and switch events; 56 bytes.
 struct Packet {
   FlowId flow = 0;          ///< connection id (0 = none, e.g. raw tools)
   HostId src = kNoHost;     ///< sending host

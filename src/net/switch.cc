@@ -69,6 +69,8 @@ void Switch::drain_port(int port) {
   p.fifo.pop_front();
   const sim::SimDuration ser =
       sim::serialize_time(pkt.bytes, config_.downlink_gbps);
+  // At 72 bytes this is the largest capture of any event in the tree; it
+  // sets sim::Simulator::kCallbackBytes, the inline callback storage.
   simulator_.schedule_in(ser, [this, port, pkt] {
     // Buffer is freed when the packet finishes serializing out the port.
     mmu_.release(port, pkt.bytes);
