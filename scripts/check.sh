@@ -36,18 +36,20 @@ scripts/check_docs.sh build
 if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan "${GEN[@]}" -DMSAMP_TSAN=ON
   cmake --build build-tsan --target msamp_tests msamp_lint
-  # The two byte-fuzz cases are single-threaded, so they cannot show a
-  # race, and under TSan they take minutes; the ASan lane runs them.
+  # The three byte-fuzz cases are single-threaded, so they cannot show a
+  # race, and under TSan they take most of the pass; the ASan lane and
+  # tier-1 run them.
   ctest --test-dir build-tsan --output-on-failure \
     -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd)' \
-    -E '^Dataset\.(SingleByteMutationsNeverCrash|RejectsTruncationAtEveryLength)$'
+    -E '^(Dataset\.(SingleByteMutationsNeverCrash|RejectsTruncationAtEveryLength)|DatasetView\.HeaderAndDirectoryTamperNeverCrashes)$'
   # Cross-check: the scalar SIMD path must pass the same suites (the vector
   # kernels' scalar twins are what every other host falls back to).
   MSAMP_SIMD=scalar ctest --test-dir build-tsan --output-on-failure \
     -R '^(FluidRack|FleetParallel|FleetRunner|Simd)'
 fi
 
-# ASan+UBSan lane: a third build tree with -DMSAMP_ASAN=ON, running the
+# ASan+UBSan lane (every UBSan report fatal, float-cast-overflow
+# included): a third build tree with -DMSAMP_ASAN=ON, running the
 # byte-level parsers — dataset (de)serialization including the hostile-blob
 # hardening tests, and the msampctl flag-parser/CLI tests — and the suites
 # whose code reuses buffers across windows (re-armed fluid racks, reused

@@ -22,9 +22,10 @@ std::string shard_label(const fleet::ShardSpec& s) {
   return "shard " + std::to_string(s.index) + "/" + std::to_string(s.count);
 }
 
-/// Shortest round-trip-exact spelling of a double: the worker re-parses
-/// these flags with strtod, and its config must fingerprint identically
-/// to the coordinator's or the post-merge guard fails the run.
+/// Round-trip-exact spelling of a double: the worker re-parses these
+/// flags with strtod, and its config must serialize to the coordinator's
+/// bytes or the post-merge guard fails the run (and its fault rate must
+/// be the one the coordinator announces).
 std::string exact_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -71,7 +72,7 @@ std::vector<std::string> Coordinator::command_for(const Slot& slot) const {
           "--attempt",
           std::to_string(slot.attempts),
           "--fault-rate",
-          std::to_string(cfg_.fault_rate)};
+          exact_double(cfg_.fault_rate)};
 }
 
 bool Coordinator::run(std::function<void(double)> progress, std::ostream* log,
@@ -259,11 +260,15 @@ bool Coordinator::run(std::function<void(double)> progress, std::ostream* log,
   if (auto st = fleet::merge_shards(paths, cfg_.out_path, &stats_); !st) {
     return fail("merge failed: " + st.to_string());
   }
-  if (stats_.fingerprint != cfg_.fleet.fingerprint()) {
-    return fail(
-        "merged fingerprint disagrees with the coordinator's config — the "
-        "workers generated from a different config (is every FleetConfig "
-        "field expressible in the worker command?)");
+  // Bytes first: fingerprint() only hashes a config equal to the shards'
+  // validated one.
+  const std::string field(stats_.config.differing_field(cfg_.fleet));
+  if (!field.empty() || stats_.fingerprint != cfg_.fleet.fingerprint()) {
+    return fail("merged config or fingerprint disagrees with the "
+                "coordinator's" + (field.empty() ? "" : " in " + field) +
+                " — the workers generated from a different config (is "
+                "every FleetConfig field expressible in the worker "
+                "command?)");
   }
   if (!cfg_.keep_shards) {
     for (const Slot& s : slots) {

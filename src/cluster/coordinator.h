@@ -53,8 +53,8 @@ struct ClusterConfig {
   /// `self_exe_path()` re-exec'd in the `msampctl worker` role with the
   /// CLI-expressible FleetConfig fields forwarded as flags.  Library
   /// callers with configs the CLI cannot express must supply their own
-  /// command; the post-merge fingerprint check below catches the mismatch
-  /// if they forget.
+  /// command; the post-merge config check below catches the mismatch if
+  /// they forget.
   std::function<std::vector<std::string>(
       const fleet::ShardSpec& shard, std::uint32_t attempt,
       const std::string& shard_out_path)>
@@ -72,8 +72,9 @@ class Coordinator {
   /// shard's fraction, but the aggregate stream never goes backwards).
   /// `log` (optional) receives one line per scheduling event.  Returns
   /// false with a reason in `*error` when a shard exhausts its retry
-  /// budget, the merge fails, or the merged fingerprint disagrees with
-  /// `fleet.fingerprint()` (a worker generated from a different config).
+  /// budget, the merge fails, or the merged config bytes or fingerprint
+  /// disagree with `fleet`'s (a worker generated from a different config;
+  /// the reason names the first differing field).
   bool run(std::function<void(double)> progress = nullptr,
            std::ostream* log = nullptr, std::string* error = nullptr);
 

@@ -112,6 +112,11 @@ bool run_sweep(const SweepConfig& config, SweepResult* result,
 
   const std::vector<SweepCell> cells = expand_grid(config);
   if (cells.empty()) return fail("empty sweep grid (no policies)");
+  for (const SweepCell& cell : cells) {
+    if (auto st = cell.config.validate(); !st) {
+      return fail("cell " + cell.name + ": " + st.reason());
+    }
+  }
 
   std::error_code ec;
   fs::create_directories(config.out_dir, ec);

@@ -98,8 +98,9 @@ CellSummary summarize_cell(const std::string& name,
                            const fleet::DatasetView& view);
 
 /// Runs the whole grid.  `log` (optional) receives one line per cell.
-/// Returns false with a reason in `*error` on the first cell that fails
-/// (a generation or I/O error, unwritable out_dir, ...).
+/// Returns false with a reason in `*error` before the first cell runs
+/// when a cell's config fails FleetConfig::validate(), else on the first
+/// cell that fails (a generation or I/O error, unwritable out_dir, ...).
 bool run_sweep(const SweepConfig& config, SweepResult* result,
                std::ostream* log = nullptr, std::string* error = nullptr);
 

@@ -5,12 +5,14 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "analysis/burst_detect.h"
 #include "analysis/loss_assoc.h"
 #include "analysis/rack_classify.h"
 #include "core/clock_model.h"
 #include "net/shared_buffer.h"
+#include "util/status.h"
 
 namespace msamp::fleet {
 
@@ -69,9 +71,20 @@ struct FleetConfig {
             .threshold_frac = 0.5};
   }
 
+  /// Checks each serialized field against its range in fleet/wire.cc's
+  /// field list; the error names the first field out of range.  Call it
+  /// before fingerprint(), whose casts of a negative or NaN double are
+  /// undefined.
+  util::Status validate() const;
+
   /// Stable hash of the scale-relevant fields, used to validate the disk
   /// cache of a generated dataset.
   std::uint64_t fingerprint() const;
+
+  /// The first serialized field whose bytes differ from `other`'s; empty
+  /// when both describe the same day.  fingerprint() truncates doubles,
+  /// so identity checks compare these bytes too.
+  std::string_view differing_field(const FleetConfig& other) const;
 };
 
 }  // namespace msamp::fleet

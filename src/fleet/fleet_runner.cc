@@ -213,6 +213,9 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
                                 std::to_string(shard.index) + "/" +
                                 std::to_string(shard.count));
   }
+  if (auto st = config.validate(); !st) {
+    throw std::invalid_argument("invalid config: " + st.reason());
+  }
   const std::vector<workload::RackMeta> racks = fleet_racks(config);
   const analysis::BurstDetectConfig burst_cfg = config.burst_config();
 
@@ -289,31 +292,32 @@ const DatasetView& shared_view(const FleetConfig& config,
                                const std::string& cache_path) {
   static std::mutex mu;
   static std::unique_ptr<DatasetView> cached;
-  static std::uint64_t cached_fingerprint = 0;
   std::lock_guard<std::mutex> lock(mu);
-  const std::uint64_t fingerprint = config.fingerprint();
-  if (cached && cached->ok() && cached_fingerprint == fingerprint) {
-    return *cached;
-  }
-  // Reuse the cache file when the fingerprint matches and it covers the
-  // full day (a partial shard file is never silently served); otherwise
-  // regenerate it through a SpillSink (bounded RSS even at cluster scale).
+  // The same config bytes, then the same fingerprint: fingerprint() only
+  // hashes a config equal to one a file passed validate() with.
+  const auto holds_day = [&config](const DatasetView& v) {
+    return v.config().differing_field(config).empty() &&
+           v.fingerprint() == config.fingerprint();
+  };
+  if (cached && cached->ok() && holds_day(*cached)) return *cached;
+  // Reuse the cache file when it holds this day in full (a partial shard
+  // file is never silently served); otherwise regenerate it through a
+  // SpillSink (bounded RSS even at cluster scale).
   auto view = std::make_unique<DatasetView>();
   util::Status st = Dataset::open_mapped(cache_path, view.get());
-  if (!st || view->fingerprint() != fingerprint ||
-      !view->shard().full_range()) {
+  if (!st || !holds_day(*view) || !view->shard().full_range()) {
     SpillSink sink(config, ShardSpec{}, cache_path);
     run_fleet(config, ShardSpec{}, sink);
     st = sink.finalize();
     if (st) st = Dataset::open_mapped(cache_path, view.get());
-    if (st && view->fingerprint() != fingerprint) {
+    if (st && !holds_day(*view)) {
       st = util::Status::error(
-          "freshly generated cache has the wrong fingerprint", cache_path);
+          "freshly generated cache does not hold the requested day",
+          cache_path);
     }
   }
   if (!st) throw std::runtime_error("shared_view: " + st.to_string());
   cached = std::move(view);
-  cached_fingerprint = fingerprint;
   return *cached;
 }
 

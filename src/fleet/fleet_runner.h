@@ -36,7 +36,7 @@ namespace msamp::fleet {
 /// that ends at exactly 1.0 (also for empty shards).  When the sink or
 /// `progress` throws, no later window reaches the sink and the exception
 /// is rethrown here once the lanes drain.  Throws std::invalid_argument
-/// if `shard` is invalid.
+/// if `shard` or `config` (FleetConfig::validate()) is invalid.
 void run_fleet(const FleetConfig& config, const ShardSpec& shard,
                WindowSink& sink,
                std::function<void(double)> progress = nullptr);
@@ -50,16 +50,17 @@ Dataset run_fleet(const FleetConfig& config,
                   std::function<void(double)> progress = nullptr);
 
 /// Returns a process-wide mapped view of the dataset for `config`,
-/// reusing `cache_path` when the fingerprint matches and the file covers
-/// the full day (a partial shard file is never silently served),
-/// otherwise generating it through a SpillSink (bounded RSS even at
-/// cluster scale) and mapping the result.  The default path keeps bench
+/// reusing `cache_path` when its config bytes and fingerprint match and
+/// it covers the full day (a partial shard file is never silently
+/// served), otherwise generating it through a SpillSink (bounded RSS even
+/// at cluster scale) and mapping the result.  The default path keeps bench
 /// binaries in one cache.  This is the read path of every bench/analysis
 /// consumer: records stream from the mapping, zero-copy.  Safe for
 /// concurrent first-callers: exactly one thread generates, the rest block
 /// and then share the same instance; the cache file is written via an
 /// atomic rename so a crashed run never leaves a truncated file.  Throws
-/// std::runtime_error when the cache can neither be opened nor rebuilt.
+/// std::runtime_error when the cache can neither be opened nor rebuilt,
+/// and std::invalid_argument on an invalid config.
 const DatasetView& shared_view(const FleetConfig& config = {},
                                const std::string& cache_path =
                                    "bench_out/fleet_dataset.bin");

@@ -70,10 +70,12 @@ util::Status merge_shards(const std::vector<std::string>& paths,
       return util::Status::error(
           "missing shard " + std::to_string(i) + "/" + std::to_string(count));
     }
-    if (s.fingerprint() != first.fingerprint()) {
+    const std::string field(s.config().differing_field(first.config()));
+    if (s.fingerprint() != first.fingerprint() || !field.empty()) {
       return util::Status::error(
-          who + ": fingerprint mismatch (generated from a different config, "
-                "seed, or model version)",
+          who + ": fingerprint or config mismatch" +
+              (field.empty() ? "" : " in " + field) +
+              " (generated from a different config, seed, or model version)",
           s.path());
     }
     const auto racks = s.rack_table();
@@ -148,6 +150,7 @@ util::Status merge_shards(const std::vector<std::string>& paths,
   }
   if (stats != nullptr) {
     stats->fingerprint = first.fingerprint();
+    stats->config = first.config();
     stats->shards = count;
     stats->windows = total;
     stats->rack_runs = n_runs;

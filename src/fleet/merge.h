@@ -23,6 +23,7 @@ namespace msamp::fleet {
 /// What a successful `merge_shards` folded, for logs and progress output.
 struct MergeStats {
   std::uint64_t fingerprint = 0;  ///< the shards' (validated) fingerprint
+  FleetConfig config;             ///< the shards' (byte-equal) config
   std::uint64_t shards = 0;
   std::uint64_t windows = 0;
   std::uint64_t rack_runs = 0;
@@ -38,7 +39,8 @@ struct MergeStats {
 ///  - every shard opens as a valid v6 file (header, layout, window
 ///    directory tie-out — see DatasetView),
 ///  - every shard carries the same fingerprint (same config, same model
-///    version) and the same shard count,
+///    version), the same config bytes (the error names the first
+///    differing field) and the same shard count,
 ///  - coverage is exact — each shard index 0..count-1 present exactly
 ///    once, window ranges tiling the canonical sequence with no gaps or
 ///    overlaps,

@@ -54,6 +54,9 @@ Dataset shard_head(const FleetConfig& config, ShardSpec shard) {
                                 std::to_string(shard.index) + "/" +
                                 std::to_string(shard.count));
   }
+  if (auto st = config.validate(); !st) {
+    throw std::invalid_argument("invalid config: " + st.reason());
+  }
   Dataset ds;
   ds.config = config;
   ds.fingerprint = config.fingerprint();

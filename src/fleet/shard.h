@@ -70,7 +70,7 @@ std::vector<workload::RackMeta> fleet_racks(const FleetConfig& config);
 /// The empty `Dataset` of one shard of `config`'s day: fingerprint,
 /// config, shard header, window range and rack table filled, no windows
 /// yet.  Every sink starts from it.  Throws std::invalid_argument on an
-/// invalid shard.
+/// invalid shard or config (FleetConfig::validate()).
 Dataset shard_head(const FleetConfig& config, ShardSpec shard);
 
 /// Appends window `window`'s count, rack run and exemplar candidates to

@@ -4,7 +4,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <span>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -12,46 +14,67 @@ namespace msamp::fleet::wire {
 
 namespace {
 
-/// Wire type of one serialized FleetConfig field.
+/// The values a serialized field may hold: at least `lo` (more than `lo`
+/// when `open`: the model divides or steps by the field) and at most
+/// `hi`.  NaN is in no range, and the default `hi` keeps infinity out.
+struct Range {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::max();
+  bool open = false;
+  bool holds(double x) const { return (open ? x > lo : x >= lo) && x <= hi; }
+};
+constexpr Range kPositive{.open = true};
+constexpr Range upto(double hi) { return {.hi = hi}; }
+
+/// Wire type of one serialized FleetConfig field, and the values the
+/// field may hold (by default finite and >= 0).
 template <typename W>
 struct As {
   using type = W;
+  Range range{};
 };
 
-/// The serialized FleetConfig fields in wire order, each with its wire
-/// type: `field(c.<member>, As<wire type>{})` per field.  `threads` is
-/// absent: execution detail, never data.
+/// The serialized FleetConfig fields in wire order: `field(name,
+/// c.<member>, As<wire type>{range})` per field.  The codec,
+/// FleetConfig::validate() and FleetConfig::differing_field() all walk
+/// this one list.  `threads` is absent: execution detail, never data.
 template <typename Config, typename Fn>
 void config_fields(Config& c, Fn&& field) {
-  field(c.seed, As<std::uint64_t>{});
-  field(c.racks_per_region, As<std::int32_t>{});
-  field(c.servers_per_rack, As<std::int32_t>{});
-  field(c.hours, As<std::int32_t>{});
-  field(c.samples_per_run, As<std::int32_t>{});
-  field(c.warmup_ms, As<std::int32_t>{});
-  field(c.line_rate_gbps, As<double>{});
-  field(c.buffer.total_bytes, As<std::int64_t>{});
-  field(c.buffer.quadrants, As<std::int32_t>{});
-  field(c.buffer.reserve_per_queue, As<std::int64_t>{});
-  field(c.buffer.alpha, As<double>{});
-  field(c.buffer.ecn_threshold, As<std::int64_t>{});
-  field(c.buffer.policy, As<std::uint8_t>{});
-  field(c.buffer.burst_alpha_boost, As<double>{});
-  field(c.buffer.delay.target_delay_ms, As<double>{});
-  field(c.buffer.delay.min_gain, As<double>{});
-  field(c.buffer.delay.max_gain, As<double>{});
-  field(c.buffer.delay.drain_gbps, As<double>{});
-  field(c.rtt_ms, As<double>{});
-  field(c.mss, As<std::int64_t>{});
-  field(c.fabric.enabled, As<std::uint8_t>{});
-  field(c.fabric.uplink_gbps, As<double>{});
-  field(c.fabric.smoothing, As<double>{});
-  field(c.filter_cpus, As<std::int32_t>{});
-  field(c.clocks.offset_stddev, As<std::int64_t>{});
-  field(c.clocks.offset_max, As<std::int64_t>{});
-  field(c.loss.rtt_shift_samples, As<std::int32_t>{});
-  field(c.loss.lag_samples, As<std::int32_t>{});
-  field(c.classify.high_threshold, As<double>{});
+  using I32 = As<std::int32_t>;
+  using I64 = As<std::int64_t>;
+  using F64 = As<double>;
+  field("seed", c.seed, As<std::uint64_t>{});
+  field("racks_per_region", c.racks_per_region, I32{});
+  // A record stores the hour in a u8 and server and sample counts in u16s.
+  field("servers_per_rack", c.servers_per_rack, I32{upto(65535)});
+  field("hours", c.hours, I32{upto(256)});
+  field("samples_per_run", c.samples_per_run, I32{upto(65535)});
+  field("warmup_ms", c.warmup_ms, I32{});
+  field("line_rate_gbps", c.line_rate_gbps, F64{kPositive});
+  field("buffer.total_bytes", c.buffer.total_bytes, I64{});
+  field("buffer.quadrants", c.buffer.quadrants, I32{kPositive});
+  field("buffer.reserve_per_queue", c.buffer.reserve_per_queue, I64{});
+  field("buffer.alpha", c.buffer.alpha, F64{});
+  field("buffer.ecn_threshold", c.buffer.ecn_threshold, I64{});
+  field("buffer.policy", c.buffer.policy,
+        As<std::uint8_t>{upto(net::kNumBufferPolicies - 1)});
+  field("buffer.burst_alpha_boost", c.buffer.burst_alpha_boost, F64{});
+  field("buffer.delay.target_delay_ms", c.buffer.delay.target_delay_ms,
+        F64{});
+  field("buffer.delay.min_gain", c.buffer.delay.min_gain, F64{});
+  field("buffer.delay.max_gain", c.buffer.delay.max_gain, F64{});
+  field("buffer.delay.drain_gbps", c.buffer.delay.drain_gbps, F64{});
+  field("rtt_ms", c.rtt_ms, F64{kPositive});
+  field("mss", c.mss, I64{});
+  field("fabric.enabled", c.fabric.enabled, As<std::uint8_t>{upto(1)});
+  field("fabric.uplink_gbps", c.fabric.uplink_gbps, F64{});
+  field("fabric.smoothing", c.fabric.smoothing, F64{upto(1)});
+  field("filter_cpus", c.filter_cpus, I32{kPositive});
+  field("clocks.offset_stddev", c.clocks.offset_stddev, I64{});
+  field("clocks.offset_max", c.clocks.offset_max, I64{});
+  field("loss.rtt_shift_samples", c.loss.rtt_shift_samples, I32{});
+  field("loss.lag_samples", c.loss.lag_samples, I32{});
+  field("classify.high_threshold", c.classify.high_threshold, F64{});
 }
 
 void put_header_v6(Writer& w, const V6Header& h) {
@@ -83,27 +106,21 @@ constexpr std::span<const std::size_t> kSectionWidths[] = {
 // --- config / exemplar codecs ------------------------------------------
 
 void put_config(Writer& w, const FleetConfig& c) {
-  config_fields(c, [&w](const auto& v, auto as) {
+  config_fields(c, [&w](const char*, const auto& v, auto as) {
     w.put(static_cast<typename decltype(as)::type>(v));
   });
 }
 
-bool get_config(Reader& r, FleetConfig* c) {
+util::Status get_config(Reader& r, FleetConfig* c) {
   bool ok = true;
-  config_fields(*c, [&](auto& v, auto as) {
+  config_fields(*c, [&](const char*, auto& v, auto as) {
     typename decltype(as)::type x{};
     ok = ok && r.get(&x);
     v = static_cast<std::remove_reference_t<decltype(v)>>(x);
   });
-  // The scale fields size window ranges and allocations downstream; reject
-  // negatives (and an out-of-range policy byte) as corruption up front.
-  if (!ok || c->racks_per_region < 0 || c->servers_per_rack < 0 ||
-      c->hours < 0 || c->samples_per_run < 0 || c->warmup_ms < 0 ||
-      c->buffer.policy > net::BufferPolicy::kDelayDriven) {
-    return false;
-  }
+  if (!ok) return util::Status::error("truncated");
   c->threads = 0;  // execution detail; never travels with data
-  return true;
+  return c->validate();
 }
 
 void put_exemplar(Writer& w, const ExemplarRun& e) {
@@ -182,8 +199,9 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
   if (!r.get(&h->fingerprint)) {
     return util::Status::error("truncated header", {}, 8);
   }
-  if (!get_config(r, &h->config)) {
-    return util::Status::error("corrupt serialized FleetConfig", {}, 16);
+  if (auto st = get_config(r, &h->config); !st) {
+    return util::Status::error("corrupt serialized FleetConfig: " + st.reason(),
+                               {}, 16);
   }
   if (!r.get(&h->shard.index) || !r.get(&h->shard.count) ||
       !h->shard.valid()) {
@@ -427,3 +445,38 @@ std::vector<std::uint8_t> v6_blob(const Dataset& head,
 }
 
 }  // namespace msamp::fleet::wire
+
+namespace msamp::fleet {
+
+util::Status FleetConfig::validate() const {
+  util::Status st;
+  wire::config_fields(*this, [&st](const char* name, const auto& v, auto as) {
+    const auto x = static_cast<double>(
+        static_cast<typename decltype(as)::type>(v));
+    if (st && !as.range.holds(x)) {
+      std::ostringstream os;
+      os << name << " = " << x << " is outside " << (as.range.open ? "(" : "[")
+         << as.range.lo << ", " << as.range.hi << "]";
+      st = util::Status::error(os.str());
+    }
+  });
+  return st;
+}
+
+std::string_view FleetConfig::differing_field(const FleetConfig& other) const {
+  wire::Writer theirs, mine;
+  wire::put_config(theirs, other);
+  std::string_view first;
+  wire::config_fields(*this, [&](const char* name, const auto& v, auto as) {
+    const std::size_t at = mine.out.size();
+    mine.put(static_cast<typename decltype(as)::type>(v));
+    if (first.empty() && std::memcmp(mine.out.data() + at,
+                                     theirs.out.data() + at,
+                                     mine.out.size() - at) != 0) {
+      first = name;
+    }
+  });
+  return first;
+}
+
+}  // namespace msamp::fleet

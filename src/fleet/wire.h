@@ -204,9 +204,10 @@ util::Status read_header_v6(const std::uint8_t* data, std::size_t available,
 /// FleetConfig travels with the dataset so a merge (and `report`/`query`)
 /// can see the scale and classification knobs without re-supplying them.
 /// `threads` is deliberately not serialized: it is execution detail,
-/// never data.
+/// never data.  `get_config` fails on a short read and on a decoded
+/// config that FleetConfig::validate() rejects.
 void put_config(Writer& w, const FleetConfig& c);
-bool get_config(Reader& r, FleetConfig* c);
+util::Status get_config(Reader& r, FleetConfig* c);
 
 void put_exemplar(Writer& w, const ExemplarRun& e);
 bool get_exemplar(Reader& r, ExemplarRun* e);

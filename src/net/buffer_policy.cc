@@ -148,17 +148,4 @@ std::string_view policy_name(BufferPolicy policy) noexcept {
   return "dt";
 }
 
-bool parse_policy(std::string_view token, BufferPolicy* out) noexcept {
-  for (const BufferPolicy p :
-       {BufferPolicy::kDynamicThreshold, BufferPolicy::kStaticPartition,
-        BufferPolicy::kCompleteSharing, BufferPolicy::kBurstAbsorbDt,
-        BufferPolicy::kDelayDriven}) {
-    if (token == policy_name(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace msamp::net

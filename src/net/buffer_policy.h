@@ -42,6 +42,7 @@ enum class BufferPolicy : std::uint8_t {
   kBurstAbsorbDt,
   kDelayDriven,
 };
+inline constexpr int kNumBufferPolicies = 5;
 
 /// Parameters of the kDelayDriven control law.
 struct DelayDrivenConfig {
@@ -124,11 +125,8 @@ std::unique_ptr<BufferSharingPolicy> make_policy(
     const SharedBufferConfig& config, int num_queues);
 
 /// Stable short name of a policy ("dt", "static", "complete",
-/// "burst-absorb", "delay").
+/// "burst-absorb", "delay"); msampctl's --policy and --policies accept
+/// the names of the first kNumBufferPolicies values.
 std::string_view policy_name(BufferPolicy policy) noexcept;
-
-/// Parses a policy token as printed by policy_name().  Returns false and
-/// leaves `*out` untouched on an unknown token.
-bool parse_policy(std::string_view token, BufferPolicy* out) noexcept;
 
 }  // namespace msamp::net

@@ -1,7 +1,9 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <sstream>
 
 namespace msamp::util {
 
@@ -67,6 +69,53 @@ double Flags::real(const std::string& key, double fallback) const {
     throw UsageError("flag '--" + key + "' needs a number, got '" +
                      it->second + "'");
   }
+}
+
+namespace {
+
+template <typename T>
+[[noreturn]] void out_of_range(const std::string& key, const char* what,
+                               T lo, T hi, const std::string& got) {
+  std::ostringstream os;
+  os << "flag '--" << key << "' needs " << what << " in [" << lo << ", "
+     << hi << "], got '" << got << "'";
+  throw UsageError(os.str());
+}
+
+}  // namespace
+
+long Flags::num(const std::string& key, long fallback, long lo,
+                long hi) const {
+  const long v = num(key, fallback);
+  if (has(key) && (v < lo || v > hi)) {
+    out_of_range(key, "an integer", lo, hi, str(key, ""));
+  }
+  return v;
+}
+
+double Flags::real(const std::string& key, double fallback, double lo,
+                   double hi) const {
+  const double v = real(key, fallback);
+  if (has(key) && !(std::isfinite(v) && v >= lo && v <= hi)) {
+    out_of_range(key, "a finite number", lo, hi, str(key, ""));
+  }
+  return v;
+}
+
+int Flags::choice(const std::string& key,
+                  const std::vector<std::string_view>& options,
+                  int fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const auto hit = std::find(options.begin(), options.end(), it->second);
+  if (hit != options.end()) return static_cast<int>(hit - options.begin());
+  std::string listed;
+  for (const std::string_view o : options) {
+    if (!listed.empty()) listed += '|';
+    listed += o;
+  }
+  throw UsageError("flag '--" + key + "' needs one of " + listed + ", got '" +
+                   it->second + "'");
 }
 
 std::pair<long, long> Flags::index_count(

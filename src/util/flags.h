@@ -2,8 +2,9 @@
 //
 // Parses `--key value` pairs (later duplicates win; absent flags keep
 // their fallback).  Malformed input — an unknown flag, a trailing flag
-// with no value, a positional token where none is allowed, or a
-// non-numeric value for a numeric accessor — throws util::UsageError.
+// with no value, a positional token where none is allowed, a non-numeric
+// value for a numeric accessor, a value outside a ranged read's bounds,
+// or a value a choice read does not list — throws util::UsageError.
 // Front ends catch it, print the message plus their usage text, and exit
 // with status 2, which keeps the historic msampctl semantics while making
 // the parser directly unit-testable (tests/test_flags.cc).
@@ -12,6 +13,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,18 @@ class Flags {
 
   /// Floating-point value; throws UsageError unless the whole token parses.
   double real(const std::string& key, double fallback) const;
+
+  /// Ranged reads: as above, and the value must be finite and lie in
+  /// [lo, hi], else UsageError.  An absent flag yields `fallback`.
+  long num(const std::string& key, long fallback, long lo, long hi) const;
+  double real(const std::string& key, double fallback, double lo,
+              double hi) const;
+
+  /// Index of the value in `options`, or `fallback` when the flag is
+  /// absent; any other value is a UsageError listing the options.
+  int choice(const std::string& key,
+             const std::vector<std::string_view>& options,
+             int fallback) const;
 
   /// "I/N" pair value (e.g. `--shard 1/3`).  Requires two integers
   /// separated by '/' with 0 <= I < N; anything else is a UsageError.

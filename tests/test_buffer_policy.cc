@@ -5,7 +5,9 @@
 #include "net/buffer_policy.h"
 
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,32 +19,17 @@
 namespace msamp::net {
 namespace {
 
-TEST(BufferPolicyNames, RoundTripThroughParse) {
-  for (const BufferPolicy p :
-       {BufferPolicy::kDynamicThreshold, BufferPolicy::kStaticPartition,
-        BufferPolicy::kCompleteSharing, BufferPolicy::kBurstAbsorbDt,
-        BufferPolicy::kDelayDriven}) {
-    BufferPolicy parsed = BufferPolicy::kCompleteSharing;
-    ASSERT_TRUE(parse_policy(policy_name(p), &parsed))
-        << policy_name(p);
-    EXPECT_EQ(parsed, p);
-  }
-  BufferPolicy parsed = BufferPolicy::kStaticPartition;
-  EXPECT_FALSE(parse_policy("nope", &parsed));
-  EXPECT_EQ(parsed, BufferPolicy::kStaticPartition) << "untouched on error";
-  EXPECT_FALSE(parse_policy("", &parsed));
-}
-
 TEST(BufferPolicyFactory, BuildsTheSelectedPolicy) {
+  // The names are distinct, so a name read back by msampctl's --policy
+  // (an index into these names) is the policy it names.
   SharedBufferConfig cfg;
-  for (const BufferPolicy p :
-       {BufferPolicy::kDynamicThreshold, BufferPolicy::kStaticPartition,
-        BufferPolicy::kCompleteSharing, BufferPolicy::kBurstAbsorbDt,
-        BufferPolicy::kDelayDriven}) {
-    cfg.policy = p;
+  std::set<std::string_view> names;
+  for (int k = 0; k < kNumBufferPolicies; ++k) {
+    cfg.policy = static_cast<BufferPolicy>(k);
     const auto policy = make_policy(cfg, 8);
     ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->name(), policy_name(p));
+    EXPECT_EQ(policy->name(), policy_name(cfg.policy));
+    EXPECT_TRUE(names.insert(policy_name(cfg.policy)).second);
   }
 }
 

@@ -4,6 +4,10 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -378,6 +382,77 @@ TEST(FleetConfig, FingerprintSensitivity) {
   b = a;
   b.threads = 7;
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+TEST(FleetConfig, ValidateNamesTheFieldOutOfRange) {
+  EXPECT_TRUE(FleetConfig{}.validate());
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, void (*)(FleetConfig&)> cases[] = {
+      {"racks_per_region", [](FleetConfig& c) { c.racks_per_region = -1; }},
+      {"servers_per_rack", [](FleetConfig& c) { c.servers_per_rack = 65536; }},
+      {"hours", [](FleetConfig& c) { c.hours = 257; }},
+      {"samples_per_run", [](FleetConfig& c) { c.samples_per_run = 65536; }},
+      {"warmup_ms", [](FleetConfig& c) { c.warmup_ms = -1; }},
+      {"line_rate_gbps", [](FleetConfig& c) { c.line_rate_gbps = 0.0; }},
+      {"buffer.total_bytes", [](FleetConfig& c) { c.buffer.total_bytes = -1; }},
+      {"buffer.quadrants", [](FleetConfig& c) { c.buffer.quadrants = 0; }},
+      {"buffer.alpha", [](FleetConfig& c) { c.buffer.alpha = -1.0; }},
+      {"buffer.alpha", [](FleetConfig& c) { c.buffer.alpha = nan; }},
+      {"buffer.policy",
+       [](FleetConfig& c) {
+         c.buffer.policy = static_cast<net::BufferPolicy>(
+             net::kNumBufferPolicies);
+       }},
+      {"buffer.burst_alpha_boost",
+       [](FleetConfig& c) { c.buffer.burst_alpha_boost = inf; }},
+      {"buffer.delay.target_delay_ms",
+       [](FleetConfig& c) { c.buffer.delay.target_delay_ms = -1.0; }},
+      {"buffer.delay.max_gain",
+       [](FleetConfig& c) { c.buffer.delay.max_gain = -inf; }},
+      {"rtt_ms", [](FleetConfig& c) { c.rtt_ms = 0.0; }},
+      {"fabric.smoothing", [](FleetConfig& c) { c.fabric.smoothing = 1.5; }},
+      {"filter_cpus", [](FleetConfig& c) { c.filter_cpus = 0; }},
+      {"clocks.offset_max", [](FleetConfig& c) { c.clocks.offset_max = -1; }},
+      {"loss.lag_samples", [](FleetConfig& c) { c.loss.lag_samples = -1; }},
+      {"classify.high_threshold",
+       [](FleetConfig& c) { c.classify.high_threshold = nan; }},
+  };
+  for (const auto& [field, apply] : cases) {
+    FleetConfig c;
+    apply(c);
+    const util::Status st = c.validate();
+    ASSERT_FALSE(st) << field;
+    EXPECT_EQ(st.reason().rfind(std::string(field) + " = ", 0), 0u)
+        << st.reason();
+  }
+  // The record limits are inclusive, and `threads` is execution detail.
+  FleetConfig edge;
+  edge.hours = 256;
+  edge.samples_per_run = 65535;
+  edge.servers_per_rack = 65535;
+  edge.fabric.smoothing = 1.0;
+  edge.threads = -3;
+  EXPECT_TRUE(edge.validate()) << edge.validate().to_string();
+}
+
+TEST(FleetConfig, InvalidConfigNeverReachesAFingerprint) {
+  FleetConfig bad;
+  bad.buffer.alpha = -1.0;
+  EXPECT_THROW(shard_head(bad, ShardSpec{}), std::invalid_argument);
+  DatasetBuilder sink(FleetConfig{});
+  EXPECT_THROW(run_fleet(bad, ShardSpec{}, sink), std::invalid_argument);
+  // A decoded config is validated too: a serialized NaN is corruption.
+  FleetConfig nan_alpha;
+  nan_alpha.buffer.alpha = std::numeric_limits<double>::quiet_NaN();
+  wire::Writer w;
+  wire::put_config(w, nan_alpha);
+  wire::Reader r(w.out);
+  FleetConfig back;
+  const util::Status st = wire::get_config(r, &back);
+  ASSERT_FALSE(st);
+  EXPECT_NE(st.reason().find("buffer.alpha"), std::string::npos)
+      << st.reason();
 }
 
 }  // namespace

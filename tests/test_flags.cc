@@ -3,6 +3,10 @@
 // the exit-2 behavior the front end layers on top of UsageError).
 #include "util/flags.h"
 
+#include <limits>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace msamp::util {
@@ -75,6 +79,51 @@ TEST(Flags, RealParsesAndRejects) {
   for (const char* bad : {"abc", "3.25x", ""}) {
     const Flags g = parse({"--rate", bad}, {"rate"});
     EXPECT_THROW(g.real("rate", 0.0), UsageError) << bad;
+  }
+}
+
+TEST(Flags, RangedNumHoldsInclusiveBounds) {
+  for (const char* ok : {"0", "7", "65535"}) {
+    const Flags f = parse({"--servers", ok}, {"servers"});
+    EXPECT_EQ(f.num("servers", 92, 0, 65535), std::stol(ok)) << ok;
+  }
+  for (const char* bad : {"-1", "65536", "9223372036854775807", "x"}) {
+    const Flags f = parse({"--servers", bad}, {"servers"});
+    EXPECT_THROW(f.num("servers", 92, 0, 65535), UsageError) << bad;
+  }
+  // An absent flag yields its fallback unchecked (-1 = "no filter").
+  EXPECT_EQ(parse({}, {"hour"}).num("hour", -1, 0, 255), -1);
+}
+
+TEST(Flags, RangedRealRejectsNonFiniteAndOutOfRange) {
+  const Flags f = parse({"--fault-rate", "1"}, {"fault-rate"});
+  EXPECT_DOUBLE_EQ(f.real("fault-rate", 0.0, 0.0, 1.0), 1.0);
+  for (const char* bad :
+       {"nan", "-nan", "inf", "-inf", "infinity", "1.0000001", "-0.5", "5"}) {
+    const Flags g = parse({"--fault-rate", bad}, {"fault-rate"});
+    EXPECT_THROW(g.real("fault-rate", 0.0, 0.0, 1.0), UsageError) << bad;
+  }
+  // A lower bound alone still keeps infinity out.
+  const Flags h = parse({"--gbps", "inf"}, {"gbps"});
+  EXPECT_THROW(h.real("gbps", 12.5, 1e-9, std::numeric_limits<double>::max()),
+               UsageError);
+  EXPECT_DOUBLE_EQ(parse({}, {"gbps"}).real("gbps", 12.5, 1e-9, 100.0), 12.5);
+}
+
+TEST(Flags, ChoiceReturnsTheIndexAndListsTheOptions) {
+  const std::vector<std::string_view> whats = {"summary", "windows", "bursts"};
+  EXPECT_EQ(parse({"--what", "bursts"}, {"what"}).choice("what", whats, 0), 2);
+  EXPECT_EQ(parse({}, {"what"}).choice("what", whats, -1), -1);
+  for (const char* bad : {"Bursts", "", "burst", "summary,windows"}) {
+    const Flags f = parse({"--what", bad}, {"what"});
+    try {
+      (void)f.choice("what", whats, 0);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("summary|windows|bursts"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -310,7 +310,7 @@ TEST_P(FluidInvariantTest, ConservationAndBounds) {
 INSTANTIATE_TEST_SUITE_P(
     KindsAndPolicies, FluidInvariantTest,
     ::testing::Combine(::testing::Range(0, workload::kNumTaskKinds),
-                       ::testing::Range(0, 4)));
+                       ::testing::Range(0, net::kNumBufferPolicies)));
 
 }  // namespace
 }  // namespace msamp::fleet

@@ -834,7 +834,7 @@ TEST(LintNondet, EnvReaderTestsAreTheDocumentedAllowlist) {
   EXPECT_FALSE(lint_source("examples/demo.cc", src).empty());
 }
 
-// --- report: JSON + baseline -------------------------------------------
+// --- report: JSON ---------------------------------------------------------
 
 TEST(LintReport, JsonSchemaAndEscaping) {
   const std::vector<Finding> fs = {
@@ -856,32 +856,6 @@ TEST(LintReport, EmptyReportHasExactBytes) {
   EXPECT_EQ(msamp::lint::to_json({}, 0),
             "{\n  \"schema\": \"msamp-lint-report/2\",\n  \"files\": 0,\n"
             "  \"counts\": {},\n  \"findings\": []\n}\n");
-}
-
-TEST(LintReport, BaselineRoundTripAndStaleDetection) {
-  const std::vector<Finding> fs = {
-      {"src/a.cc", 3, "nondet-random", "m1"},
-      {"src/a.cc", 3, "nondet-random", "m1"},  // duplicate: multiset
-      {"src/b.cc", 9, "unordered-iter", "m2"}};
-  const std::string text = msamp::lint::to_baseline(fs);
-  const auto entries = msamp::lint::parse_baseline(text);
-  ASSERT_EQ(entries.size(), 3u);  // the header comments are dropped
-  auto work = fs;
-  EXPECT_TRUE(msamp::lint::apply_baseline(work, entries).empty());
-  EXPECT_TRUE(work.empty());
-  // After one duplicate is fixed, its baseline entry is reported stale.
-  work = {fs[0], fs[2]};
-  const auto stale = msamp::lint::apply_baseline(work, entries);
-  EXPECT_TRUE(work.empty());
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0], msamp::lint::to_string(fs[0]));
-}
-
-TEST(LintReport, BaselineIgnoresCommentsAndBlankLines) {
-  const auto entries = msamp::lint::parse_baseline(
-      "# comment\n\nsrc/a.cc:1: r: m\n   \n# another\n");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0], "src/a.cc:1: r: m");
 }
 
 TEST(LintIntrinsics, RawIntrinsicsOutsideSimdAreFlagged) {

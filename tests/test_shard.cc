@@ -3,6 +3,7 @@
 // byte-identity guarantee (merged shard files == single-process run).
 #include "fleet/shard.h"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -269,6 +270,82 @@ TEST(Merge, RejectsMismatchedFingerprint) {
   ASSERT_TRUE(make_shard(other, 1, 2).save(paths[1]));
   const std::string error = expect_rejected(paths, dir);
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+  fs::remove_all(dir);
+}
+
+/// Moves a positive double up by one ulp.
+void up(double& x) { x = std::nextafter(x, 2.0 * x); }
+
+TEST(Merge, RefusesEveryOneStepConfigChange) {
+  // Each serialized field moved by one step — a double by one ulp, an
+  // integer by one — makes another day.  The fingerprint truncates its
+  // doubles, so only the config bytes tell most of the doubles apart.
+  FleetConfig base;
+  base.racks_per_region = 1;
+  base.servers_per_rack = 2;
+  base.hours = 1;
+  base.samples_per_run = 5;
+  base.warmup_ms = 1;
+  base.threads = 1;
+  const std::pair<const char*, void (*)(FleetConfig&)> steps[] = {
+      {"seed", [](FleetConfig& c) { ++c.seed; }},
+      {"racks_per_region", [](FleetConfig& c) { ++c.racks_per_region; }},
+      {"servers_per_rack", [](FleetConfig& c) { ++c.servers_per_rack; }},
+      {"hours", [](FleetConfig& c) { ++c.hours; }},
+      {"samples_per_run", [](FleetConfig& c) { ++c.samples_per_run; }},
+      {"warmup_ms", [](FleetConfig& c) { ++c.warmup_ms; }},
+      {"line_rate_gbps", [](FleetConfig& c) { up(c.line_rate_gbps); }},
+      {"buffer.total_bytes", [](FleetConfig& c) { ++c.buffer.total_bytes; }},
+      {"buffer.quadrants", [](FleetConfig& c) { ++c.buffer.quadrants; }},
+      {"buffer.reserve_per_queue",
+       [](FleetConfig& c) { ++c.buffer.reserve_per_queue; }},
+      {"buffer.alpha", [](FleetConfig& c) { up(c.buffer.alpha); }},
+      {"buffer.ecn_threshold",
+       [](FleetConfig& c) { ++c.buffer.ecn_threshold; }},
+      {"buffer.policy",
+       [](FleetConfig& c) {
+         c.buffer.policy = net::BufferPolicy::kStaticPartition;
+       }},
+      {"buffer.burst_alpha_boost",
+       [](FleetConfig& c) { up(c.buffer.burst_alpha_boost); }},
+      {"buffer.delay.target_delay_ms",
+       [](FleetConfig& c) { up(c.buffer.delay.target_delay_ms); }},
+      {"buffer.delay.min_gain",
+       [](FleetConfig& c) { up(c.buffer.delay.min_gain); }},
+      {"buffer.delay.max_gain",
+       [](FleetConfig& c) { up(c.buffer.delay.max_gain); }},
+      {"buffer.delay.drain_gbps",
+       [](FleetConfig& c) { up(c.buffer.delay.drain_gbps); }},
+      {"rtt_ms", [](FleetConfig& c) { up(c.rtt_ms); }},
+      {"mss", [](FleetConfig& c) { ++c.mss; }},
+      {"fabric.enabled", [](FleetConfig& c) { c.fabric.enabled = true; }},
+      {"fabric.uplink_gbps", [](FleetConfig& c) { up(c.fabric.uplink_gbps); }},
+      {"fabric.smoothing", [](FleetConfig& c) { up(c.fabric.smoothing); }},
+      {"filter_cpus", [](FleetConfig& c) { ++c.filter_cpus; }},
+      {"clocks.offset_stddev",
+       [](FleetConfig& c) { ++c.clocks.offset_stddev; }},
+      {"clocks.offset_max", [](FleetConfig& c) { ++c.clocks.offset_max; }},
+      {"loss.rtt_shift_samples",
+       [](FleetConfig& c) { ++c.loss.rtt_shift_samples; }},
+      {"loss.lag_samples", [](FleetConfig& c) { ++c.loss.lag_samples; }},
+      {"classify.high_threshold",
+       [](FleetConfig& c) { up(c.classify.high_threshold); }},
+  };
+  const fs::path dir = fresh_dir("one_step");
+  const std::string first = (dir / "shard0.bin").string();
+  const std::string second = (dir / "shard1.bin").string();
+  ASSERT_TRUE(make_shard(base, 0, 2).save(first));
+  for (const auto& [field, step] : steps) {
+    FleetConfig other = base;
+    step(other);
+    ASSERT_TRUE(other.validate()) << field;
+    EXPECT_EQ(other.differing_field(base), field);
+    ASSERT_TRUE(make_shard(other, 1, 2).save(second));
+    const std::string error = expect_rejected({first, second}, dir);
+    EXPECT_NE(error.find(std::string("mismatch in ") + field),
+              std::string::npos)
+        << error;
+  }
   fs::remove_all(dir);
 }
 

@@ -69,4 +69,14 @@ execute_process(COMMAND ${MSAMPCTL} merge s0.bin w1.bin --out bad.bin
 if(rc EQUAL 0)
   message(FATAL_ERROR "merge accepted shards with mismatched fingerprints")
 endif()
+# --alpha 1.0009 hashes like --alpha 1: only the config bytes differ.
+run(fleet --racks 3 --hours 2 --samples 150 --alpha 1.0009 --shard 1/2
+    --out a1.bin)
+execute_process(COMMAND ${MSAMPCTL} merge s0.bin a1.bin --out bad.bin
+                WORKING_DIRECTORY ${work} RESULT_VARIABLE rc
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "^error: [^\n]*buffer\\.alpha")
+  message(FATAL_ERROR "merge of --alpha 1 and 1.0009 shards exited ${rc}: "
+                      "${err}")
+endif()
 file(REMOVE_RECURSE ${work})

@@ -17,6 +17,7 @@ function(expect_usage_error)
   if(NOT err MATCHES "error:")
     message(FATAL_ERROR "msampctl ${ARGN}: no usage error on stderr: ${err}")
   endif()
+  set(usage_err "${err}" PARENT_SCOPE)
 endfunction()
 
 function(expect_ok)
@@ -69,6 +70,44 @@ expect_usage_error(simulate-rack --servers 4 --samples 10 --seed -5)
 # count must not reach a container size.
 expect_usage_error(simulate-rack --servers -1)
 expect_usage_error(simulate-rack --samples -3)
+
+# A value out of range exits 2, naming the flag or config field, before
+# any work starts.  Process counts are probed only below their range:
+# above it, a broken bound would start that many workers.
+function(expect_refused what)
+  expect_usage_error(${ARGN})
+  if(NOT usage_err MATCHES "error:[^\n]*${what}")
+    message(FATAL_ERROR "msampctl ${ARGN}: error does not name ${what}")
+  endif()
+endfunction()
+set(tiny --racks 1 --hours 1 --samples 10)
+expect_refused(buffer.alpha fleet ${tiny} --alpha -1)
+expect_refused(buffer.alpha fleet ${tiny} --alpha nan)
+expect_refused(buffer.burst_alpha_boost fleet ${tiny} --boost inf)
+expect_refused(buffer.delay.target_delay_ms
+               fleet ${tiny} --policy delay --target-delay -1)
+expect_refused(--shard fleet ${tiny} --shard 1/4294967298)
+expect_refused(buffer.alpha sweep ${tiny} --alphas -1)
+expect_refused(buffer.delay.target_delay_ms
+               sweep ${tiny} --policies delay --target-delays nan)
+set(rack --servers 2 --samples 10)
+expect_refused(--hour simulate-rack ${rack} --hour 300)
+expect_refused(--hour simulate-rack ${rack} --hour -5)
+expect_refused(--intensity simulate-rack ${rack} --intensity -1)
+expect_refused(--task simulate-rack ${rack} --task bogus)
+expect_refused(--gbps analyze --trace t.csv --gbps 0)
+expect_refused(--gbps analyze --trace t.csv --gbps -3)
+expect_refused(--hour query --dataset none.bin --hour -3)
+expect_refused(--limit query --dataset none.bin --limit -4)
+expect_refused(--racks query --dataset none.bin --racks 4294967296)
+expect_refused(--attempt worker ${tiny} --shard 0/2 --attempt -1)
+expect_refused(--fault-rate worker ${tiny} --shard 0/2 --fault-rate 5)
+expect_refused(--stall-ms cluster ${tiny} --stall-ms -5)
+expect_refused(--workers cluster ${tiny} --workers 0)
+expect_refused(--workers cluster ${tiny} --workers -1)
+expect_refused(--max-parallel cluster ${tiny} --max-parallel -1)
+expect_refused(--retry-max cluster ${tiny} --retry-max -2)
+expect_refused(--keep-shards cluster ${tiny} --keep-shards 2)
 
 # The happy path still works end to end.
 expect_ok(simulate-rack --servers 8 --samples 60 --out t.csv)

@@ -1,7 +1,6 @@
 // msamp_lint — project-invariant static analysis for the msamp tree.
 //
-//   msamp_lint [--root DIR] [--jobs N] [--format=text|json]
-//              [--baseline FILE] [--write-baseline FILE] [FILE...]
+//   msamp_lint [--root DIR] [--jobs N] [--format=text|json] [FILE...]
 //
 // Two passes (docs/STATIC_ANALYSIS.md):
 //
@@ -25,10 +24,7 @@
 // Findings print to stdout — `file:line: rule-id: message` lines for
 // --format=text (the default), the msamp-lint-report/2 JSON document for
 // --format=json (lint/report.h).  A per-rule count summary goes to
-// stderr.  --baseline FILE subtracts the committed baseline
-// (tools/lint/baseline.txt) before reporting; stale entries are warned
-// about on stderr.  Exit code: 0 clean, 1 findings remain, 2 usage/IO
-// errors.
+// stderr.  Exit code: 0 clean, 1 findings remain, 2 usage/IO errors.
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
@@ -69,8 +65,7 @@ std::string rel(const fs::path& root, const fs::path& p) {
 
 int usage() {
   std::cerr << "usage: msamp_lint [--root DIR] [--jobs N] "
-               "[--format=text|json] [--baseline FILE] "
-               "[--write-baseline FILE] [FILE...]\n";
+               "[--format=text|json] [FILE...]\n";
   return 2;
 }
 
@@ -90,8 +85,6 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::vector<fs::path> file_args;
   std::string format = "text";
-  std::string baseline_path;
-  std::string write_baseline_path;
   int jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -108,12 +101,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return usage();
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) return usage();
-      baseline_path = argv[++i];
-    } else if (arg == "--write-baseline") {
-      if (i + 1 >= argc) return usage();
-      write_baseline_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -256,32 +243,6 @@ int main(int argc, char** argv) {
               return std::tie(a.file, a.line, a.rule, a.message) <
                      std::tie(b.file, b.line, b.rule, b.message);
             });
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "msamp_lint: cannot write " << write_baseline_path << "\n";
-      return 2;
-    }
-    out << msamp::lint::to_baseline(findings);
-    std::cerr << "msamp_lint: wrote " << findings.size()
-              << " finding(s) to baseline " << write_baseline_path << "\n";
-    return io_errors != 0 ? 2 : 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, &text)) {
-      std::cerr << "msamp_lint: cannot read baseline " << baseline_path
-                << "\n";
-      return 2;
-    }
-    const auto stale = msamp::lint::apply_baseline(
-        findings, msamp::lint::parse_baseline(text));
-    for (const std::string& s : stale) {
-      std::cerr << "msamp_lint: stale baseline entry: " << s << "\n";
-    }
-  }
 
   if (format == "json") {
     std::cout << msamp::lint::to_json(findings, to_lint.size());

@@ -62,51 +62,4 @@ std::string to_json(const std::vector<Finding>& findings,
   return out;
 }
 
-std::string to_baseline(const std::vector<Finding>& findings) {
-  std::string out =
-      "# msamp_lint baseline — accepted findings, subtracted by\n"
-      "# `msamp_lint --baseline <this file>` (see docs/STATIC_ANALYSIS.md).\n"
-      "# Regenerate with `msamp_lint --root . --write-baseline <this file>`.\n";
-  for (const Finding& f : findings) out += to_string(f) + "\n";
-  return out;
-}
-
-std::vector<std::string> parse_baseline(std::string_view text) {
-  std::vector<std::string> entries;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? std::string_view::npos
-                                           : eol - pos);
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.remove_suffix(1);
-    }
-    if (!line.empty() && line.front() != '#') {
-      entries.emplace_back(line);
-    }
-    if (eol == std::string_view::npos) break;
-    pos = eol + 1;
-  }
-  return entries;
-}
-
-std::vector<std::string> apply_baseline(
-    std::vector<Finding>& findings,
-    const std::vector<std::string>& baseline) {
-  std::map<std::string, std::size_t> budget;
-  for (const std::string& e : baseline) ++budget[e];
-  std::erase_if(findings, [&](const Finding& f) {
-    const auto it = budget.find(to_string(f));
-    if (it == budget.end() || it->second == 0) return false;
-    --it->second;
-    return true;
-  });
-  std::vector<std::string> stale;
-  for (const auto& [entry, left] : budget) {
-    for (std::size_t i = 0; i < left; ++i) stale.push_back(entry);
-  }
-  return stale;
-}
-
 }  // namespace msamp::lint

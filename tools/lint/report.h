@@ -1,5 +1,4 @@
-// msamp_lint report formats: the machine-readable JSON report and the
-// baseline file used for incremental adoption of new rules.
+// msamp_lint report format: the machine-readable JSON report.
 //
 // JSON schema (stable; asserted by tests/test_lint.cc):
 //
@@ -18,13 +17,6 @@
 // iteration surprises — so `--format=json --jobs N` is comparable with
 // `cmp` across any N and any file-argument order (ctest
 // LintParallelDeterminism).
-//
-// A baseline file holds one finding per line in `to_string()` format
-// (`file:line: rule: message`); `#` comments and blank lines are
-// ignored.  `--baseline FILE` subtracts it from the findings (multiset
-// semantics) so a new rule can land before the tree is fully clean;
-// `--write-baseline FILE` regenerates it.  Entries that no longer match
-// anything are reported as stale so a shrinking baseline stays honest.
 #pragma once
 
 #include <map>
@@ -47,17 +39,5 @@ std::string json_escape(std::string_view s);
 /// driver's canonical order (file, line, rule, message).
 std::string to_json(const std::vector<Finding>& findings,
                     std::size_t files_linted);
-
-/// Serializes findings as a baseline file (with a header comment).
-std::string to_baseline(const std::vector<Finding>& findings);
-
-/// Parses a baseline file into finding keys (comments/blanks dropped).
-std::vector<std::string> parse_baseline(std::string_view text);
-
-/// Removes findings whose `to_string()` matches a baseline entry
-/// (multiset semantics: one entry absorbs one finding).  Returns the
-/// stale baseline entries that matched nothing.
-std::vector<std::string> apply_baseline(
-    std::vector<Finding>& findings, const std::vector<std::string>& baseline);
 
 }  // namespace msamp::lint

@@ -1,14 +1,21 @@
 // msampctl — command-line front end to the millisampler-repro library.
 //
+// Every flag is a checked read: a value outside its range below exits 2
+// with an error naming the flag.  A command's FleetConfig must then pass
+// FleetConfig::validate() (exit 2 naming the field; every number finite).
+//
 //   msampctl simulate-rack [--servers N] [--task KIND] [--intensity X]
 //                          [--samples N] [--hour H] [--seed S]
 //                          [--out trace.csv]
 //       Simulate one rack observation window and export the
 //       SyncMillisampler trace (msamp-sync-trace CSV).  --servers and
-//       --samples must lie in [0, 65535] and --seed must be >= 0.
+//       --samples in [0, 65535], --hour in [0, 255], --intensity finite
+//       and >= 0, --seed >= 0; --task is one of ml_training, web, cache
+//       (the default), storage, batch, quiet, ml_inference.
 //
-//   msampctl analyze --trace trace.csv
-//       Run burst/contention/loss analysis on a trace file.
+//   msampctl analyze --trace trace.csv [--gbps G]
+//       Run burst/contention/loss analysis on a trace file at line rate
+//       --gbps (finite and > 0, default 12.5).
 //
 //   msampctl fleet [--racks N] [--hours H] [--samples N] [--seed S]
 //                  [--threads T] [--shard I/N] [--out dataset.bin]
@@ -17,56 +24,61 @@
 //       dataset to --out through the disk-backed spill sink (peak RSS is
 //       a few spill chunks plus the day's small tables; an interrupted
 //       run can leave `<out>.spill-*` temps, which the next run removes).
-//       --racks, --hours, --samples, --seed and --threads must be >= 0,
-//       --hours <= 256 and --samples <= 65535 (a record's u8 hour and
-//       u16 sample count).
+//       --racks, --seed and --threads must be >= 0, --hours in [0, 256]
+//       and --samples in [0, 65535].
 //       The buffer-sharing policy flags — shared with `cluster`,
 //       `worker`, and `sweep` — select the MMU discipline (see
 //       docs/POLICIES.md): --policy dt|static|complete|burst-absorb|delay,
 //       --alpha A (DT alpha), --boost B (burst-absorb alpha multiplier),
-//       --target-delay D (delay-driven target, ms).
+//       --target-delay D (delay-driven target, ms); A, B and D finite and
+//       >= 0.
 //       An explicit --threads N wins; --threads 0 (the default)
 //       defers to the MSAMP_THREADS environment variable, else uses every
-//       hardware core.  --shard I/N generates only shard I of an N-way
-//       split of the day (a first-class partial dataset file); run the N
-//       shards in as many processes or machines as you like and fold them
-//       back with `msampctl merge`.  Any thread count and any shard split
-//       produce byte-identical output for a given --seed.
+//       hardware core.  --shard I/N (0 <= I < N <= 4294967295) generates
+//       only shard I of an N-way split of the day (a first-class partial
+//       dataset file); run the N shards in as many processes or machines
+//       as you like and fold them back with `msampctl merge`.  Any thread
+//       count and any shard split produce byte-identical output for a
+//       given --seed.
 //
 //   msampctl merge shard0.bin shard1.bin ... [--out dataset.bin]
-//       Validate (fingerprint, shard coverage, per-window record counts)
-//       and merge shard files into the full dataset — byte-identical to a
-//       single-process `msampctl fleet` run at the same seed and scale.
-//       Streams section-by-section, so merging never holds the day's
-//       records in memory.
+//       Validate (fingerprint, config bytes, shard coverage, per-window
+//       record counts) and merge shard files into the full dataset —
+//       byte-identical to a single-process `msampctl fleet` run at the
+//       same seed and scale.  Streams section-by-section, so merging
+//       never holds the day's records in memory.
 //
 //   msampctl cluster [--workers N] [fleet flags] [--out dataset.bin]
-//                    [--shard-dir D] [--keep-shards 1] [--max-parallel M]
+//                    [--shard-dir D] [--keep-shards 0|1] [--max-parallel M]
 //                    [--stall-ms T] [--retry-max A] [--retry-base-ms B]
 //                    [--fault-rate p]
 //       Fault-tolerant multi-process generation: N worker processes (one
 //       per shard, re-exec'd `msampctl worker`), crash/stall detection,
 //       capped-backoff retries, then a streaming merge — byte-identical
 //       to `msampctl fleet` at the same seed and scale, even under
-//       injected worker kills (--fault-rate, test-only).  docs/CLUSTER.md
-//       has the architecture and the worker heartbeat protocol.
+//       injected worker kills (--fault-rate, test-only).  --workers in
+//       [1, 1024], --max-parallel in [0, 1024] (0 = all), --stall-ms and
+//       --retry-max >= 1, --retry-base-ms >= 0, --fault-rate in [0, 1].
+//       docs/CLUSTER.md has the architecture and the worker heartbeat
+//       protocol.
 //
 //   msampctl worker --shard I/N --out shard.bin [fleet flags]
 //                   [--attempt A] [--fault-rate p]
 //       The cluster worker role (normally spawned by `msampctl cluster`,
 //       but usable standalone): generates one shard through the same
 //       spill sink as `fleet` and emits `msamp-hb` heartbeat lines on
-//       stdout.
+//       stdout.  --attempt in [0, 4294967295], --fault-rate in [0, 1].
 //
 //   msampctl sweep [--policies dt,static,delay] [--alphas 0.25,1,4]
 //                  [--boosts 4] [--target-delays 0.5] [--out-dir D]
-//                  [--keep-datasets 1] [fleet scale flags]
+//                  [--keep-datasets 0|1] [fleet scale flags]
 //       Policy lab: expand the buffer-sharing policy x parameter grid
 //       into deterministic cells, generate each cell's measurement day
 //       in-process through the spill sink, one cell after another, and
 //       emit the comparison tables — burst absorption, contention CDF,
 //       and loss per policy — plus sweep_summary.csv /
-//       sweep_contention_cdf.csv under --out-dir.  Re-runs are
+//       sweep_contention_cdf.csv under --out-dir.  List entries obey
+//       --alpha's, --boost's and --target-delay's ranges.  Re-runs are
 //       byte-identical; docs/POLICIES.md has a worked walkthrough.
 //
 //   msampctl report --dataset dataset.bin
@@ -77,12 +89,12 @@
 //                  [--racks LO-HI] [--class typical|high|regb]
 //                  [--what summary|windows|bursts] [--limit N]
 //       Select observation windows of a mapped v6 dataset by region,
-//       hour, rack-id range, and measured rack class, and print either a
-//       per-window table (--what windows), the selected windows' burst
-//       records (--what bursts; --limit rows, default 20, 0 = all), or an
-//       aggregate summary (--what summary, the default).  Reads stream
-//       from the mapping, so querying a cluster-scale day stays at a
-//       bounded RSS.
+//       hour (in [0, 255]), rack-id range, and measured rack class, and
+//       print either a per-window table (--what windows), the selected
+//       windows' burst records (--what bursts; --limit rows >= 0, default
+//       20, 0 = all), or an aggregate summary (--what summary, the
+//       default).  Reads stream from the mapping, so querying a
+//       cluster-scale day stays at a bounded RSS.
 //
 //   msampctl version
 //       Print the build's identity: dataset wire-format version, model
@@ -100,7 +112,7 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -131,70 +143,70 @@ using util::Flags;
 
 namespace {
 
-void usage();
+constexpr long kIntMax = std::numeric_limits<int>::max();
+constexpr long kLongMax = std::numeric_limits<long>::max();
+constexpr long kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr double kRealMax = std::numeric_limits<double>::max();
+/// --workers and --max-parallel count processes, each started at once.
+constexpr long kMaxProcesses = 1024;
 
-/// Prints a usage error and exits with status 2, which the cluster
-/// coordinator does not retry.
-[[noreturn]] void die_usage(const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  usage();
-  std::exit(cluster::kUsageExitCode);
+/// `cfg` when it passes FleetConfig::validate(), else a usage error that
+/// names the field.
+const fleet::FleetConfig& checked(const fleet::FleetConfig& cfg) {
+  if (auto st = cfg.validate(); !st) {
+    throw util::UsageError("invalid config: " + st.reason());
+  }
+  return cfg;
 }
 
-workload::TaskKind parse_task(const std::string& name) {
-  for (int k = 0; k < workload::kNumTaskKinds; ++k) {
-    const auto kind = static_cast<workload::TaskKind>(k);
-    if (workload::task_name(kind) == name) return kind;
-  }
-  std::cerr << "unknown task '" << name << "', using cache; options:";
-  for (int k = 0; k < workload::kNumTaskKinds; ++k) {
-    std::cerr << " "
-              << workload::task_name(static_cast<workload::TaskKind>(k));
-  }
-  std::cerr << "\n";
-  return workload::TaskKind::kCache;
+/// The printed names of an enum's first `count` values, in value order:
+/// the options of a `Flags::choice` read.
+template <typename Enum, typename Name>
+std::vector<std::string_view> names_of(int count, Name name) {
+  std::vector<std::string_view> names;
+  for (int k = 0; k < count; ++k) names.push_back(name(static_cast<Enum>(k)));
+  return names;
 }
 
-/// --seed, which must not be negative: cast to the u64 seed it would
-/// quietly wrap in-process, while a cluster's workers reject it.
-std::uint64_t seed_flag(const Flags& flags) {
-  const long v = flags.num("seed", 42);
-  if (v < 0) {
-    throw util::UsageError("--seed " + std::to_string(v) +
-                           " must not be negative");
-  }
-  return static_cast<std::uint64_t>(v);
+std::vector<std::string_view> policy_names() {
+  return names_of<net::BufferPolicy>(net::kNumBufferPolicies,
+                                     net::policy_name);
 }
 
-/// A scale flag's value, which must lie in [0, max]: a negative scale
-/// has no day, and one past `max` would wrap a record's narrow field.
-/// --threads goes through here too, so a negative count cannot quietly
-/// mean the default.
-int scale_flag(const Flags& flags, const std::string& key, long fallback,
-               long max) {
-  const long v = flags.num(key, fallback);
-  if (v < 0 || v > max) {
-    throw util::UsageError("--" + key + " " + std::to_string(v) +
-                           " out of range [0, " + std::to_string(max) + "]");
+/// --shard I/N, with N within the u32 a shard header stores.
+fleet::ShardSpec shard_flag(const Flags& flags) {
+  const auto [index, count] = flags.index_count("shard", {0, 1});
+  if (count > kU32Max) {
+    throw util::UsageError("flag '--shard' needs N <= 4294967295, got " +
+                           std::to_string(count));
   }
-  return static_cast<int>(v);
+  return {static_cast<std::uint32_t>(index), static_cast<std::uint32_t>(count)};
 }
 
 int cmd_simulate_rack(const Flags& flags) {
   workload::RackMeta rack;
   rack.rack_id = 1;
   rack.region = workload::RegionId::kRegA;
-  rack.intensity = flags.real("intensity", 1.5);
-  // Same u16 bound as a fleet run's --samples; zero writes an empty trace.
-  const int servers = scale_flag(flags, "servers", 92, 65535);
-  const auto kind = parse_task(flags.str("task", "cache"));
-  rack.server_service.assign(static_cast<std::size_t>(servers), 0);
-  rack.server_kind.assign(static_cast<std::size_t>(servers), kind);
+  rack.intensity = flags.real("intensity", 1.5, 0.0, kRealMax);
+  // Same u16 bound as a fleet run's servers; zero writes an empty trace.
+  const auto servers =
+      static_cast<std::size_t>(flags.num("servers", 92, 0, 65535));
+  const auto kind = static_cast<workload::TaskKind>(flags.choice(
+      "task",
+      names_of<workload::TaskKind>(workload::kNumTaskKinds,
+                                   workload::task_name),
+      static_cast<int>(workload::TaskKind::kCache)));
+  rack.server_service.assign(servers, 0);
+  rack.server_kind.assign(servers, kind);
 
   fleet::FleetConfig cfg;
-  cfg.samples_per_run = scale_flag(flags, "samples", 1000, 65535);
-  fleet::FluidRack fluid(rack, cfg, static_cast<int>(flags.num("hour", 6)),
-                         util::Rng(seed_flag(flags)));
+  cfg.samples_per_run =
+      static_cast<int>(flags.num("samples", 1000, 0, kIntMax));
+  const auto seed =
+      static_cast<std::uint64_t>(flags.num("seed", 42, 0, kLongMax));
+  fleet::FluidRack fluid(rack, checked(cfg),
+                         static_cast<int>(flags.num("hour", 6, 0, 255)),
+                         util::Rng(seed));
   const auto result = fluid.run();
   const std::string out = flags.str("out", "trace.csv");
   if (!analysis::write_sync_trace_file(result.sync, out)) {
@@ -213,13 +225,15 @@ int cmd_simulate_rack(const Flags& flags) {
 
 int cmd_analyze(const Flags& flags) {
   const std::string path = flags.str("trace", "trace.csv");
+  const double gbps =
+      flags.real("gbps", 12.5, std::numeric_limits<double>::min(), kRealMax);
   const auto run = analysis::read_sync_trace_file(path);
   if (!run.has_value()) {
     std::cerr << "error: cannot parse " << path << "\n";
     return 1;
   }
-  const analysis::BurstDetectConfig burst_cfg{
-      .line_rate_gbps = flags.real("gbps", 12.5), .interval = run->interval};
+  const analysis::BurstDetectConfig burst_cfg{.line_rate_gbps = gbps,
+                                              .interval = run->interval};
   const auto contention = analysis::contention_series(*run, burst_cfg);
   const auto summary = analysis::summarize_contention(contention);
   std::size_t bursts = 0, lossy = 0, bursty_servers = 0;
@@ -261,72 +275,56 @@ int cmd_analyze(const Flags& flags) {
 /// `fleet`, `cluster`, `worker`, and `sweep` — the cluster coordinator
 /// re-execs workers with exactly these flags (cluster::Coordinator::
 /// command_for), so the commands must agree on names and defaults or the
-/// workers' fingerprints would diverge.
+/// workers' configs would diverge.  The counts are read as non-negative
+/// ints; validate() holds each field's own range.
 fleet::FleetConfig fleet_config_from_flags(const Flags& flags) {
   fleet::FleetConfig cfg;
-  cfg.seed = seed_flag(flags);
-  cfg.racks_per_region =
-      scale_flag(flags, "racks", 32, std::numeric_limits<int>::max());
-  // Records store the hour in a u8 and a run's sample count in a u16.
-  cfg.hours = scale_flag(flags, "hours", 24, 256);
-  cfg.samples_per_run = scale_flag(flags, "samples", 500, 65535);
+  cfg.seed = static_cast<std::uint64_t>(flags.num("seed", 42, 0, kLongMax));
+  cfg.racks_per_region = static_cast<int>(flags.num("racks", 32, 0, kIntMax));
+  cfg.hours = static_cast<int>(flags.num("hours", 24, 0, kIntMax));
+  cfg.samples_per_run = static_cast<int>(flags.num("samples", 500, 0, kIntMax));
   // 0 asks for the default; the pool clamps any count to 1024.
-  cfg.threads =
-      scale_flag(flags, "threads", 0, std::numeric_limits<int>::max());
-  const std::string policy = flags.str("policy", "dt");
-  if (!net::parse_policy(policy, &cfg.buffer.policy)) {
-    throw util::UsageError("unknown --policy '" + policy +
-                           "' (dt|static|complete|burst-absorb|delay)");
-  }
+  cfg.threads = static_cast<int>(flags.num("threads", 0, 0, kIntMax));
+  cfg.buffer.policy = static_cast<net::BufferPolicy>(
+      flags.choice("policy", policy_names(), 0));
   cfg.buffer.alpha = flags.real("alpha", cfg.buffer.alpha);
   cfg.buffer.burst_alpha_boost =
       flags.real("boost", cfg.buffer.burst_alpha_boost);
   cfg.buffer.delay.target_delay_ms =
       flags.real("target-delay", cfg.buffer.delay.target_delay_ms);
-  return cfg;
+  return checked(cfg);
 }
 
-/// The shared buffer-policy flags (appended to each command's scale
-/// flags below).
-const std::vector<std::string> kPolicyFlags = {"policy", "alpha", "boost",
-                                               "target-delay"};
-
-std::vector<std::string> with_policy_flags(std::vector<std::string> flags) {
-  flags.insert(flags.end(), kPolicyFlags.begin(), kPolicyFlags.end());
+/// `flags` plus the ones fleet_config_from_flags reads.
+std::vector<std::string> with_fleet_flags(std::vector<std::string> flags) {
+  flags.insert(flags.end(), {"racks", "hours", "samples", "seed", "threads",
+                             "policy", "alpha", "boost", "target-delay"});
   return flags;
 }
 
-/// Parses a comma-separated list of doubles ("0.25,1,4").
-std::vector<double> parse_double_list(const std::string& text,
-                                      const std::string& flag) {
-  std::vector<double> values;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string tok =
-        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != tok.size() || tok.empty()) {
-      throw util::UsageError("bad --" + flag + " entry '" + tok + "'");
-    }
-    values.push_back(v);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+/// The `sep`-separated entries of list flag `key` ("0.25,1,4"), each
+/// read by `read(entry, key)` from a Flags that holds just that entry as
+/// the flag's value, so an entry parses exactly as a single value would;
+/// `fallback` when the flag is absent.
+template <typename T, typename Read>
+std::vector<T> list_flag(const Flags& flags, const std::string& key,
+                         std::vector<T> fallback, Read read, char sep = ',') {
+  if (!flags.has(key)) return fallback;
+  const std::string text = flags.str(key, "");
+  std::vector<T> values;
+  for (std::size_t pos = 0;;) {
+    const std::size_t end = text.find(sep, pos);
+    std::string name = "--" + key, entry = text.substr(pos, end - pos);
+    char* argv[] = {name.data(), entry.data()};
+    values.push_back(read(Flags(2, argv, 0, {key}), key));
+    if (end == std::string::npos) return values;
+    pos = end + 1;
   }
-  return values;
 }
 
 int cmd_fleet(const Flags& flags) {
   const fleet::FleetConfig cfg = fleet_config_from_flags(flags);
-  const auto [shard_index, shard_count] = flags.index_count("shard", {0, 1});
-  const fleet::ShardSpec shard{static_cast<std::uint32_t>(shard_index),
-                               static_cast<std::uint32_t>(shard_count)};
+  const fleet::ShardSpec shard = shard_flag(flags);
   std::cout << "generating " << 2 * cfg.racks_per_region << " racks x "
             << cfg.hours << " hours";
   if (!shard.full_range()) {
@@ -367,8 +365,9 @@ int cmd_fleet(const Flags& flags) {
 int cmd_merge(const Flags& flags) {
   const auto& paths = flags.positionals();
   if (paths.empty()) {
-    die_usage("merge needs at least one shard file "
-              "(msampctl merge shard0.bin shard1.bin ... --out dataset.bin)");
+    throw util::UsageError(
+        "merge needs at least one shard file "
+        "(msampctl merge shard0.bin shard1.bin ... --out dataset.bin)");
   }
   const std::string out = flags.str("out", "dataset.bin");
   fleet::MergeStats stats;
@@ -388,27 +387,29 @@ int cmd_merge(const Flags& flags) {
 int cmd_worker(const Flags& flags) {
   cluster::WorkerConfig cfg;
   cfg.fleet = fleet_config_from_flags(flags);
-  const auto [shard_index, shard_count] = flags.index_count("shard", {0, 1});
-  cfg.shard = fleet::ShardSpec{static_cast<std::uint32_t>(shard_index),
-                               static_cast<std::uint32_t>(shard_count)};
+  cfg.shard = shard_flag(flags);
   cfg.out_path = flags.str("out", "shard.bin");
-  cfg.attempt = static_cast<std::uint32_t>(flags.num("attempt", 0));
-  cfg.fault_rate = flags.real("fault-rate", 0.0);
+  cfg.attempt = static_cast<std::uint32_t>(flags.num("attempt", 0, 0, kU32Max));
+  cfg.fault_rate = flags.real("fault-rate", 0.0, 0.0, 1.0);
   return cluster::run_worker(cfg, std::cout);
 }
 
 int cmd_cluster(const Flags& flags) {
   cluster::ClusterConfig cfg;
   cfg.fleet = fleet_config_from_flags(flags);
-  cfg.workers = static_cast<int>(flags.num("workers", 2));
+  cfg.workers = static_cast<int>(flags.num("workers", 2, 1, kMaxProcesses));
   cfg.out_path = flags.str("out", "dataset.bin");
   cfg.shard_dir = flags.str("shard-dir", "");
-  cfg.keep_shards = flags.num("keep-shards", 0) != 0;
-  cfg.fault_rate = flags.real("fault-rate", 0.0);
-  cfg.stall_timeout_ms = static_cast<int>(flags.num("stall-ms", 30000));
-  cfg.max_parallel = static_cast<int>(flags.num("max-parallel", 0));
-  cfg.retry.max_attempts = static_cast<int>(flags.num("retry-max", 5));
-  cfg.retry.base_delay_ms = static_cast<int>(flags.num("retry-base-ms", 200));
+  cfg.keep_shards = flags.num("keep-shards", 0, 0, 1) != 0;
+  cfg.fault_rate = flags.real("fault-rate", 0.0, 0.0, 1.0);
+  cfg.stall_timeout_ms =
+      static_cast<int>(flags.num("stall-ms", 30000, 1, kIntMax));
+  cfg.max_parallel =
+      static_cast<int>(flags.num("max-parallel", 0, 0, kMaxProcesses));
+  cfg.retry.max_attempts =
+      static_cast<int>(flags.num("retry-max", 5, 1, kIntMax));
+  cfg.retry.base_delay_ms =
+      static_cast<int>(flags.num("retry-base-ms", 200, 0, kIntMax));
 
   std::cout << "generating " << 2 * cfg.fleet.racks_per_region << " racks x "
             << cfg.fleet.hours << " hours on " << cfg.workers
@@ -439,36 +440,23 @@ int cmd_cluster(const Flags& flags) {
 int cmd_sweep(const Flags& flags) {
   cluster::SweepConfig cfg;
   cfg.base = fleet_config_from_flags(flags);
-  const std::string policies = flags.str("policies", "dt,static,delay");
-  cfg.policies.clear();
-  std::size_t pos = 0;
-  while (pos <= policies.size()) {
-    const std::size_t comma = policies.find(',', pos);
-    const std::string tok = policies.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
-    net::BufferPolicy p;
-    if (!net::parse_policy(tok, &p)) {
-      die_usage("unknown policy '" + tok +
-                "' in --policies (dt|static|complete|burst-absorb|delay)");
-    }
-    cfg.policies.push_back(p);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (flags.has("alphas")) {
-    cfg.alphas = parse_double_list(flags.str("alphas", ""), "alphas");
-  }
-  if (flags.has("boosts")) {
-    cfg.boosts = parse_double_list(flags.str("boosts", ""), "boosts");
-  }
-  if (flags.has("target-delays")) {
-    cfg.target_delays_ms =
-        parse_double_list(flags.str("target-delays", ""), "target-delays");
-  }
+  cfg.policies = list_flag(
+      flags, "policies", cfg.policies, [](const Flags& entry, auto& key) {
+        return static_cast<net::BufferPolicy>(
+            entry.choice(key, policy_names(), 0));
+      });
+  const auto real = [](const Flags& entry, auto& key) {
+    return entry.real(key, 0.0);
+  };
+  cfg.alphas = list_flag(flags, "alphas", cfg.alphas, real);
+  cfg.boosts = list_flag(flags, "boosts", cfg.boosts, real);
+  cfg.target_delays_ms =
+      list_flag(flags, "target-delays", cfg.target_delays_ms, real);
   cfg.out_dir = flags.str("out-dir", "sweep-out");
-  cfg.keep_datasets = flags.num("keep-datasets", 0) != 0;
+  cfg.keep_datasets = flags.num("keep-datasets", 0, 0, 1) != 0;
 
   const auto cells = cluster::expand_grid(cfg);
+  for (const auto& cell : cells) checked(cell.config);
   std::cout << "sweeping " << cells.size() << " policy cells x "
             << 2 * cfg.base.racks_per_region << " racks x " << cfg.base.hours
             << " hours serially...\n";
@@ -562,82 +550,33 @@ int cmd_report(const Flags& flags) {
   return 0;
 }
 
-/// Parses "--racks LO-HI" (or a single "N") into an inclusive rack-id
-/// range; throws UsageError on malformed input.
-std::pair<std::uint32_t, std::uint32_t> parse_rack_range(
-    const std::string& text) {
-  const auto parse_u32 = [&](const std::string& tok) {
-    std::size_t used = 0;
-    unsigned long v = 0;
-    try {
-      v = std::stoul(tok, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != tok.size() || tok.empty()) {
-      throw util::UsageError("bad --racks range '" + text +
-                             "' (expected LO-HI or a single rack id)");
-    }
-    return static_cast<std::uint32_t>(v);
-  };
-  const std::size_t dash = text.find('-');
-  if (dash == std::string::npos) {
-    const std::uint32_t v = parse_u32(text);
-    return {v, v};
-  }
-  const auto lo = parse_u32(text.substr(0, dash));
-  const auto hi = parse_u32(text.substr(dash + 1));
-  if (lo > hi) {
-    throw util::UsageError("bad --racks range '" + text + "' (LO > HI)");
-  }
-  return {lo, hi};
-}
-
 int cmd_query(const Flags& flags) {
   const std::string path = flags.str("dataset", "dataset.bin");
+  // Window filters.  -1 (or the full id range) means "no filter".
+  const int region_flag = flags.choice("region", {"A", "B", "a", "b"}, -1);
+  const int region = region_flag < 0 ? -1 : region_flag % 2;
+  const int hour = static_cast<int>(flags.num("hour", -1, 0, 255));
+  const auto racks = list_flag(
+      flags, "racks", std::vector<long>{0, kU32Max},
+      [](const Flags& id, auto& key) { return id.num(key, 0, 0, kU32Max); },
+      '-');
+  if (racks.size() > 2 || racks.front() > racks.back()) {
+    throw util::UsageError("bad --racks range '" + flags.str("racks", "") +
+                           "' (expected LO-HI with LO <= HI, or one id)");
+  }
+  const auto rack_lo = static_cast<std::uint32_t>(racks.front());
+  const auto rack_hi = static_cast<std::uint32_t>(racks.back());
+  // In RackClass order: RegA-Typical, RegA-High, RegB.
+  const int want_class = flags.choice("class", {"typical", "high", "regb"}, -1);
+  enum { kSummary, kWindows, kBursts };
+  const int what =
+      flags.choice("what", {"summary", "windows", "bursts"}, kSummary);
+  const long limit = flags.num("limit", 20, 0, kLongMax);
   fleet::DatasetView view;
   if (auto st = fleet::Dataset::open_mapped(path, &view); !st) {
     std::cerr << "error: " << st.to_string() << "\n";
     return 1;
   }
-
-  // Window filters.  -1 (or the full id range) means "no filter".
-  int region = -1;
-  if (flags.has("region")) {
-    const std::string r = flags.str("region", "");
-    if (r == "A" || r == "a") {
-      region = 0;
-    } else if (r == "B" || r == "b") {
-      region = 1;
-    } else {
-      die_usage("unknown --region '" + r + "' (A|B)");
-    }
-  }
-  const int hour = flags.has("hour")
-                       ? static_cast<int>(flags.num("hour", 0))
-                       : -1;
-  std::uint32_t rack_lo = 0, rack_hi = ~std::uint32_t{0};
-  if (flags.has("racks")) {
-    std::tie(rack_lo, rack_hi) = parse_rack_range(flags.str("racks", ""));
-  }
-  int want_class = -1;
-  if (flags.has("class")) {
-    const std::string c = flags.str("class", "");
-    if (c == "typical") {
-      want_class = static_cast<int>(analysis::RackClass::kRegATypical);
-    } else if (c == "high") {
-      want_class = static_cast<int>(analysis::RackClass::kRegAHigh);
-    } else if (c == "regb") {
-      want_class = static_cast<int>(analysis::RackClass::kRegB);
-    } else {
-      die_usage("unknown --class '" + c + "' (typical|high|regb)");
-    }
-  }
-  const std::string what = flags.str("what", "summary");
-  if (what != "summary" && what != "windows" && what != "bursts") {
-    die_usage("unknown --what '" + what + "' (summary|windows|bursts)");
-  }
-  const long limit = static_cast<long>(flags.num("limit", 20));
 
   const auto matches = [&](const fleet::WindowView& w) {
     if (region >= 0 && w.key.region != region) return false;
@@ -654,7 +593,7 @@ int cmd_query(const Flags& flags) {
   };
 
   long matched = 0, rows = 0, truncated = 0;
-  if (what == "windows") {
+  if (what == kWindows) {
     util::Table table({"window", "region", "hour", "rack", "class", "runs",
                        "server runs", "bursts", "avg contention"});
     for (std::size_t i = 0; i < view.num_windows(); ++i) {
@@ -680,7 +619,7 @@ int cmd_query(const Flags& flags) {
                           : std::string("-"));
     }
     table.print(std::cout);
-  } else if (what == "bursts") {
+  } else if (what == kBursts) {
     util::Table table({"window", "rack", "class", "hour", "len (ms)",
                        "volume (B)", "max contention", "avg conns",
                        "contended", "lossy"});
@@ -807,21 +746,16 @@ int main(int argc, char** argv) {
       {"simulate-rack",
        {"servers", "task", "intensity", "samples", "hour", "seed", "out"}},
       {"analyze", {"trace", "gbps"}},
-      {"fleet", with_policy_flags({"racks", "hours", "samples", "seed",
-                                   "threads", "shard", "out"})},
+      {"fleet", with_fleet_flags({"shard", "out"})},
       {"merge", {"out"}},
-      {"cluster", with_policy_flags(
-                      {"racks", "hours", "samples", "seed", "threads",
-                       "workers", "out", "shard-dir", "keep-shards",
-                       "fault-rate", "stall-ms", "max-parallel", "retry-max",
-                       "retry-base-ms"})},
-      {"worker", with_policy_flags({"racks", "hours", "samples", "seed",
-                                    "threads", "shard", "out", "attempt",
-                                    "fault-rate"})},
-      {"sweep", with_policy_flags({"racks", "hours", "samples", "seed",
-                                   "threads", "policies", "alphas", "boosts",
-                                   "target-delays", "out-dir",
-                                   "keep-datasets"})},
+      {"cluster", with_fleet_flags({"workers", "out", "shard-dir",
+                                    "keep-shards", "fault-rate", "stall-ms",
+                                    "max-parallel", "retry-max",
+                                    "retry-base-ms"})},
+      {"worker", with_fleet_flags({"shard", "out", "attempt", "fault-rate"})},
+      {"sweep", with_fleet_flags({"policies", "alphas", "boosts",
+                                  "target-delays", "out-dir",
+                                  "keep-datasets"})},
       {"report", {"dataset"}},
       {"query", {"dataset", "region", "hour", "racks", "class", "what",
                  "limit"}},
@@ -846,6 +780,9 @@ int main(int argc, char** argv) {
     if (cmd == "version") return cmd_version(flags);
     return cmd_report(flags);
   } catch (const util::UsageError& e) {
-    die_usage(e.what());
+    // Exit 2: a usage error, which the cluster coordinator does not retry.
+    std::cerr << "error: " << e.what() << "\n";
+    usage();
+    return cluster::kUsageExitCode;
   }
 }
