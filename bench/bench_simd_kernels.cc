@@ -1,10 +1,10 @@
-// bench_simd_kernels: throughput of each of the seven util::simd kernels on
-// every path available to the binary (scalar, plus AVX2 on x86 hosts that
-// have it), measured against the scalar reference.
+// bench_simd_kernels: throughput of the util::simd kernel on every path
+// available to the binary (scalar, plus AVX2 on x86 hosts that have it),
+// measured against the scalar reference.
 // scripts/check_bench_determinism.sh parses the CSV and asserts the AVX2
-// path actually pays for itself (>= 2x on the u64 tally and threshold-scan
-// kernels); the byte-identity of the *results* across paths is enforced
-// separately by the scalar cells of the same script and of
+// path actually pays for itself (>= 2x on the u64 tally); the
+// byte-identity of the *results* across paths is enforced separately by
+// the scalar cells of the same script and of
 // scripts/check_dataset_determinism.sh, and by tests/test_simd.cc.
 //
 // This bench measures wall time, so its CSV is inherently nondeterministic
@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common.h"
@@ -58,12 +57,6 @@ std::int64_t best_ns_per_call(const std::function<void()>& fn) {
   return per_call > 0 ? per_call : 1;
 }
 
-struct KernelCase {
-  std::string name;
-  std::size_t elems;
-  std::function<void()> run;
-};
-
 }  // namespace
 
 int main() {
@@ -71,98 +64,42 @@ int main() {
   msamp::bench::header(
       "simd_kernels",
       "util::simd dispatch: the AVX2 path vs the scalar reference on the "
-      "sampler tally, burst threshold-scan, and fluid-rack kernels");
+      "sampler's per-CPU counter tally");
 
   // 16 KiB per u64 array: a src+dst pair stays L1-resident, so the numbers
-  // measure kernel arithmetic, not cache bandwidth — which matches how the
-  // call sites use these kernels (TcFilter rows and rack arrays are small).
+  // measure kernel arithmetic, not cache bandwidth.
   constexpr std::size_t kN = 1u << 11;
   msamp::util::Rng rng(42);
-
-  // core::BucketSample is six 8-byte words; burst detection gathers its
-  // in_bytes column at that stride.
-  constexpr std::size_t kSampleStride = 6;
   std::vector<std::uint64_t> u_dst(kN), u_src(kN);
-  std::vector<std::int64_t> i_src(kN), i_aux(kN), i_out(kN);
-  std::vector<std::int64_t> samples(kN * kSampleStride);
-  std::vector<std::uint64_t> mask((kN + 63) / 64);
-  std::vector<double> d_src(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     u_dst[i] = rng.next() >> 1;
     u_src[i] = rng.next() >> 20;
-    i_src[i] = static_cast<std::int64_t>(rng.uniform_int(1u << 20));
-    i_aux[i] = static_cast<std::int64_t>(rng.uniform_int(1u << 20));
-    d_src[i] = rng.uniform(-1.0, 1.0);
   }
-  for (auto& w : samples) {
-    w = static_cast<std::int64_t>(rng.uniform_int(1u << 20));
-  }
-  // About half the samples clear the threshold, so the mask holds many
-  // short runs. extract_runs reads the mask built here, which the
-  // threshold_mask_i64 row rewrites with the same bits on every call.
-  constexpr std::int64_t kThreshold = 1 << 19;
-  simd::threshold_mask_i64(i_src.data(), kN, kThreshold, mask.data());
   const std::size_t tally_words = (kN / simd::kRowWords) * simd::kRowWords;
-
-  std::vector<KernelCase> cases;
-  cases.push_back({"tally_rows_u64", tally_words, [&] {
-                     simd::tally_rows_u64(u_dst.data(), u_src.data(),
-                                          tally_words);
-                     keep(u_dst.data());
-                   }});
-  cases.push_back({"sum_i64", kN, [&] {
-                     std::int64_t s = simd::sum_i64(i_src.data(), kN);
-                     keep(&s);
-                   }});
-  cases.push_back({"threshold_mask_i64", kN, [&] {
-                     simd::threshold_mask_i64(i_src.data(), kN, kThreshold,
-                                              mask.data());
-                     keep(mask.data());
-                   }});
-  // One shared implementation on both paths, so its speedup reads ~1x.
-  cases.push_back({"extract_runs", kN, [&] {
-                     const auto runs = simd::extract_runs(mask.data(), kN);
-                     keep(runs.data());
-                   }});
-  cases.push_back({"gather_stride_i64", kN, [&] {
-                     simd::gather_stride_i64(samples.data(), kSampleStride,
-                                             kN, i_out.data());
-                     keep(i_out.data());
-                   }});
-  cases.push_back({"dt_admit_i64", kN, [&] {
-                     simd::dt_admit_i64(i_src.data(), i_aux.data(),
-                                        i_aux.data(), 1 << 10, i_out.data(),
-                                        kN);
-                     keep(i_out.data());
-                   }});
-  cases.push_back({"sum_f64", kN, [&] {
-                     double s = simd::sum_f64(d_src.data(), kN);
-                     keep(&s);
-                   }});
+  const std::function<void()> tally = [&] {
+    simd::tally_rows_u64(u_dst.data(), u_src.data(), tally_words);
+    keep(u_dst.data());
+  };
 
   const IsaPath original = simd::active_path();
-  const auto paths = simd::available_paths();
-
   msamp::util::Table table({"kernel", "path", "elems", "ns_per_call",
                             "melems_per_s", "speedup_vs_scalar"});
-  for (const auto& kc : cases) {
-    std::int64_t scalar_ns = 0;
-    for (IsaPath p : paths) {
-      simd::force_path(p);
-      const std::int64_t ns = best_ns_per_call(kc.run);
-      if (p == IsaPath::kScalar) scalar_ns = ns;
-      const double melems =
-          static_cast<double>(kc.elems) * 1e3 / static_cast<double>(ns);
-      const double speedup =
-          static_cast<double>(scalar_ns) / static_cast<double>(ns);
-      table.row()
-          .cell(kc.name)
-          .cell(simd::path_name(p))
-          .cell(kc.elems)
-          .cell(ns)
-          .cell(melems, 1)
-          .cell(speedup, 2);
-    }
+  std::int64_t scalar_ns = 0;
+  for (IsaPath p : simd::available_paths()) {
+    simd::force_path(p);
+    const std::int64_t ns = best_ns_per_call(tally);
+    if (p == IsaPath::kScalar) scalar_ns = ns;
+    const double melems =
+        static_cast<double>(tally_words) * 1e3 / static_cast<double>(ns);
+    const double speedup =
+        static_cast<double>(scalar_ns) / static_cast<double>(ns);
+    table.row()
+        .cell("tally_rows_u64")
+        .cell(simd::path_name(p))
+        .cell(tally_words)
+        .cell(ns)
+        .cell(melems, 1)
+        .cell(speedup, 2);
   }
   simd::force_path(original);
 

@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
 
-#include "util/simd/simd.h"
+#include "net/shared_buffer.h"
 #include "workload/diurnal.h"
 
 namespace msamp::fleet {
-
-// The SIMD stages below read StepDemand::bytes as a strided i64 column; pin
-// the layout so a struct edit cannot silently skew the gather.
-static_assert(std::is_standard_layout_v<workload::StepDemand>);
-static_assert(offsetof(workload::StepDemand, bytes) == 0,
-              "bytes must be the first StepDemand field");
-static_assert(sizeof(workload::StepDemand) % sizeof(std::int64_t) == 0,
-              "StepDemand must be a whole number of 64-bit words");
-constexpr std::size_t kDemandStride =
-    sizeof(workload::StepDemand) / sizeof(std::int64_t);
 
 FluidRack::FluidRack(const workload::RackMeta& rack, const FleetConfig& config,
                      int hour, util::Rng rng) {
@@ -36,17 +25,11 @@ void FluidRack::arm(const workload::RackMeta& rack, const FleetConfig& config,
   alpha_ = config.buffer.alpha;
   ecn_threshold_ = config.buffer.ecn_threshold;
 
-  // Same shared-pool carve-out as net::SharedBuffer.
   const int quads = config.buffer.quadrants;
   const auto nq = static_cast<std::size_t>(quads);
-  int max_in_quadrant = 0;
-  for (int q = 0; q < quads; ++q) {
-    int cnt = 0;
-    for (int i = q; i < num_servers_; i += quads) ++cnt;
-    max_in_quadrant = std::max(max_in_quadrant, cnt);
-  }
-  shared_capacity_per_quadrant_ = std::max<std::int64_t>(
-      0, config.buffer.total_bytes / quads - max_in_quadrant * reserve_);
+  shared_capacity_per_quadrant_ =
+      net::SharedBuffer::shared_capacity_per_quadrant(config.buffer,
+                                                      num_servers_);
   shared_used_.assign(nq, 0);
   quad_transient_.assign(nq, 0);
   bursting_prev_.assign(n, 0);
@@ -61,11 +44,6 @@ void FluidRack::arm(const workload::RackMeta& rack, const FleetConfig& config,
   new_transient_.resize(nq);
   quad_bursting_.resize(nq);
   demands_.resize(n);
-  demand_bytes_.resize(n);
-  limit_v_.resize(n);
-  qlen_v_.resize(n);
-  free_shared_v_.resize(n);
-  accepted_v_.resize(n);
 
   const double diurnal = workload::diurnal_multiplier(rack.region, hour);
   core::ClockModelConfig clock_cfg = config.clocks;
@@ -130,6 +108,7 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
   if (config_.fabric.enabled) {
     // 1. Smoothing: a slice of each server's arrivals sits in the fabric's
     //    deep buffers for one step (bytes conserved via the carry).
+    std::int64_t aggregate = 0;
     for (int s = 0; s < num_servers_; ++s) {
       auto& d = demands_[static_cast<std::size_t>(s)];
       auto& carry = fabric_carry_[static_cast<std::size_t>(s)];
@@ -144,17 +123,13 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
           1.0 - (1.0 - d.smoothness) * (1.0 - config_.fabric.smoothing);
       // Holding back fresh bytes must not leave retx exceeding the total.
       d.retx_bytes = std::min(d.retx_bytes, d.bytes);
+      aggregate += d.bytes;
     }
     // 2. Uplink cap: the rack's aggregate arrival cannot exceed the trunk;
     //    the excess is discarded upstream (fabric congestion discards) and
     //    retransmitted by the senders like any other loss.
     const auto uplink_per_ms = static_cast<std::int64_t>(
         config_.fabric.uplink_gbps * 1e9 / 8.0 / 1000.0);
-    util::simd::gather_stride_i64(
-        reinterpret_cast<const std::int64_t*>(demands_.data()), kDemandStride,
-        demands_.size(), demand_bytes_.data());
-    const std::int64_t aggregate =
-        util::simd::sum_i64(demand_bytes_.data(), demand_bytes_.size());
     if (aggregate > uplink_per_ms) {
       const double keep = static_cast<double>(uplink_per_ms) /
                           static_cast<double>(aggregate);
@@ -173,56 +148,37 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
     }
   }
 
-  // --- admission limits under the configured sharing policy ---
-  // Phase 1 walks the servers in order making the policy calls (their
-  // internal-state update sequence must match the old fused loop exactly),
-  // phase 2 hands the admission arithmetic to the element-wise SIMD kernel,
-  // and phase 3 below replays the rest of the per-server pipeline. All the
-  // math between the phases is integer, so the split is byte-identical.
-  const auto n_servers = static_cast<std::size_t>(num_servers_);
-  util::simd::gather_stride_i64(
-      reinterpret_cast<const std::int64_t*>(demands_.data()), kDemandStride,
-      n_servers, demand_bytes_.data());
+  // One pass per server, in server order: each server's policy calls come
+  // before its Rng draws, so the policy's state and the Rng stream see the
+  // same call sequence on every run.
   for (int s = 0; s < num_servers_; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    const Queue& q = queues_[si];
+    auto& proc = processes_[static_cast<std::size_t>(s)];
+    Queue& q = queues_[static_cast<std::size_t>(s)];
     const int quad = s % quads;
-    const workload::StepDemand& d = demands_[si];
-    free_shared_v_[si] = std::max<std::int64_t>(
+    const workload::StepDemand& d = demands_[static_cast<std::size_t>(s)];
+
+    // --- admission limit under the configured sharing policy ---
+    const std::int64_t free_shared = std::max<std::int64_t>(
         shared_capacity_per_quadrant_ -
             shared_snapshot_[static_cast<std::size_t>(quad)],
         0);
     net::PolicyQueueState ps;
     ps.queue_len = q.len;
     ps.shared_len = std::max<std::int64_t>(q.len - reserve_, 0);
-    ps.free_shared = free_shared_v_[si];
+    ps.free_shared = free_shared;
     ps.shared_capacity = shared_capacity_per_quadrant_;
     ps.queues_in_quadrant = queues_per_quadrant_[static_cast<std::size_t>(quad)];
     ps.arriving_bytes = d.bytes;
     ps.drain_bytes_per_ms = drain_per_ms_;
-    limit_v_[si] = reserve_ + policy_->policy_limit(s, ps);
+    const std::int64_t limit = reserve_ + policy_->policy_limit(s, ps);
     // The whole step's demand is one arrival observation, accepted or not
     // (kBurstAbsorbDt keys burst freshness off offered demand).
     policy_->on_enqueue(s, d.bytes);
-    qlen_v_[si] = q.len;
-  }
-  // The queue drains while it fills, so up to (limit - len) + drain bytes
-  // fit within the step: accepted = min(demand, max(limit - len, 0) + drain).
-  util::simd::dt_admit_i64(demand_bytes_.data(), limit_v_.data(),
-                           qlen_v_.data(), drain_per_ms_, accepted_v_.data(),
-                           n_servers);
 
-  for (int s = 0; s < num_servers_; ++s) {
-    auto& proc = processes_[static_cast<std::size_t>(s)];
-    Queue& q = queues_[static_cast<std::size_t>(s)];
-    const int quad = s % quads;
-
-    const workload::StepDemand& d = demands_[static_cast<std::size_t>(s)];
-
-    const std::int64_t free_shared =
-        free_shared_v_[static_cast<std::size_t>(s)];
-    const std::int64_t limit = limit_v_[static_cast<std::size_t>(s)];
-    std::int64_t accepted = accepted_v_[static_cast<std::size_t>(s)];
+    // The queue drains while it fills, so up to (limit - len) + drain bytes
+    // fit within the step.
+    std::int64_t accepted = std::min(
+        d.bytes, std::max<std::int64_t>(limit - q.len, 0) + drain_per_ms_);
     std::int64_t dropped = d.bytes - accepted;
 
     // Sub-millisecond collision drops: when several bursts share a

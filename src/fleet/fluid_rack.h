@@ -103,11 +103,6 @@ class FluidRack {
   std::vector<std::int64_t> new_transient_;
   std::vector<int> quad_bursting_;
   std::vector<workload::StepDemand> demands_;
-  std::vector<std::int64_t> demand_bytes_;
-  std::vector<std::int64_t> limit_v_;
-  std::vector<std::int64_t> qlen_v_;
-  std::vector<std::int64_t> free_shared_v_;
-  std::vector<std::int64_t> accepted_v_;
 
   std::vector<core::RunRecord> records_;  ///< run()'s per-server reads
   FluidRackResult result_;

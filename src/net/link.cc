@@ -27,8 +27,7 @@ void Link::start_transmission() {
     return;
   }
   transmitting_ = true;
-  const Packet pkt = queue_.front();
-  queue_.pop_front();
+  const Packet pkt = queue_.pop_front();
   const sim::SimDuration ser = sim::serialize_time(pkt.bytes, config_.gbps);
   // After serialization the wire is free for the next packet; the packet
   // itself arrives one propagation delay later.

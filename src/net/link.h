@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "net/packet.h"
+#include "net/packet_fifo.h"
 #include "sim/simulator.h"
 
 namespace msamp::net {
@@ -51,7 +51,7 @@ class Link {
   sim::Simulator& simulator_;
   LinkConfig config_;
   Deliver deliver_;
-  std::deque<Packet> queue_;
+  PacketFifo queue_;
   bool transmitting_ = false;
   std::int64_t backlog_ = 0;
   std::int64_t offered_bytes_ = 0;

@@ -7,24 +7,29 @@ namespace msamp::net {
 
 SharedBuffer::SharedBuffer(const SharedBufferConfig& config, int num_queues)
     : config_(config),
+      shared_capacity_per_quadrant_(
+          shared_capacity_per_quadrant(config, num_queues)),
       policy_(make_policy(config, num_queues)),
-      queues_(static_cast<std::size_t>(num_queues)) {
+      queues_(static_cast<std::size_t>(num_queues)),
+      shared_used_(static_cast<std::size_t>(config.quadrants), 0),
+      queues_per_quadrant_(static_cast<std::size_t>(config.quadrants), 0) {
   assert(config_.quadrants > 0);
   assert(num_queues > 0);
+  for (int i = 0; i < num_queues; ++i) {
+    ++queues_per_quadrant_[static_cast<std::size_t>(quadrant_of(i))];
+  }
+}
+
+std::int64_t SharedBuffer::shared_capacity_per_quadrant(
+    const SharedBufferConfig& config, int num_queues) {
   // Reserves are carved out of each quadrant; what remains is the shared
   // pool.  With the paper's numbers (4MB quadrant, ~24 queues, 16KB
   // reserve) this yields the ~3.6MB shared pool described in §3.
-  int max_queues_in_quadrant = 0;
-  for (int q = 0; q < config_.quadrants; ++q) {
-    int cnt = 0;
-    for (int i = q; i < num_queues; i += config_.quadrants) ++cnt;
-    max_queues_in_quadrant = std::max(max_queues_in_quadrant, cnt);
-  }
-  const std::int64_t quadrant_bytes = config_.total_bytes / config_.quadrants;
-  shared_capacity_per_quadrant_ =
-      quadrant_bytes - max_queues_in_quadrant * config_.reserve_per_queue;
-  if (shared_capacity_per_quadrant_ < 0) shared_capacity_per_quadrant_ = 0;
-  shared_used_.assign(static_cast<std::size_t>(config_.quadrants), 0);
+  const int max_queues_in_quadrant =
+      num_queues / config.quadrants + (num_queues % config.quadrants != 0);
+  return std::max<std::int64_t>(
+      0, config.total_bytes / config.quadrants -
+             max_queues_in_quadrant * config.reserve_per_queue);
 }
 
 std::int64_t SharedBuffer::policy_limit(int queue,
@@ -36,11 +41,7 @@ std::int64_t SharedBuffer::policy_limit(int queue,
   qs.free_shared = shared_capacity_per_quadrant_ -
                    shared_used_[static_cast<std::size_t>(quad)];
   qs.shared_capacity = shared_capacity_per_quadrant_;
-  int queues_in_quadrant = 0;
-  for (int i = quad; i < num_queues(); i += config_.quadrants) {
-    ++queues_in_quadrant;
-  }
-  qs.queues_in_quadrant = queues_in_quadrant;
+  qs.queues_in_quadrant = queues_per_quadrant_[static_cast<std::size_t>(quad)];
   qs.arriving_bytes = arriving;
   // The packet MMU does not model egress drain, so rate-based burst
   // detection is neutralized (kBurstAbsorbDt behaves as plain DT here; the

@@ -86,6 +86,13 @@ class SharedBuffer {
     return queue % config_.quadrants;
   }
 
+  /// Shared pool of one quadrant: the quadrant's bytes less a reserve for
+  /// each queue of the fullest quadrant (queues map round-robin, so that
+  /// is ceil(num_queues / quadrants)), floored at 0.  The fluid rack
+  /// carves its pool out the same way.
+  static std::int64_t shared_capacity_per_quadrant(
+      const SharedBufferConfig& config, int num_queues);
+
   /// Closed-form DT fixed point: the share of the *shared* buffer one of S
   /// saturated queues converges to, T = alpha*B / (1 + alpha*S).  Exposed
   /// for Figure 1 and cross-checked against the MMU in tests.
@@ -112,6 +119,7 @@ class SharedBuffer {
   std::unique_ptr<BufferSharingPolicy> policy_;
   std::vector<Queue> queues_;
   std::vector<std::int64_t> shared_used_;  ///< per quadrant
+  std::vector<int> queues_per_quadrant_;
 };
 
 }  // namespace msamp::net

@@ -65,8 +65,7 @@ void Switch::drain_port(int port) {
     return;
   }
   p.transmitting = true;
-  const Packet pkt = p.fifo.front();
-  p.fifo.pop_front();
+  const Packet pkt = p.fifo.pop_front();
   const sim::SimDuration ser =
       sim::serialize_time(pkt.bytes, config_.downlink_gbps);
   // At 72 bytes this is the largest capture of any event in the tree; it

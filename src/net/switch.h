@@ -5,12 +5,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
+#include "net/packet_fifo.h"
 #include "net/shared_buffer.h"
 #include "sim/simulator.h"
 
@@ -61,7 +61,7 @@ class Switch {
   struct Port {
     HostId host = kNoHost;
     Deliver deliver;
-    std::deque<Packet> fifo;
+    PacketFifo fifo;
     bool transmitting = false;
   };
 

@@ -1,5 +1,5 @@
 // util::simd dispatcher: one-time CPU feature detection, the MSAMP_SIMD
-// environment override, and the function-pointer indirection every public
+// environment override, and the function-pointer indirection the public
 // kernel entry point goes through.
 //
 // MSAMP_SIMD is read exactly once, at first dispatch; like MSAMP_THREADS it
@@ -128,71 +128,6 @@ bool env_honored() noexcept { return state().env_honored; }
 void tally_rows_u64(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t n_words) noexcept {
   active_table().tally_rows_u64(dst, src, n_words);
-}
-
-std::int64_t sum_i64(const std::int64_t* v, std::size_t n) noexcept {
-  return active_table().sum_i64(v, n);
-}
-
-void threshold_mask_i64(const std::int64_t* v, std::size_t n,
-                        std::int64_t threshold,
-                        std::uint64_t* mask_words) noexcept {
-  active_table().threshold_mask_i64(v, n, threshold, mask_words);
-}
-
-std::vector<Run> extract_runs(const std::uint64_t* mask_words, std::size_t n) {
-  // Shared scalar pass over the mask words: identical on both paths, so run
-  // boundaries can never diverge between them.
-  std::vector<Run> runs;
-  bool open = false;
-  std::size_t start = 0;
-  const std::size_t words = (n + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t word = mask_words[w];
-    const std::size_t base = w * 64;
-    if (word == 0) {
-      if (open) {
-        runs.push_back({start, base - start});
-        open = false;
-      }
-      continue;
-    }
-    if (word == ~std::uint64_t{0} && base + 64 <= n) {
-      if (!open) {
-        start = base;
-        open = true;
-      }
-      continue;
-    }
-    for (std::size_t b = 0; b < 64 && base + b < n; ++b) {
-      if ((word >> b) & 1u) {
-        if (!open) {
-          start = base + b;
-          open = true;
-        }
-      } else if (open) {
-        runs.push_back({start, base + b - start});
-        open = false;
-      }
-    }
-  }
-  if (open) runs.push_back({start, n - start});
-  return runs;
-}
-
-void gather_stride_i64(const std::int64_t* base, std::size_t stride_words,
-                       std::size_t n, std::int64_t* out) noexcept {
-  active_table().gather_stride_i64(base, stride_words, n, out);
-}
-
-void dt_admit_i64(const std::int64_t* demand, const std::int64_t* limit,
-                  const std::int64_t* queue_len, std::int64_t drain,
-                  std::int64_t* accepted, std::size_t n) noexcept {
-  active_table().dt_admit_i64(demand, limit, queue_len, drain, accepted, n);
-}
-
-double sum_f64(const double* v, std::size_t n) noexcept {
-  return active_table().sum_f64(v, n);
 }
 
 }  // namespace msamp::util::simd

@@ -1,4 +1,4 @@
-// AVX2 kernel implementations (256-bit lanes, 4x u64/i64/f64 per vector).
+// AVX2 kernel implementation (256-bit lanes, 4x u64 per vector).
 // Compiled with -mavx2 only in this translation unit; the dispatcher checks
 // CPUID before routing here.
 #include <immintrin.h>
@@ -88,109 +88,12 @@ void tally_rows_u64_avx2(std::uint64_t* dst, const std::uint64_t* src,
   }
 }
 
-std::int64_t sum_i64_avx2(const std::int64_t* v, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-  }
-  std::uint64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) total += static_cast<std::uint64_t>(v[i]);
-  return static_cast<std::int64_t>(total);
-}
-
-void threshold_mask_i64_avx2(const std::int64_t* v, std::size_t n,
-                             std::int64_t threshold,
-                             std::uint64_t* mask_words) {
-  const __m256i thr = _mm256_set1_epi64x(threshold);
-  const std::size_t words = (n + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) mask_words[w] = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    const int bits =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(x, thr)));
-    mask_words[i / 64] |= static_cast<std::uint64_t>(bits) << (i % 64);
-  }
-  for (; i < n; ++i) {
-    if (v[i] > threshold) {
-      mask_words[i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-  }
-}
-
-void gather_stride_i64_avx2(const std::int64_t* base, std::size_t stride_words,
-                            std::size_t n, std::int64_t* out) {
-  const long long s = static_cast<long long>(stride_words);
-  const __m256i idx = _mm256_setr_epi64x(0, s, 2 * s, 3 * s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i g = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(base + i * stride_words), idx, 8);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), g);
-  }
-  for (; i < n; ++i) out[i] = base[i * stride_words];
-}
-
-void dt_admit_i64_avx2(const std::int64_t* demand, const std::int64_t* limit,
-                       const std::int64_t* queue_len, std::int64_t drain,
-                       std::int64_t* accepted, std::size_t n) {
-  const __m256i drain_v = _mm256_set1_epi64x(drain);
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i dem =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(demand + i));
-    const __m256i lim =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(limit + i));
-    const __m256i ql =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(queue_len + i));
-    __m256i room = _mm256_sub_epi64(lim, ql);
-    room = _mm256_blendv_epi8(room, zero, _mm256_cmpgt_epi64(zero, room));
-    room = _mm256_add_epi64(room, drain_v);
-    const __m256i acc =
-        _mm256_blendv_epi8(dem, room, _mm256_cmpgt_epi64(dem, room));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(accepted + i), acc);
-  }
-  for (; i < n; ++i) {
-    std::int64_t room = limit[i] - queue_len[i];
-    if (room < 0) room = 0;
-    room += drain;
-    accepted[i] = demand[i] < room ? demand[i] : room;
-  }
-}
-
-double sum_f64_avx2(const double* v, std::size_t n) {
-  // Pinned DAG, AVX2 realization: one vaddpd per step keeps each of the
-  // four lanes a serial chain. Horizontal combine: low128 + high128 yields
-  // {acc0+acc2, acc1+acc3}; the final scalar add is the tree root.
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kFoldLanes <= n; i += kFoldLanes) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(v + i));
-  }
-  const __m128d pair =
-      _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-  double r = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  for (; i < n; ++i) r += v[i];
-  return r;
-}
-
 }  // namespace
 
 const KernelTable& avx2_table() noexcept {
   static constexpr KernelTable kTable = {
       IsaPath::kAvx2,
       tally_rows_u64_avx2,
-      sum_i64_avx2,
-      threshold_mask_i64_avx2,
-      gather_stride_i64_avx2,
-      dt_admit_i64_avx2,
-      sum_f64_avx2,
   };
   return kTable;
 }

@@ -16,19 +16,10 @@ namespace msamp::util::simd::internal {
 struct KernelTable {
   IsaPath path;
   void (*tally_rows_u64)(std::uint64_t*, const std::uint64_t*, std::size_t);
-  std::int64_t (*sum_i64)(const std::int64_t*, std::size_t);
-  void (*threshold_mask_i64)(const std::int64_t*, std::size_t, std::int64_t,
-                             std::uint64_t*);
-  void (*gather_stride_i64)(const std::int64_t*, std::size_t, std::size_t,
-                            std::int64_t*);
-  void (*dt_admit_i64)(const std::int64_t*, const std::int64_t*,
-                       const std::int64_t*, std::int64_t, std::int64_t*,
-                       std::size_t);
-  double (*sum_f64)(const double*, std::size_t);
 };
 
-/// Always present: the reference implementations, compiled with
-/// auto-vectorization disabled so they stay honestly scalar.
+/// Always present: the reference implementation, compiled with
+/// auto-vectorization disabled so it stays honestly scalar.
 const KernelTable& scalar_table() noexcept;
 
 #if defined(MSAMP_SIMD_HAVE_AVX2)

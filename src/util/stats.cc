@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/simd/simd.h"
-
 namespace msamp::util {
 
 void StreamingStats::add(double x) noexcept {
@@ -130,11 +128,21 @@ double safe_ratio(double num, double den) noexcept {
 }
 
 double canonical_sum(const double* data, std::size_t n) noexcept {
-  // The contract is the fixed-width lane-then-tree DAG pinned in
-  // util::simd::sum_f64; both SIMD paths must reproduce those exact bytes
-  // (proven by tests/test_simd.cc and the scalar cells of
-  // scripts/check_dataset_determinism.sh and check_bench_determinism.sh).
-  return simd::sum_f64(data, n);
+  // The pinned lane-then-tree DAG documented in stats.h: four serial lane
+  // chains, the (l0+l2)+(l1+l3) combine, then a serial tail.  GCC does not
+  // reassociate floating point without -ffast-math, so vectorization flags
+  // cannot move these bytes; tests/test_stats.cc pins them bit for bit.
+  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    acc0 += data[i];
+    acc1 += data[i + 1];
+    acc2 += data[i + 2];
+    acc3 += data[i + 3];
+  }
+  double r = (acc0 + acc2) + (acc1 + acc3);
+  for (; i < n; ++i) r += data[i];
+  return r;
 }
 
 double canonical_sum(const std::vector<double>& data) noexcept {

@@ -111,16 +111,17 @@ double safe_ratio(double num, double den) noexcept;
 // float/double reduction on an output path therefore goes through one of
 // these helpers, each of which pins a single named addition DAG.
 // `canonical_sum_over` (the form every fleet-dataset byte goes through)
-// stays a strict left fold.  The contiguous `canonical_sum` is pinned to
-// the fixed-width lane-then-tree fold implemented by `util::simd::sum_f64`
-// (4 serial accumulator lanes, tree combine `(l0+l2)+(l1+l3)`, serial
-// tail), which the scalar and AVX2 paths reproduce byte-identically — the
-// scalar cells of scripts/check_dataset_determinism.sh and
-// scripts/check_bench_determinism.sh enforce it (docs/SIMD.md,
-// docs/PERFORMANCE.md).  msamp_lint's `float-accum-order` rule flags
-// ad-hoc `+=` loops.
+// stays a strict left fold.  The contiguous `canonical_sum` is pinned to a
+// fixed-width lane-then-tree fold:
+//
+//   lane j (j in 0..3):  acc[j] += v[4*i + j]     serial chain per lane
+//   tree combine:        r = (acc[0] + acc[2]) + (acc[1] + acc[3])
+//   tail (n % 4 values): r += v[k]                serial, left to right
+//
+// msamp_lint's `float-accum-order` rule flags ad-hoc `+=` loops
+// (docs/PERFORMANCE.md).
 
-/// Sum of n doubles in the pinned lane-then-tree order (simd::sum_f64).
+/// Sum of n doubles in the pinned lane-then-tree order.
 double canonical_sum(const double* data, std::size_t n) noexcept;
 
 /// Sum of a vector in the pinned lane-then-tree order.

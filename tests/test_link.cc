@@ -54,6 +54,24 @@ TEST(Link, PreservesFifoOrder) {
   EXPECT_EQ(order, (std::vector<FlowId>{1, 2, 3, 4, 5}));
 }
 
+TEST(Link, PacketFifoWrapsThenGrowsInOrder) {
+  // Fill the first 16-slot ring part way, drain most of it so the head
+  // moves on, refill to exactly 16 queued so the tail wraps past the end,
+  // then push 20 more so the ring grows twice while it is wrapped.
+  PacketFifo fifo;
+  FlowId next_in = 1, next_out = 1;
+  for (int i = 0; i < 10; ++i) fifo.push_back(pkt(100, next_in++));
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(fifo.pop_front().flow, next_out++);
+  for (int i = 0; i < 13; ++i) fifo.push_back(pkt(100, next_in++));
+  for (int i = 0; i < 20; ++i) fifo.push_back(pkt(100, next_in++));
+  while (!fifo.empty()) EXPECT_EQ(fifo.pop_front().flow, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  // The drained FIFO handed its grown ring back and starts a fresh one.
+  fifo.push_back(pkt(100, next_in++));
+  EXPECT_EQ(fifo.pop_front().flow, next_out++);
+  EXPECT_TRUE(fifo.empty());
+}
+
 TEST(Link, DropsWhenQueueFull) {
   sim::Simulator simulator;
   int delivered = 0;

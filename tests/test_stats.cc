@@ -1,8 +1,11 @@
 // Tests for util statistics: Welford accumulators, percentiles, CDFs,
-// box summaries and histograms.
+// box summaries, histograms and the pinned canonical_sum fold.
 #include "util/stats.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,6 +169,77 @@ TEST(SafeRatio, Basics) {
   EXPECT_DOUBLE_EQ(safe_ratio(6.0, 2.0), 3.0);
   EXPECT_DOUBLE_EQ(safe_ratio(6.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(safe_ratio(0.0, 0.0), 0.0);
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// The pinned fold DAG from stats.h, restated independently of stats.cc so
+// the reference itself is under test.
+double pinned_fold(const double* v, std::size_t n) {
+  constexpr std::size_t kLanes = 4;
+  double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::size_t j = 0; j < kLanes; ++j) acc[j] += v[i + j];
+  }
+  double r = (acc[0] + acc[2]) + (acc[1] + acc[3]);
+  for (; i < n; ++i) r += v[i];
+  return r;
+}
+
+TEST(CanonicalSum, BitIdenticalToPinnedFold) {
+  // Every length through two 64-value words plus a ragged tail, each read
+  // from a start misaligned by 0..3 doubles.
+  Rng rng(0xf01du);
+  for (std::size_t n = 0; n <= 129; ++n) {
+    for (std::size_t off = 0; off < 4; ++off) {
+      std::vector<double> v(n + off);
+      for (auto& x : v) x = rng.normal(0.0, 1e6);
+      const double want = pinned_fold(v.data() + off, n);
+      EXPECT_EQ(bits_of(canonical_sum(v.data() + off, n)), bits_of(want))
+          << "n=" << n << " off=" << off;
+    }
+  }
+}
+
+TEST(CanonicalSum, SpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> cases = {
+      {},                                  // empty -> +0.0
+      {-0.0, -0.0, -0.0, -0.0},            // full group of -0.0
+      {-0.0},                              // tail-only -0.0
+      {inf, 1.0, 2.0, 3.0, 4.0},           // inf propagates
+      {-inf, -inf, 0.0, 5.0},              // -inf propagates
+      {1e308, 1e308, -1e308, -1e308},      // overflow then cancel, per lane
+      {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}  // inexact decimals, ragged tail
+  };
+  for (const auto& v : cases) {
+    EXPECT_EQ(bits_of(canonical_sum(v.data(), v.size())),
+              bits_of(pinned_fold(v.data(), v.size())))
+        << "n=" << v.size();
+  }
+  // NaN in, NaN out (only the predicate is pinned, not the payload), and
+  // inf + -inf inside one lane chain is NaN too.
+  const std::vector<double> with_nan = {1.0, nan, 2.0, 3.0, 4.0};
+  EXPECT_TRUE(std::isnan(canonical_sum(with_nan.data(), with_nan.size())));
+  const std::vector<double> cancel_inf = {inf, 0.0, 0.0, 0.0, -inf};
+  EXPECT_TRUE(
+      std::isnan(canonical_sum(cancel_inf.data(), cancel_inf.size())));
+}
+
+TEST(CanonicalSum, VectorAndMeanFormsUseThePinnedFold) {
+  Rng rng(0xca40u);
+  std::vector<double> v(257);
+  for (auto& x : v) x = rng.lognormal(8.0, 2.0);
+  const double want = pinned_fold(v.data(), v.size());
+  EXPECT_EQ(bits_of(canonical_sum(v)), bits_of(want));
+  EXPECT_EQ(bits_of(canonical_mean(v)), bits_of(want / 257.0));
+  EXPECT_EQ(canonical_mean({}), 0.0);
 }
 
 }  // namespace
