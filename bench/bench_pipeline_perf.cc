@@ -78,22 +78,23 @@ void BM_ContentionSeries(benchmark::State& state) {
 BENCHMARK(BM_ContentionSeries)->Unit(benchmark::kMicrosecond);
 
 void BM_CombineRuns(benchmark::State& state) {
-  // 92 records with sub-ms skewed starts.
+  // 92 records that hold one fluid rack window's series, every counter
+  // as the window measured it, restarted at sub-ms skewed starts so that
+  // the grid falls between buckets.
+  const core::SyncRun window = sample_sync(92, 700);
   std::vector<core::RunRecord> records;
   util::Rng rng(4);
-  for (int s = 0; s < 92; ++s) {
+  for (std::size_t s = 0; s < window.num_servers(); ++s) {
     core::RunRecord r;
     r.host = static_cast<net::HostId>(s);
     r.start = static_cast<sim::SimTime>(rng.uniform_int(900)) *
               sim::kMicrosecond;
     r.interval = sim::kMillisecond;
-    r.buckets.resize(700);
-    for (auto& b : r.buckets) {
-      b.in_bytes = static_cast<std::int64_t>(rng.uniform_int(1 << 20));
-    }
+    r.buckets = window.series[s];
     records.push_back(std::move(r));
   }
-  // The reusing overload, as FluidRack::run calls it.
+  // The reusing overload: the SyncRun keeps its storage from one
+  // iteration to the next, so this times the trim and the alignment.
   core::SyncRun sync;
   for (auto _ : state) {
     core::combine_runs(records, sync);

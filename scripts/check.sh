@@ -53,8 +53,9 @@ fi
 # byte-level parsers — dataset (de)serialization including the hostile-blob
 # hardening tests, and the msampctl flag-parser/CLI tests — and the suites
 # whose code reuses buffers across windows (re-armed fluid racks, reused
-# combine/align/read outputs, the sketch's estimate table, the blend's
-# rounding fallback, the burst process's retransmission ring, the event
+# combine/align/read outputs, the streamed window's lane buffers, the
+# sketch's estimate table, the blend's rounding fallback and its skip of
+# an unchanged counter, the burst process's retransmission ring, the event
 # engine's slab of inline callbacks and the packet-path suites that drive
 # it) with AddressSanitizer and UBSan watching the bounds checks.  Skip
 # with MSAMP_SKIP_ASAN=1.
@@ -62,7 +63,7 @@ if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference)'
   # Cross-check: the AVX2 tally's unaligned loads and stores run under ASan
   # in the Simd suites above; the scalar path gets the same run, with the
   # multi-CPU TcFilter reads that call the kernel.
@@ -72,8 +73,8 @@ fi
 
 # Bench determinism: the parallelized benches and the fig01/fig06 figure
 # benches must emit byte-identical stdout and bench_out/ CSVs for any
-# MSAMP_THREADS and under MSAMP_SIMD=scalar; the AVX2 tally kernel must
-# beat scalar by >= 2x.
+# MSAMP_THREADS, and the three that reach the tally kernel also under
+# MSAMP_SIMD=scalar; the AVX2 tally kernel must beat scalar by >= 2x.
 scripts/check_bench_determinism.sh build
 
 # Dataset determinism: one reference day, and every other way of making

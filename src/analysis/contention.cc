@@ -4,15 +4,19 @@
 
 namespace msamp::analysis {
 
+void add_contention(std::span<const core::BucketSample> series,
+                    const BurstDetectConfig& config, std::span<int> counts) {
+  const std::int64_t threshold = burst_threshold_bytes(config);
+  for (std::size_t k = 0; k < series.size(); ++k) {
+    if (series[k].in_bytes > threshold) ++counts[k];
+  }
+}
+
 std::vector<int> contention_series(const core::SyncRun& run,
                                    const BurstDetectConfig& config) {
-  const std::size_t n = run.num_samples();
-  std::vector<int> contention(n, 0);
-  const std::int64_t threshold = burst_threshold_bytes(config);
+  std::vector<int> contention(run.num_samples(), 0);
   for (const auto& series : run.series) {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (series[k].in_bytes > threshold) ++contention[k];
-    }
+    add_contention(series, config, contention);
   }
   return contention;
 }

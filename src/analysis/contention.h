@@ -12,6 +12,12 @@
 
 namespace msamp::analysis {
 
+/// Adds one server's series to a rack's per-sample contention: counts[k]
+/// grows by one where sample k exceeds the burst threshold.  `counts`
+/// holds at least series.size() entries.
+void add_contention(std::span<const core::BucketSample> series,
+                    const BurstDetectConfig& config, std::span<int> counts);
+
 /// Per-sample contention across the rack: contention[k] = number of
 /// servers whose sample k exceeds the burst threshold.
 std::vector<int> contention_series(const core::SyncRun& run,

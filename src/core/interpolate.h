@@ -32,6 +32,13 @@ void align_series(const RunRecord& record, sim::SimTime grid_start,
 inline BucketSample lerp_sample(const BucketSample& a, const BucketSample& b,
                                 double t) {
   auto mix = [t](std::int64_t x, std::int64_t y) -> std::int64_t {
+    // A counter that did not change blends to itself: below 2^52 its
+    // double is exact and so is the blend, x + t * 0.  Most retransmission
+    // and ECN counters stay put from bucket to bucket.  Larger values keep
+    // std::llround's answer below, which past 2^53 is not x (a double
+    // cannot hold it).
+    constexpr std::int64_t kExact = std::int64_t{1} << 52;
+    if (x == y && x < kExact && x > -kExact) return x;
     const double v = static_cast<double>(x) +
                      t * (static_cast<double>(y) - static_cast<double>(x));
     // Below 2^52 both the truncation i and the remainder v - i are exact,

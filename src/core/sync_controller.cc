@@ -10,39 +10,33 @@ SyncRun combine_runs(const std::vector<RunRecord>& records) {
   return out;
 }
 
+void GridTrim::add(sim::SimTime start, sim::SimDuration duration) noexcept {
+  if (start < 0 || duration <= 0) return;
+  const bool first = latest_start_ < 0;
+  const sim::SimTime end = start + duration;
+  latest_start_ = first ? start : std::max(latest_start_, start);
+  earliest_end_ = first ? end : std::min(earliest_end_, end);
+}
+
+std::size_t GridTrim::samples() const noexcept {
+  return latest_start_ >= 0 && earliest_end_ > latest_start_
+             ? static_cast<std::size_t>((earliest_end_ - latest_start_) /
+                                        interval_)
+             : std::size_t{0};
+}
+
 void combine_runs(const std::vector<RunRecord>& records, SyncRun& out) {
-  out.grid_start = -1;
   out.interval =
       records.empty() ? sim::kMillisecond : records.front().interval;
   out.hosts.clear();
-
-  // Common window across the records that actually started: SyncMillisampler
-  // trims to the overlapping interval (§5: the average trimmed run is 1.85s
-  // of a nominal 2s).
-  sim::SimTime latest_start = -1;
-  sim::SimTime earliest_end = -1;
-  bool any = false;
-  for (const auto& r : records) {
-    if (!r.valid()) continue;
-    const sim::SimTime end = r.start + r.duration();
-    if (!any) {
-      latest_start = r.start;
-      earliest_end = end;
-      any = true;
-    } else {
-      latest_start = std::max(latest_start, r.start);
-      earliest_end = std::min(earliest_end, end);
-    }
-  }
-  const auto n = any && earliest_end > latest_start
-                     ? static_cast<std::size_t>(
-                           (earliest_end - latest_start) / out.interval)
-                     : std::size_t{0};
+  GridTrim trim(out.interval);
+  for (const auto& r : records) trim.add(r.start, r.duration());
+  out.grid_start = trim.start();
+  const std::size_t n = trim.samples();
   if (n == 0) {
     out.series.clear();
     return;
   }
-  out.grid_start = latest_start;
   out.series.resize(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     out.hosts.push_back(records[i].host);

@@ -1,6 +1,7 @@
 #include "fleet/fleet_runner.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <ranges>
@@ -26,36 +27,28 @@ std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
   return (h ^ v) * 0x100000001b3ULL;
 }
 
-/// Captures a Figure-5-style exemplar from a sync run.
-ExemplarRun make_exemplar(const core::SyncRun& sync,
-                          const std::vector<int>& contention,
-                          const analysis::BurstDetectConfig& cfg,
-                          std::uint32_t rack_id, float avg) {
-  ExemplarRun ex;
-  ex.rack_id = rack_id;
-  ex.avg_contention = avg;
-  ex.num_servers = static_cast<std::uint16_t>(sync.num_servers());
-  ex.num_samples = static_cast<std::uint16_t>(sync.num_samples());
-  const std::int64_t threshold = analysis::burst_threshold_bytes(cfg);
-  ex.raster.reserve(static_cast<std::size_t>(ex.num_servers) * ex.num_samples);
-  for (const auto& series : sync.series) {
-    for (const auto& s : series) {
-      ex.raster.push_back(s.in_bytes > threshold ? 1 : 0);
-    }
-  }
-  ex.contention.reserve(contention.size());
-  for (int c : contention) {
-    ex.contention.push_back(static_cast<std::uint16_t>(c));
-  }
-  return ex;
-}
+/// What one lane keeps from window to window: its re-armed rack and the
+/// buffers of the per-server analysis.  A lane holds one aligned series
+/// at a time, never a whole rack's, and allocates nothing large once it
+/// has run a window of the day's shape.
+struct Lane {
+  FluidRack fluid;
+  std::vector<core::BucketSample> series;  ///< the server being analysed
+  std::vector<int> contention;             ///< the rack's, per sample
+  std::vector<analysis::Burst> bursts;     ///< one per burst record
+};
 
-/// Simulates one window on `fluid` (re-armed for it) and runs the
-/// analysis pipeline on it.  Depends only on (config, rack, hour) — the
-/// RNG forks from the master seed keyed on (rack_id, hour), never on
-/// execution order, and arming resets every window state — so windows can
-/// run on any thread in any order.
-WindowRecords simulate_window(FluidRack& fluid, const FleetConfig& config,
+/// Simulates one window on `lane`'s rack (re-armed for it) and analyses
+/// it one server at a time: each server's filter is aligned into the
+/// lane's series, which feeds the rack's contention count, the server's
+/// bursts, run stats and loss association and, in the busy hour, the
+/// Figure 5 raster.  What needs the whole rack's contention (each burst's
+/// peak, the rack run's summary, the exemplar choice) is filled after the
+/// last server.  Depends only on (config, rack, hour) — the RNG forks
+/// from the master seed keyed on (rack_id, hour), never on execution
+/// order, and arming resets every window state — so windows can run on
+/// any thread in any order.
+WindowRecords simulate_window(Lane& lane, const FleetConfig& config,
                               const analysis::BurstDetectConfig& burst_cfg,
                               const workload::RackMeta& rack, int hour) {
   WindowRecords out;
@@ -63,32 +56,42 @@ WindowRecords simulate_window(FluidRack& fluid, const FleetConfig& config,
                                                    rack.rack_id) +
                                                    1000003),
                          static_cast<std::uint64_t>(hour) + 17));
+  FluidRack& fluid = lane.fluid;
   fluid.arm(rack, config, hour, rng);
-  const FluidRackResult& res = fluid.run();
-  const core::SyncRun& sync = res.sync;
-  if (sync.num_samples() == 0) return out;
+  const FluidRackTotals& res = fluid.simulate();
+  const int servers = static_cast<int>(rack.server_kind.size());
+  const std::size_t samples = fluid.num_samples();
+  if (samples == 0) return out;
   out.has_run = true;
-
-  const std::vector<int> contention =
-      analysis::contention_series(sync, burst_cfg);
-  const analysis::ContentionSummary cs =
-      analysis::summarize_contention(contention);
 
   RackRunRecord& rr = out.rack_run;
   rr.rack_id = static_cast<std::uint32_t>(rack.rack_id);
   rr.region = static_cast<std::uint8_t>(rack.region);
   rr.hour = static_cast<std::uint8_t>(hour);
-  rr.usable = cs.usable() ? 1 : 0;
-  rr.avg_contention = static_cast<float>(cs.avg);
-  rr.min_active_contention = static_cast<std::uint16_t>(cs.min_active);
-  rr.p90_contention = static_cast<std::uint16_t>(cs.p90);
-  rr.max_contention = static_cast<std::uint16_t>(cs.max);
-  rr.in_bytes = static_cast<double>(res.delivered_bytes);
-  rr.drop_bytes = static_cast<double>(res.drop_bytes);
-  rr.ecn_bytes = static_cast<double>(res.ecn_bytes);
 
-  for (std::size_t s = 0; s < sync.num_servers(); ++s) {
-    const auto& series = sync.series[s];
+  // Exemplar candidates for Figure 5 come from the busy hour.  Which
+  // candidate actually lands in the Dataset is decided by the sink's
+  // canonical-order fold: the first qualifying window wins, exactly as in
+  // a serial hour-by-hour, rack-by-rack sweep.
+  const bool busy_hour = hour == workload::kBusyHour;
+  const std::int64_t threshold = analysis::burst_threshold_bytes(burst_cfg);
+  ExemplarRun& ex = out.exemplar;
+  if (busy_hour) {
+    ex.raster.reserve(rack.server_kind.size() * samples);
+  }
+
+  std::vector<int>& contention = lane.contention;
+  contention.assign(samples, 0);
+  lane.bursts.clear();
+  for (int s = 0; s < servers; ++s) {
+    fluid.align(s, lane.series);
+    const std::vector<core::BucketSample>& series = lane.series;
+    analysis::add_contention(series, burst_cfg, contention);
+    if (busy_hour) {
+      for (const auto& x : series) {
+        ex.raster.push_back(x.in_bytes > threshold ? 1 : 0);
+      }
+    }
     const auto bursts = analysis::detect_bursts(series, burst_cfg);
     const auto stats = analysis::server_run_stats(series, bursts, burst_cfg);
     ServerRunRecord sr;
@@ -107,36 +110,45 @@ WindowRecords simulate_window(FluidRack& fluid, const FleetConfig& config,
     if (bursts.empty()) continue;
     const auto lossy = analysis::lossy_bursts(series, bursts, config.loss);
     for (std::size_t b = 0; b < bursts.size(); ++b) {
+      const std::size_t lo = bursts[b].start;
       BurstRecord rec;
       rec.rack_id = rr.rack_id;
       rec.region = rr.region;
       rec.hour = rr.hour;
       rec.len_ms = static_cast<std::uint16_t>(bursts[b].len);
       rec.volume_bytes = static_cast<float>(bursts[b].volume_bytes);
-      const std::size_t b_lo = bursts[b].start;
-      const std::size_t b_hi =
-          std::min(bursts[b].start + bursts[b].len, contention.size());
-      int max_cont = 0;
-      for (std::size_t k = b_lo; k < b_hi; ++k) {
-        max_cont = std::max(max_cont, contention[k]);
-      }
       const double conns = util::canonical_sum_over(
-          std::views::iota(b_lo, b_hi),
+          std::views::iota(lo, lo + bursts[b].len),
           [&](std::size_t k) { return series[k].connections; });
-      rec.max_contention = static_cast<std::uint16_t>(max_cont);
       rec.avg_conns =
           static_cast<float>(conns / static_cast<double>(bursts[b].len));
-      rec.contended = max_cont >= 2 ? 1 : 0;
       rec.lossy = lossy[b] ? 1 : 0;
       out.bursts.push_back(rec);
+      lane.bursts.push_back(bursts[b]);
     }
   }
 
-  // Exemplar candidates for Figure 5 (captured during the busy hour).
-  // Which candidate actually lands in the Dataset is decided by the sink's
-  // canonical-order fold: the first qualifying window wins, exactly as in
-  // a serial hour-by-hour, rack-by-rack sweep.
-  if (hour == workload::kBusyHour) {
+  // The rack's contention is complete: each burst's peak, then the run's.
+  for (std::size_t i = 0; i < out.bursts.size(); ++i) {
+    const auto first =
+        contention.begin() + static_cast<std::ptrdiff_t>(lane.bursts[i].start);
+    const int max_cont = *std::max_element(
+        first, first + static_cast<std::ptrdiff_t>(lane.bursts[i].len));
+    out.bursts[i].max_contention = static_cast<std::uint16_t>(max_cont);
+    out.bursts[i].contended = max_cont >= 2 ? 1 : 0;
+  }
+  const analysis::ContentionSummary cs =
+      analysis::summarize_contention(contention);
+  rr.usable = cs.usable() ? 1 : 0;
+  rr.avg_contention = static_cast<float>(cs.avg);
+  rr.min_active_contention = static_cast<std::uint16_t>(cs.min_active);
+  rr.p90_contention = static_cast<std::uint16_t>(cs.p90);
+  rr.max_contention = static_cast<std::uint16_t>(cs.max);
+  rr.in_bytes = static_cast<double>(res.delivered_bytes);
+  rr.drop_bytes = static_cast<double>(res.drop_bytes);
+  rr.ecn_bytes = static_cast<double>(res.ecn_bytes);
+
+  if (busy_hour) {
     const double high_cut = config.classify.high_threshold;
     if (cs.avg > 0.1 && cs.avg < high_cut / 4.0 && cs.max <= 4) {
       out.exemplar_kind |= kLowExemplar;
@@ -144,9 +156,17 @@ WindowRecords simulate_window(FluidRack& fluid, const FleetConfig& config,
     if (cs.avg > high_cut) {
       out.exemplar_kind |= kHighExemplar;
     }
-    if (out.exemplar_kind != 0) {
-      out.exemplar = make_exemplar(sync, contention, burst_cfg, rr.rack_id,
-                                   rr.avg_contention);
+    if (out.exemplar_kind == 0) {
+      ex = ExemplarRun{};  // not a candidate: drop the raster
+    } else {
+      ex.rack_id = rr.rack_id;
+      ex.avg_contention = rr.avg_contention;
+      ex.num_servers = static_cast<std::uint16_t>(servers);
+      ex.num_samples = static_cast<std::uint16_t>(samples);
+      ex.contention.reserve(samples);
+      for (int c : contention) {
+        ex.contention.push_back(static_cast<std::uint16_t>(c));
+      }
     }
   }
   return out;
@@ -233,15 +253,16 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
 
   // Windows are simulated in bounded chunks that fan out over the pool, so
   // peak memory is one chunk of window records, independent of shard (or
-  // day) size.  Each lane re-arms one FluidRack for all its windows (an
-  // unarmed rack holds no storage, so a run without windows allocates none).
+  // day) size.  Each lane re-arms one FluidRack for all its windows and
+  // keeps one server's aligned series (an unarmed rack and an empty lane
+  // hold no storage, so a run without windows allocates none).
   //
   // Commit: the lane that finishes the window at the chunk's cursor hands
   // it and every ready successor to the sink, under one mutex, so the sink
   // sees windows strictly in canonical order with no gaps — the bytes
   // cannot depend on which lane ran which window, or in what order.
   util::ThreadPool pool(config.threads);
-  std::vector<FluidRack> fluid(static_cast<std::size_t>(pool.size()));
+  std::vector<Lane> lanes(static_cast<std::size_t>(pool.size()));
   const std::size_t chunk_windows =
       std::max<std::size_t>(static_cast<std::size_t>(pool.size()) * 8, 64);
   std::mutex commit_mu;
@@ -257,7 +278,7 @@ void run_fleet(const FleetConfig& config, const ShardSpec& shard,
           const std::size_t w = chunk + i;
           const int hour = static_cast<int>(w / racks.size());
           const workload::RackMeta& rack = racks[w % racks.size()];
-          slots[i] = simulate_window(fluid[static_cast<std::size_t>(lane)],
+          slots[i] = simulate_window(lanes[static_cast<std::size_t>(lane)],
                                      config, burst_cfg, rack, hour);
           std::lock_guard<std::mutex> lock(commit_mu);
           ready[i] = 1;

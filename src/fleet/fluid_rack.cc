@@ -18,6 +18,8 @@ void FluidRack::arm(const workload::RackMeta& rack, const FleetConfig& config,
   config_ = config;
   rng_ = rng;
   num_servers_ = static_cast<int>(rack.server_kind.size());
+  grid_start_ = -1;
+  num_samples_ = 0;
   const auto n = static_cast<std::size_t>(num_servers_);
   drain_per_ms_ =
       static_cast<std::int64_t>(config.line_rate_gbps * 1e9 / 8.0 / 1000.0);
@@ -80,7 +82,7 @@ void FluidRack::arm(const workload::RackMeta& rack, const FleetConfig& config,
   }
 }
 
-void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
+void FluidRack::step(sim::SimTime now, bool sampling, FluidRackTotals* result) {
   const int quads = static_cast<int>(shared_used_.size());
   // Snapshot shared occupancy (including last step's transient component)
   // so every queue sees the same DT limit this step — packets interleave
@@ -304,9 +306,9 @@ void FluidRack::step(sim::SimTime now, bool sampling, FluidRackResult* result) {
   quad_transient_.swap(new_transient_);
 }
 
-const FluidRackResult& FluidRack::run() {
-  // Zero the byte counters; the sync run keeps its storage for reuse.
-  result_ = FluidRackResult{.sync = std::move(result_.sync)};
+const FluidRackTotals& FluidRack::simulate() {
+  FluidRackTotals& totals = result_;
+  totals = FluidRackTotals{};
   sim::SimTime now = 0;
   for (int t = 0; t < config_.warmup_ms; ++t) {
     step(now, /*sampling=*/false, nullptr);
@@ -320,18 +322,40 @@ const FluidRackResult& FluidRack::run() {
   // a negative clock offset re-latches the start on the second step, and
   // this step fills that filter's last bucket.)
   for (int t = 0; t <= config_.samples_per_run; ++t) {
-    step(now, /*sampling=*/true, &result_);
+    step(now, /*sampling=*/true, &totals);
     now += sim::kMillisecond;
   }
-  records_.resize(filters_.size());
-  for (int s = 0; s < num_servers_; ++s) {
-    core::RunRecord& r = records_[static_cast<std::size_t>(s)];
-    r.host = static_cast<net::HostId>(s);
-    r.start = filters_[static_cast<std::size_t>(s)].start_time();
-    r.interval = sim::kMillisecond;
-    filters_[static_cast<std::size_t>(s)].read_aggregated(r.buckets);
+  core::GridTrim trim(sim::kMillisecond);
+  for (const auto& f : filters_) {
+    trim.add(f.start_time(), sim::kMillisecond * f.config().num_buckets);
   }
-  core::combine_runs(records_, result_.sync);
+  grid_start_ = trim.start();
+  num_samples_ = trim.samples();
+  return totals;
+}
+
+void FluidRack::align(int s, std::vector<core::BucketSample>& out) {
+  const core::TcFilter& f = filters_[static_cast<std::size_t>(s)];
+  read_.start = f.start_time();
+  f.read_aggregated(read_.buckets);
+  core::align_series(read_, grid_start_, num_samples_, out);
+}
+
+const FluidRackResult& FluidRack::run() {
+  simulate();
+  core::SyncRun& sync = result_.sync;
+  sync.grid_start = grid_start_;
+  sync.interval = sim::kMillisecond;
+  sync.hosts.clear();
+  if (num_samples_ == 0) {
+    sync.series.clear();
+    return result_;
+  }
+  sync.series.resize(filters_.size());
+  for (int s = 0; s < num_servers_; ++s) {
+    sync.hosts.push_back(static_cast<net::HostId>(s));
+    align(s, sync.series[static_cast<std::size_t>(s)]);
+  }
   return result_;
 }
 

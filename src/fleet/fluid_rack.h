@@ -8,10 +8,12 @@
 //   * drops of arrivals exceeding the DT limit, fed back to the workload
 //     (rate cut + retransmission re-arrival a few ms later);
 //   * every delivered byte pushed through a real core::TcFilter, so the
-//     output is an honest SyncMillisampler run assembled by the same
-//     combine/align/trim pipeline as the packet-level path.
+//     output is an honest SyncMillisampler run, trimmed by the same rule
+//     (core::GridTrim) and aligned by the same core::align_series as the
+//     packet-level path's combine_runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -26,9 +28,8 @@
 
 namespace msamp::fleet {
 
-/// Output of one rack window.
-struct FluidRackResult {
-  core::SyncRun sync;               ///< aligned per-server measurement
+/// Byte totals of one rack window.
+struct FluidRackTotals {
   std::int64_t offered_bytes = 0;   ///< bytes offered to the ToR downlinks
   std::int64_t delivered_bytes = 0; ///< bytes delivered to servers
   std::int64_t drop_bytes = 0;      ///< ToR congestion discards
@@ -36,14 +37,25 @@ struct FluidRackResult {
   std::int64_t fabric_drop_bytes = 0;  ///< upstream fabric discards
 };
 
+/// Output of one rack window: its totals and every server aligned.
+struct FluidRackResult : FluidRackTotals {
+  core::SyncRun sync;               ///< aligned per-server measurement
+};
+
 /// Fluid simulation of a rack observation window.  Like a loaded
 /// Millisampler filter that each run's `enable` only clears (§4.1), one
 /// rack object serves window after window: `arm` resets all window state,
 /// while the TcFilters, the step scratch and the result storage persist,
 /// so re-arming for windows of one shape allocates nothing large.
+///
+/// A window is simulate()d once; then each server's filter is read and
+/// aligned onto the rack's grid on demand (align()), so a caller can
+/// analyse one server at a time and hold a single aligned series, as the
+/// fleet runner does.  run() is both steps with every server aligned into
+/// one SyncRun.
 class FluidRack {
  public:
-  /// An unarmed rack; arm() it before run().
+  /// An unarmed rack; arm() it before simulate() or run().
   FluidRack() = default;
 
   /// Constructs, then arms (see arm()).
@@ -56,8 +68,22 @@ class FluidRack {
   void arm(const workload::RackMeta& rack, const FleetConfig& config,
            int hour, util::Rng rng);
 
-  /// Runs warmup + sampled window and returns the combined result, which
-  /// stays valid until the next arm().  Call once per arm().
+  /// Runs the warm-up and the sampled steps, then fixes the window's grid
+  /// (core::GridTrim over the filters' runs).  Returns the byte totals,
+  /// valid until the next arm().  Call once per arm().
+  const FluidRackTotals& simulate();
+
+  /// Samples on the grid simulate() fixed: 0 when none survives the trim.
+  std::size_t num_samples() const noexcept { return num_samples_; }
+
+  /// Reads server `s`'s filter and aligns it onto the grid into `out`
+  /// (num_samples() samples, all zero for a host that never started),
+  /// reusing its capacity.  After simulate().
+  void align(int s, std::vector<core::BucketSample>& out);
+
+  /// simulate(), then every server aligned into the result's SyncRun
+  /// (hosts 0..n-1; no series when the grid is empty).  The result stays
+  /// valid until the next arm().  Call once per arm().
   const FluidRackResult& run();
 
  private:
@@ -67,7 +93,7 @@ class FluidRack {
     std::int64_t ecn_part = 0;   ///< bytes of `len` carrying CE
   };
 
-  void step(sim::SimTime now, bool sampling, FluidRackResult* result);
+  void step(sim::SimTime now, bool sampling, FluidRackTotals* result);
 
   FleetConfig config_;  // by value: callers may pass temporaries
   util::Rng rng_{0};
@@ -104,7 +130,9 @@ class FluidRack {
   std::vector<int> quad_bursting_;
   std::vector<workload::StepDemand> demands_;
 
-  std::vector<core::RunRecord> records_;  ///< run()'s per-server reads
+  sim::SimTime grid_start_ = -1;
+  std::size_t num_samples_ = 0;
+  core::RunRecord read_;  ///< align()'s read of one filter
   FluidRackResult result_;
 };
 

@@ -389,11 +389,17 @@ TEST(MeasurementReference, BlendRoundingAtHalvesAndOutsideTheFastRange) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t k52 = std::int64_t{1} << 52;
+  constexpr std::int64_t k53 = std::int64_t{1} << 53;
+  // The pairs at the end repeat a value: an unchanged counter blends to
+  // itself below 2^52, and from there up takes std::llround's answer,
+  // which past 2^53 is not the counter (a double cannot hold it).
   const std::vector<std::int64_t> values = {
       0, 1, 2, 3, -3, -4, 5, -6, 7, 10, 11, 1001, -1001, 123456789,
       k52 - 3, k52 - 2, k52 - 1, k52, k52 + 1, k52 + 3, -k52, -k52 - 1,
       -k52 + 1, 3 * k52, kMax, kMax - 1, kMax - 1000, kMin, kMin + 1,
-      kMin + 1000, 0, kMax, kMin, 0};
+      kMin + 1000, 0, kMax, kMin, 0,
+      k52 - 1, k52 - 1, -(k52 - 1), -(k52 - 1), k52, k52, -k52, -k52,
+      k52 + 1, k52 + 1, k53 + 1, k53 + 1, kMax, kMax, kMin, kMin, 0};
   // Records offset by quarter buckets put the grid at fractions 0.25, 0.5
   // and 0.75 of a bucket: odd and 2-mod-4 differences land exactly on .5.
   std::vector<RunRecord> records;
@@ -436,7 +442,8 @@ TEST(MeasurementReference, LerpMatchesLlroundOnRandomBlends) {
   for (int i = 0; i < 200000; ++i) {
     BucketSample a, b;
     a.in_bytes = value();
-    b.in_bytes = value();
+    // A quarter of the counters did not change since the last bucket.
+    b.in_bytes = rng.bernoulli(0.25) ? a.in_bytes : value();
     // Odd differences: a blend at t = 0.5 lands exactly on .5.
     a.out_bytes = static_cast<std::int64_t>(rng.uniform_int(1ULL << 40)) -
                   (std::int64_t{1} << 39);
