@@ -6,8 +6,7 @@
 // contention) are consistent with honest transport dynamics.
 #include <iostream>
 
-#include "analysis/burst_stats.h"
-#include "analysis/contention.h"
+#include "analysis/diagnose.h"
 #include "common.h"
 #include "core/sync_controller.h"
 #include "fleet/fluid_rack.h"
@@ -42,30 +41,25 @@ struct Stats {
 };
 
 Stats analyze(const core::SyncRun& sync) {
-  const analysis::BurstDetectConfig cfg{.line_rate_gbps = 12.5,
-                                        .interval = sim::kMillisecond};
-  Stats out{};
+  // The defaults: 12.5 Gb/s at 1 ms, the fleet's line rate and interval.
+  const auto report = analysis::diagnose(sync);
   std::vector<double> bps, lens, utils;
   long bursty_count = 0;  // integer tally: exact under any fold order
-  for (const auto& series : sync.series) {
-    const auto bursts = analysis::detect_bursts(series, cfg);
-    const auto stats = analysis::server_run_stats(series, bursts, cfg);
-    bursty_count += stats.bursty ? 1 : 0;
-    if (stats.bursty) {
-      bps.push_back(stats.bursts_per_sec);
-      utils.push_back(stats.util_inside);
-      for (const auto& b : bursts) lens.push_back(static_cast<double>(b.len));
+  for (const auto& server : report.servers) {
+    if (!server.stats.bursty) continue;
+    ++bursty_count;
+    bps.push_back(server.stats.bursts_per_sec);
+    utils.push_back(server.stats.util_inside);
+    for (const auto& b : server.bursts) {
+      lens.push_back(static_cast<double>(b.len));
     }
   }
-  out.bursty_servers = static_cast<double>(bursty_count);
-  const auto contention = analysis::contention_series(sync, cfg);
-  const auto summary = analysis::summarize_contention(contention);
-  out.bursts_per_sec_median = util::percentile(bps, 50);
-  out.burst_len_median = util::percentile(lens, 50);
-  out.in_burst_util_median = util::percentile(utils, 50);
-  out.avg_contention = summary.avg;
-  out.p90_contention = summary.p90;
-  return out;
+  return {.bursty_servers = static_cast<double>(bursty_count),
+          .bursts_per_sec_median = util::percentile(bps, 50),
+          .burst_len_median = util::percentile(lens, 50),
+          .in_burst_util_median = util::percentile(utils, 50),
+          .avg_contention = report.summary.avg,
+          .p90_contention = report.summary.p90};
 }
 
 Stats run_fluid() {

@@ -10,9 +10,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "analysis/burst_stats.h"
-#include "analysis/contention.h"
-#include "analysis/loss_assoc.h"
+#include "analysis/diagnose.h"
 #include "analysis/trace_io.h"
 #include "fleet/fluid_rack.h"
 #include "util/table.h"
@@ -61,10 +59,8 @@ int main(int argc, char** argv) {
             << run->num_samples() << " samples at "
             << sim::to_ms(run->interval) << "ms\n\n";
 
-  const analysis::BurstDetectConfig burst_cfg{
-      .line_rate_gbps = 12.5, .interval = run->interval};
-  const auto contention = analysis::contention_series(*run, burst_cfg);
-  const auto summary = analysis::summarize_contention(contention);
+  const auto report = analysis::diagnose(*run, {.interval = run->interval});
+  const auto& summary = report.summary;
   std::cout << "contention: avg "
             << util::format_double(summary.avg, 2) << ", p90 " << summary.p90
             << ", max " << summary.max << " (active in "
@@ -74,26 +70,20 @@ int main(int argc, char** argv) {
   util::Table table({"server", "bursty", "bursts/s", "avg util %",
                      "in-burst util %", "~conns in", "lossy bursts"});
   std::size_t bursty_servers = 0, total_bursts = 0, lossy_total = 0;
-  for (std::size_t s = 0; s < run->num_servers(); ++s) {
-    const auto bursts = analysis::detect_bursts(run->series[s], burst_cfg);
-    const auto stats =
-        analysis::server_run_stats(run->series[s], bursts, burst_cfg);
-    const auto lossy =
-        analysis::lossy_bursts(run->series[s], bursts, {});
-    const auto lossy_count = static_cast<std::size_t>(
-        std::count(lossy.begin(), lossy.end(), true));
+  for (const auto& server : report.servers) {
+    const auto& stats = server.stats;
     bursty_servers += stats.bursty;
-    total_bursts += bursts.size();
-    lossy_total += lossy_count;
-    if (s < 10) {  // detail for the first few servers; summary below
+    total_bursts += server.bursts.size();
+    lossy_total += server.lossy_bursts;
+    if (server.server < 10) {  // detail for the first few; summary below
       table.row()
-          .cell(static_cast<long long>(s))
+          .cell(static_cast<long long>(server.server))
           .cell(stats.bursty ? "yes" : "no")
           .cell(stats.bursts_per_sec, 1)
           .cell(100 * stats.avg_util, 1)
           .cell(100 * stats.util_inside, 1)
           .cell(stats.conns_inside, 1)
-          .cell(static_cast<long long>(lossy_count));
+          .cell(static_cast<long long>(server.lossy_bursts));
     }
   }
   table.print(std::cout);

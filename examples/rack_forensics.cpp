@@ -8,9 +8,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "analysis/burst_detect.h"
-#include "analysis/contention.h"
-#include "analysis/loss_assoc.h"
+#include "analysis/diagnose.h"
 #include "fleet/fluid_rack.h"
 #include "util/ascii_plot.h"
 #include "util/table.h"
@@ -38,8 +36,9 @@ int main() {
   const auto& sync = result.sync;
 
   const analysis::BurstDetectConfig burst_cfg = cfg.burst_config();
-  const auto contention = analysis::contention_series(sync, burst_cfg);
-  const auto summary = analysis::summarize_contention(contention);
+  const auto report = analysis::diagnose(sync, burst_cfg, cfg.loss);
+  const auto& contention = report.contention;
+  const auto& summary = report.summary;
 
   std::cout << "SyncMillisampler run over " << sync.num_servers()
             << " servers, " << sync.num_samples() << " x 1ms samples\n"
@@ -50,15 +49,13 @@ int main() {
             << "\n\n";
 
   // The worst millisecond in the window.
-  const auto worst = static_cast<std::size_t>(
-      std::max_element(contention.begin(), contention.end()) -
-      contention.begin());
+  const std::size_t worst = report.worst_sample;
   std::cout << "worst millisecond: sample " << worst << " with "
-            << contention[worst] << " simultaneously bursty servers; DT "
+            << summary.max << " simultaneously bursty servers; DT "
             << "share per queue at that instant: "
             << util::format_double(
                    100.0 * analysis::queue_share_at_contention(
-                               cfg.buffer.alpha, contention[worst]),
+                               cfg.buffer.alpha, summary.max),
                    1)
             << "% of the shared buffer (vs 50% for a lone burst)\n\n";
 
@@ -68,10 +65,7 @@ int main() {
   int shown = 0;
   for (std::size_t s = 0; s < sync.num_servers() && shown < 12; ++s) {
     if (!analysis::is_bursty_sample(sync.series[s][worst], burst_cfg)) continue;
-    const auto bursts = analysis::detect_bursts(sync.series[s], burst_cfg);
-    const auto lossy =
-        analysis::lossy_bursts(sync.series[s], bursts, cfg.loss);
-    const long lossy_count = std::count(lossy.begin(), lossy.end(), true);
+    const auto& server = report.servers[s];
     table.row()
         .cell(static_cast<long long>(s))
         .cell(std::string(workload::task_name(rack.server_kind[s])))
@@ -79,8 +73,8 @@ int main() {
                   sim::bytes_in(sim::kMillisecond, cfg.line_rate_gbps),
               1)
         .cell(sync.series[s][worst].connections, 0)
-        .cell(static_cast<long long>(bursts.size()))
-        .cell(lossy_count);
+        .cell(static_cast<long long>(server.bursts.size()))
+        .cell(static_cast<long long>(server.lossy_bursts));
     ++shown;
   }
   table.print(std::cout);

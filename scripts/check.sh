@@ -40,7 +40,7 @@ if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   # race, and under TSan they take most of the pass; the ASan lane and
   # tier-1 run them.
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd)' \
+    -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd|WindowReference)' \
     -E '^(Dataset\.(SingleByteMutationsNeverCrash|RejectsTruncationAtEveryLength)|DatasetView\.HeaderAndDirectoryTamperNeverCrashes)$'
   # Cross-check: the scalar SIMD path must pass the suites that call the
   # kernel (its scalar twin is what every other host falls back to).
@@ -51,7 +51,8 @@ fi
 # ASan+UBSan lane (every UBSan report fatal, float-cast-overflow
 # included): a third build tree with -DMSAMP_ASAN=ON, running the
 # byte-level parsers — dataset (de)serialization including the hostile-blob
-# hardening tests, and the msampctl flag-parser/CLI tests — and the suites
+# hardening tests, the sync-trace reader with its mutation test, and the
+# msampctl flag-parser/CLI tests — and the suites
 # whose code reuses buffers across windows (re-armed fluid racks, reused
 # combine/align/read outputs, the streamed window's lane buffers, the
 # sketch's estimate table, the blend's rounding fallback and its skip of
@@ -63,7 +64,7 @@ if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference|TraceIo|Diagnose|StallArtifacts|cli_analyze)'
   # Cross-check: the AVX2 tally's unaligned loads and stores run under ASan
   # in the Simd suites above; the scalar path gets the same run, with the
   # multi-CPU TcFilter reads that call the kernel.

@@ -2,19 +2,23 @@
 
 #include <algorithm>
 
-#include "analysis/burst_stats.h"
-#include "analysis/contention.h"
-
 namespace msamp::analysis {
+
+/// Incast threshold on mean in-burst connections.
+constexpr double kIncastConns = 30.0;
+/// Stall artifact: at least this many consecutive all-zero samples...
+constexpr int kStallMinGap = 2;
+/// ...followed by a bucket above this multiple of line-rate capacity
+/// (only offloaded catch-up batches can exceed line rate).
+constexpr double kStallSpikeFactor = 1.2;
 
 std::vector<std::size_t> find_stall_artifacts(
     std::span<const core::BucketSample> series,
-    const DiagnoseConfig& config) {
+    const BurstDetectConfig& burst) {
   std::vector<std::size_t> spikes;
-  const double capacity =
-      sim::bytes_in(config.burst.interval, config.burst.line_rate_gbps);
+  const double capacity = sim::bytes_in(burst.interval, burst.line_rate_gbps);
   const auto spike_threshold =
-      static_cast<std::int64_t>(config.stall_spike_factor * capacity);
+      static_cast<std::int64_t>(kStallSpikeFactor * capacity);
   int gap = 0;
   for (std::size_t k = 0; k < series.size(); ++k) {
     if (series[k].in_bytes == 0) {
@@ -24,7 +28,7 @@ std::vector<std::size_t> find_stall_artifacts(
     // A bucket above line rate can only be a catch-up batch (the NIC
     // cannot deliver faster than the wire); preceded by a silent gap it
     // is the §4.6 kernel-stall signature.
-    if (gap >= config.stall_min_gap && series[k].in_bytes > spike_threshold) {
+    if (gap >= kStallMinGap && series[k].in_bytes > spike_threshold) {
       spikes.push_back(k);
     }
     gap = 0;
@@ -33,37 +37,30 @@ std::vector<std::size_t> find_stall_artifacts(
 }
 
 RackDiagnosis diagnose(const core::SyncRun& run,
-                       const DiagnoseConfig& config) {
+                       const BurstDetectConfig& burst,
+                       const LossAssocConfig& loss) {
   RackDiagnosis out;
-  const auto contention = contention_series(run, config.burst);
-  const auto summary = summarize_contention(contention);
-  out.avg_contention = summary.avg;
-  if (!contention.empty()) {
-    const auto it = std::max_element(contention.begin(), contention.end());
-    out.worst_sample = static_cast<std::size_t>(it - contention.begin());
-    out.worst_contention = *it;
-    out.worst_queue_share =
-        queue_share_at_contention(config.dt_alpha, *it);
-  }
+  out.contention = contention_series(run, burst);
+  out.summary = summarize_contention(out.contention);
+  out.worst_sample = static_cast<std::size_t>(
+      std::max_element(out.contention.begin(), out.contention.end()) -
+      out.contention.begin());
 
   out.servers.reserve(run.num_servers());
   for (std::size_t s = 0; s < run.num_servers(); ++s) {
     const auto& series = run.series[s];
     ServerDiagnosis diag;
     diag.server = s;
-    const auto bursts = detect_bursts(series, config.burst);
-    const auto stats = server_run_stats(series, bursts, config.burst);
-    const auto lossy = lossy_bursts(series, bursts, config.loss);
-    diag.bursts = bursts.size();
+    diag.bursts = detect_bursts(series, burst);
+    diag.stats = server_run_stats(series, diag.bursts, burst);
+    const auto lossy = lossy_bursts(series, diag.bursts, loss);
     diag.lossy_bursts =
         static_cast<std::size_t>(std::count(lossy.begin(), lossy.end(), true));
-    diag.avg_util = stats.avg_util;
-    diag.conns_inside = stats.conns_inside;
-    diag.pattern = bursts.empty() ? TrafficPattern::kIdle
-                   : stats.conns_inside >= config.incast_conns
+    diag.pattern = diag.bursts.empty() ? TrafficPattern::kIdle
+                   : diag.stats.conns_inside >= kIncastConns
                        ? TrafficPattern::kHeavyIncast
                        : TrafficPattern::kFanOut;
-    diag.stall_artifacts = find_stall_artifacts(series, config);
+    diag.stall_artifacts = find_stall_artifacts(series, burst);
     out.measurement_artifacts |= !diag.stall_artifacts.empty();
     out.servers.push_back(std::move(diag));
   }

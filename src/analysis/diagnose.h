@@ -1,12 +1,13 @@
 // Structured rack diagnosis: the §1/§4.2 troubleshooting workflow
 // ("identifying difficult traffic patterns, and troubleshooting the
 // interactions between application behavior and the network") as a library
-// function.  Given one SyncMillisampler run it reports:
+// function, and the one analysis of a whole SyncMillisampler run.  Run once
+// at the caller's line rate and interval, it reports:
 //
-//   * the worst millisecond (peak contention) and the DT share implied;
-//   * per-server roll-ups with an incast/fan-out classification from the
-//     connection sketch (§4.2: "more connections (heavy incast) as opposed
-//     to more traffic on fewer connections");
+//   * the contention series, its summary and the worst millisecond;
+//   * per-server bursts and run stats, with an incast/fan-out
+//     classification from the connection sketch (§4.2: "more connections
+//     (heavy incast) as opposed to more traffic on fewer connections");
 //   * measurement artifacts: kernel-stall signatures (§4.6 — a silent gap
 //     followed by a catch-up bucket above line rate), which would
 //     otherwise read as genuine bursts.
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "analysis/burst_detect.h"
+#include "analysis/burst_stats.h"
+#include "analysis/contention.h"
 #include "analysis/loss_assoc.h"
 #include "core/sync_controller.h"
 
@@ -32,20 +35,18 @@ enum class TrafficPattern {
 struct ServerDiagnosis {
   std::size_t server = 0;
   TrafficPattern pattern = TrafficPattern::kIdle;
-  std::size_t bursts = 0;
+  std::vector<Burst> bursts;
+  ServerRunStats stats;
   std::size_t lossy_bursts = 0;
-  double avg_util = 0.0;
-  double conns_inside = 0.0;
   /// Sample indices where a §4.6 stall artifact was detected.
   std::vector<std::size_t> stall_artifacts;
 };
 
 /// Whole-run findings.
 struct RackDiagnosis {
-  std::size_t worst_sample = 0;   ///< peak-contention millisecond
-  int worst_contention = 0;
-  double worst_queue_share = 0.0; ///< DT share at the worst millisecond
-  double avg_contention = 0.0;
+  std::vector<int> contention;  ///< bursty servers at each sample
+  ContentionSummary summary;    ///< of `contention`; its max is the worst
+  std::size_t worst_sample = 0; ///< first sample at `summary.max`
   std::vector<ServerDiagnosis> servers;
 
   /// Servers whose lossy-burst count is highest, descending (<= 5).
@@ -54,26 +55,14 @@ struct RackDiagnosis {
   bool measurement_artifacts = false;
 };
 
-/// Diagnosis knobs.
-struct DiagnoseConfig {
-  BurstDetectConfig burst{};
-  LossAssocConfig loss{};
-  double dt_alpha = 1.0;
-  /// Incast threshold on mean in-burst connections.
-  double incast_conns = 30.0;
-  /// Stall artifact: at least this many consecutive all-zero samples...
-  int stall_min_gap = 2;
-  /// ...followed by a bucket above this multiple of line-rate capacity
-  /// (only offloaded catch-up batches can exceed line rate at 1ms).
-  double stall_spike_factor = 1.2;
-};
+/// Runs the full diagnosis, every step at `burst`'s line rate and interval.
+RackDiagnosis diagnose(const core::SyncRun& run,
+                       const BurstDetectConfig& burst = {},
+                       const LossAssocConfig& loss = {});
 
-/// Runs the full diagnosis.
-RackDiagnosis diagnose(const core::SyncRun& run, const DiagnoseConfig& config);
-
-/// Stall-artifact scan of a single series; exposed for tests.  Returns the
-/// sample indices of catch-up spikes.
+/// Stall-artifact scan of one series at `burst`'s line rate and interval;
+/// exposed for tests.  Returns the sample indices of catch-up spikes.
 std::vector<std::size_t> find_stall_artifacts(
-    std::span<const core::BucketSample> series, const DiagnoseConfig& config);
+    std::span<const core::BucketSample> series, const BurstDetectConfig& burst);
 
 }  // namespace msamp::analysis

@@ -1,6 +1,7 @@
 #include "analysis/trace_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -119,12 +120,20 @@ std::optional<core::SyncRun> read_sync_trace(std::istream& is) {
     } catch (...) {
       return std::nullopt;
     }
-    if (row.value.connections < 0) return std::nullopt;
+    // stod reads "nan" and "inf", and NaN passes a `< 0` test.
+    if (!std::isfinite(row.value.connections) || row.value.connections < 0) {
+      return std::nullopt;
+    }
     row.server = static_cast<std::size_t>(server);
     row.sample = static_cast<std::size_t>(sample);
     if (row.server > 100000 || row.sample > 10000000) return std::nullopt;
     servers[row.server] = true;
     num_samples = std::max(num_samples, row.sample + 1);
+    // Dense ids make the series (last id + 1) x samples cells: reject a
+    // trace over the budget before anything of that size is allocated.
+    if ((servers.rbegin()->first + 1) * num_samples > kMaxTraceCells) {
+      return std::nullopt;
+    }
     rows.push_back(row);
   }
   if (rows.empty()) return run;  // empty trace: zero servers

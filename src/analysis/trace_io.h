@@ -14,8 +14,15 @@
 // Rows may omit all-zero samples; series lengths are implied by the max
 // sample index seen (plus explicit rows), and every server listed in at
 // least one row gets a full-length series.
+//
+// The reader fails closed: server ids must be dense from 0, `connections`
+// must be finite and >= 0, and servers x samples may not exceed
+// kMaxTraceCells (2^22 cells, 192 MiB of samples; 23x the paper's
+// 92-server x 2,000-sample run, and room for 92 x 45,000), which is
+// checked before the series are allocated.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -24,6 +31,9 @@
 
 namespace msamp::analysis {
 
+/// The most servers x samples cells a trace may hold.
+inline constexpr std::size_t kMaxTraceCells = std::size_t{1} << 22;
+
 /// Writes `run` as CSV.  All-zero samples are skipped (sparse encoding).
 void write_sync_trace(const core::SyncRun& run, std::ostream& os);
 
@@ -31,8 +41,9 @@ void write_sync_trace(const core::SyncRun& run, std::ostream& os);
 bool write_sync_trace_file(const core::SyncRun& run, const std::string& path);
 
 /// Parses a trace produced by `write_sync_trace` (or hand-authored in the
-/// same schema).  Returns nullopt on malformed input.  Servers appear in
-/// first-row order; missing samples are zero.
+/// same schema).  Returns nullopt on malformed input and on a trace over
+/// kMaxTraceCells.  Servers appear in first-row order; missing samples are
+/// zero.
 std::optional<core::SyncRun> read_sync_trace(std::istream& is);
 
 /// Convenience: reads from `path`.

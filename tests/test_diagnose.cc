@@ -21,7 +21,7 @@ std::vector<core::BucketSample> series(std::vector<std::int64_t> in_bytes) {
 TEST(StallArtifacts, DetectsGapThenSpike) {
   // Smooth 300KB/ms, then 3 silent ms, then a 2x-line-rate catch-up.
   const auto s = series({300000, 300000, 0, 0, 0, 2 * kLine, 300000});
-  const auto spikes = find_stall_artifacts(s, DiagnoseConfig{});
+  const auto spikes = find_stall_artifacts(s, BurstDetectConfig{});
   ASSERT_EQ(spikes.size(), 1u);
   EXPECT_EQ(spikes[0], 5u);
 }
@@ -29,28 +29,55 @@ TEST(StallArtifacts, DetectsGapThenSpike) {
 TEST(StallArtifacts, GapWithoutSpikeIsNotFlagged) {
   // A quiet period followed by normal traffic is just idleness.
   const auto s = series({300000, 0, 0, 0, 300000});
-  EXPECT_TRUE(find_stall_artifacts(s, DiagnoseConfig{}).empty());
+  EXPECT_TRUE(find_stall_artifacts(s, BurstDetectConfig{}).empty());
 }
 
 TEST(StallArtifacts, SpikeWithoutGapIsNotFlagged) {
   // GRO/interpolation can nudge a bucket slightly over line rate without
   // any stall; without a preceding silent gap it is not an artifact.
   const auto s = series({300000, 300000, 2 * kLine, 300000});
-  EXPECT_TRUE(find_stall_artifacts(s, DiagnoseConfig{}).empty());
+  EXPECT_TRUE(find_stall_artifacts(s, BurstDetectConfig{}).empty());
 }
 
 TEST(StallArtifacts, SubLineSpikeIsNotFlagged) {
   const auto s = series({300000, 0, 0, 0, kLine - 1, 300000});
-  EXPECT_TRUE(find_stall_artifacts(s, DiagnoseConfig{}).empty());
+  EXPECT_TRUE(find_stall_artifacts(s, BurstDetectConfig{}).empty());
 }
 
 TEST(StallArtifacts, MultipleStalls) {
   const auto s = series({kLine / 2, 0, 0, 2 * kLine, kLine / 2, 0, 0, 0,
                          3 * kLine, 100});
-  const auto spikes = find_stall_artifacts(s, DiagnoseConfig{});
+  const auto spikes = find_stall_artifacts(s, BurstDetectConfig{});
   ASSERT_EQ(spikes.size(), 2u);
   EXPECT_EQ(spikes[0], 3u);
   EXPECT_EQ(spikes[1], 8u);
+}
+
+TEST(StallArtifacts, SpikeIsMeasuredAgainstTheLineRate) {
+  // At 25 Gb/s a 1ms bucket holds 3,125,000 B: 2 MB after a gap is a
+  // genuine 64% burst, and only a bucket above 1.2x that is a catch-up.
+  const BurstDetectConfig fast{.line_rate_gbps = 25.0};
+  const auto burst = series({0, 0, 2000000, 2000000, 0});
+  EXPECT_TRUE(find_stall_artifacts(burst, fast).empty());
+  EXPECT_EQ(find_stall_artifacts(burst, BurstDetectConfig{}).size(), 1u);
+  const auto spikes =
+      find_stall_artifacts(series({0, 0, 3800000, 2000000, 0}), fast);
+  ASSERT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(spikes[0], 2u);
+}
+
+TEST(StallArtifacts, SpikeIsMeasuredAgainstTheInterval) {
+  // At 100us a 12.5 Gb/s bucket holds 156,250 B: 3x that after a gap is
+  // the catch-up signature though it is well under a 1ms bucket.
+  const BurstDetectConfig fine{.interval = 100 * sim::kMicrosecond};
+  const auto stall = series({50000, 50000, 0, 0, 0, 468750, 50000});
+  const auto spikes = find_stall_artifacts(stall, fine);
+  ASSERT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(spikes[0], 5u);
+  EXPECT_TRUE(find_stall_artifacts(stall, BurstDetectConfig{}).empty());
+  EXPECT_TRUE(find_stall_artifacts(
+                  series({50000, 50000, 0, 0, 0, 187000, 50000}), fine)
+                  .empty());
 }
 
 core::SyncRun synthetic_run() {
@@ -79,13 +106,12 @@ core::SyncRun synthetic_run() {
 }
 
 TEST(Diagnose, FullReport) {
-  const auto report = diagnose(synthetic_run(), DiagnoseConfig{});
+  const auto report = diagnose(synthetic_run());
   // Worst millisecond: samples 4-7 have both bursters (+ the stall server
-  // is below threshold) -> contention 2, share 1/(1+2).
+  // is below threshold) -> contention 2.
   EXPECT_GE(report.worst_sample, 4u);
   EXPECT_LE(report.worst_sample, 7u);
-  EXPECT_EQ(report.worst_contention, 2);
-  EXPECT_NEAR(report.worst_queue_share, 1.0 / 3.0, 1e-9);
+  EXPECT_EQ(report.summary.max, 2);
 
   ASSERT_EQ(report.servers.size(), 4u);
   EXPECT_EQ(report.servers[0].pattern, TrafficPattern::kHeavyIncast);
@@ -115,18 +141,18 @@ TEST(Diagnose, CleanFluidRunHasNoArtifacts) {
   cfg.samples_per_run = 200;
   cfg.warmup_ms = 20;
   fleet::FluidRack fluid(rack, cfg, 6, util::Rng(9));
-  const auto report = diagnose(fluid.run().sync, DiagnoseConfig{});
+  const auto report = diagnose(fluid.run().sync);
   // Genuine traffic cannot exceed line rate per bucket, so no artifacts.
   EXPECT_FALSE(report.measurement_artifacts);
   EXPECT_EQ(report.servers.size(), 16u);
-  EXPECT_GT(report.avg_contention, 0.0);
+  EXPECT_GT(report.summary.avg, 0.0);
 }
 
 TEST(Diagnose, EmptyRun) {
-  const auto report = diagnose(core::SyncRun{}, DiagnoseConfig{});
+  const auto report = diagnose(core::SyncRun{});
   EXPECT_TRUE(report.servers.empty());
   EXPECT_FALSE(report.measurement_artifacts);
-  EXPECT_EQ(report.worst_contention, 0);
+  EXPECT_EQ(report.summary.max, 0);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Tests for the sync-trace CSV import/export.
 #include "analysis/trace_io.h"
 
+#include <cmath>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -79,6 +81,79 @@ TEST(TraceIo, RejectsMalformed) {
       << "0,0,1,0,0,0,0,0.0\n"
       << "5,0,1,0,0,0,0,0.0\n";
   EXPECT_FALSE(read_sync_trace(gap).has_value());
+}
+
+constexpr const char* kTraceHead =
+    "# msamp-sync-trace v1 interval_ns=1000000 grid_start_ns=0\n"
+    "server,sample,in_bytes,in_retx_bytes,out_bytes,out_retx_bytes,"
+    "in_ecn_bytes,connections\n";
+
+TEST(TraceIo, RejectsNonFiniteConnections) {
+  // std::stod reads these, and NaN passes a `< 0` check.
+  for (const char* conns : {"nan", "inf", "-inf", "infinity"}) {
+    std::stringstream ss;
+    ss << kTraceHead << "0,0,1,0,0,0,0,2.0\n"
+       << "0,1,1,0,0,0,0," << conns << "\n";
+    EXPECT_FALSE(read_sync_trace(ss).has_value()) << conns;
+  }
+}
+
+TEST(TraceIo, RejectsOneCellOverTheBudget) {
+  // 5 servers x 838,861 samples is kMaxTraceCells + 1, though each axis
+  // is under its own cap: the product is what gets allocated.
+  static_assert(5 * std::size_t{838861} == kMaxTraceCells + 1);
+  std::stringstream ss;
+  ss << kTraceHead;
+  for (int s = 0; s < 4; ++s) ss << s << ",0,1,0,0,0,0,1.0\n";
+  ss << "4,838860,1,0,0,0,0,1.0\n";
+  EXPECT_FALSE(read_sync_trace(ss).has_value());
+}
+
+TEST(TraceIo, MutationsFailClosed) {
+  // Seeded substitutions of digits, commas, minus signs and newlines into
+  // a small real trace: size fields can grow, fields merge and lines
+  // split.  Each mutant must parse into a run within the cell budget with
+  // finite, non-negative connections, or be rejected — never allocate
+  // past the budget, read out of bounds or throw.  Run under the
+  // ASan/UBSan lane this is a real fuzz of the reader's checks.
+  workload::RackMeta rack;
+  rack.rack_id = 1;
+  rack.region = workload::RegionId::kRegA;
+  rack.intensity = 1.5;
+  rack.server_service.assign(3, 0);
+  rack.server_kind.assign(3, workload::TaskKind::kCache);
+  fleet::FleetConfig cfg;
+  cfg.samples_per_run = 40;
+  cfg.warmup_ms = 10;
+  fleet::FluidRack fluid(rack, cfg, 6, util::Rng(5));
+  std::stringstream trace;
+  write_sync_trace(fluid.run().sync, trace);
+  const std::string text = trace.str();
+
+  constexpr std::string_view kAlphabet = "0123456789,-\n";
+  util::Rng rng(2026);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string mutated = text;
+    const auto edits = 1 + rng.uniform_int(3);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      mutated[rng.uniform_int(mutated.size())] =
+          kAlphabet[rng.uniform_int(kAlphabet.size())];
+    }
+    std::stringstream ss(mutated);
+    const auto run = read_sync_trace(ss);
+    if (!run.has_value()) continue;
+    ++accepted;
+    ASSERT_LE(run->num_servers() * run->num_samples(), kMaxTraceCells);
+    for (const auto& series : run->series) {
+      ASSERT_EQ(series.size(), run->num_samples());
+      for (const auto& b : series) {
+        ASSERT_TRUE(std::isfinite(b.connections) && b.connections >= 0);
+      }
+    }
+  }
+  // Most single substitutions land in a number and keep the trace valid.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(TraceIo, EmptyTraceIsValid) {

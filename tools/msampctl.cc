@@ -14,8 +14,9 @@
 //       (the default), storage, batch, quiet, ml_inference.
 //
 //   msampctl analyze --trace trace.csv [--gbps G]
-//       Run burst/contention/loss analysis on a trace file at line rate
-//       --gbps (finite and > 0, default 12.5).
+//       Run one burst/contention/loss/stall analysis on a trace file:
+//       every row uses line rate --gbps (finite and > 0, default 12.5) and
+//       the trace's own interval; burst length is in ms.
 //
 //   msampctl fleet [--racks N] [--hours H] [--samples N] [--seed S]
 //                  [--threads T] [--shard I/N] [--out dataset.bin]
@@ -116,9 +117,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/burst_stats.h"
 #include "analysis/diagnose.h"
-#include "analysis/contention.h"
 #include "analysis/trace_io.h"
 #include "cluster/coordinator.h"
 #include "cluster/sweep.h"
@@ -232,34 +231,30 @@ int cmd_analyze(const Flags& flags) {
     std::cerr << "error: cannot parse " << path << "\n";
     return 1;
   }
-  const analysis::BurstDetectConfig burst_cfg{.line_rate_gbps = gbps,
-                                              .interval = run->interval};
-  const auto contention = analysis::contention_series(*run, burst_cfg);
-  const auto summary = analysis::summarize_contention(contention);
+  const auto report = analysis::diagnose(
+      *run, {.line_rate_gbps = gbps, .interval = run->interval});
   std::size_t bursts = 0, lossy = 0, bursty_servers = 0;
   std::vector<double> lengths;
-  for (const auto& series : run->series) {
-    const auto detected = analysis::detect_bursts(series, burst_cfg);
-    const auto lossy_flags = analysis::lossy_bursts(series, detected, {});
-    bursts += detected.size();
-    bursty_servers += !detected.empty();
-    for (bool l : lossy_flags) lossy += l;
-    for (const auto& b : detected) {
-      lengths.push_back(static_cast<double>(b.len));
+  for (const auto& server : report.servers) {
+    bursts += server.bursts.size();
+    bursty_servers += !server.bursts.empty();
+    lossy += server.lossy_bursts;
+    for (const auto& b : server.bursts) {
+      lengths.push_back(static_cast<double>(b.len) * sim::to_ms(run->interval));
     }
   }
   util::Table table({"metric", "value"});
   table.add_row({"servers", std::to_string(run->num_servers())});
   table.add_row({"samples", std::to_string(run->num_samples())});
-  table.add_row({"avg contention", util::format_double(summary.avg, 2)});
-  table.add_row({"p90 contention", std::to_string(summary.p90)});
-  table.add_row({"max contention", std::to_string(summary.max)});
+  table.add_row(
+      {"avg contention", util::format_double(report.summary.avg, 2)});
+  table.add_row({"p90 contention", std::to_string(report.summary.p90)});
+  table.add_row({"max contention", std::to_string(report.summary.max)});
   table.add_row({"bursty servers", std::to_string(bursty_servers)});
   table.add_row({"bursts", std::to_string(bursts)});
   table.add_row({"median burst length (ms)",
                  util::format_double(util::percentile(lengths, 50), 1)});
   table.add_row({"lossy bursts", std::to_string(lossy)});
-  const auto report = analysis::diagnose(*run, {});
   table.add_row({"measurement artifacts (kernel stalls)",
                  report.measurement_artifacts ? "DETECTED" : "none"});
   table.print(std::cout);
@@ -784,5 +779,10 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     usage();
     return cluster::kUsageExitCode;
+  } catch (const std::exception& e) {
+    // Any other failure (std::bad_alloc included) is an ordinary error
+    // line and exit 1, never an abort.
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
 }
