@@ -1,26 +1,29 @@
 #!/usr/bin/env bash
 # Generates the paper's measurement day (§5: ~1000 racks in each of two
-# regions, 24 hourly runs of ~1.85 s at 1 ms) twice — in one process
-# (`msampctl fleet --threads N`) and across N single-lane worker processes
-# (`msampctl cluster --workers N --threads 1`) — requires the two outputs
-# to be `cmp`-equal, and appends one record per path to
-# BENCH_paper_day.json: commit, host cores, SIMD path, lanes, scale, seed,
-# wall time, user+sys CPU, minor faults, the peak RSS of the largest
-# process, and the output bytes.  Each run is timed by python3's
-# os.wait4, whose rusage covers the command and every descendant it
-# reaped (the cluster's workers), and whose peak RSS is the largest of
-# them.
+# regions, 24 hourly runs of ~1.85 s at 1 ms) in pairs of runs: once in
+# one process (`msampctl fleet --threads N`) and once across N single-lane
+# worker processes (`msampctl cluster --workers N --threads 1`).  Pair i
+# (from 1) runs `cluster` first when i is odd and `fleet` first when it is
+# even, so that neither path always runs on a cold or a warm host.  Each
+# pair's two outputs must be `cmp`-equal, and are deleted before the next
+# pair starts.  Once every pair has passed, one record per run is appended
+# to BENCH_paper_day.json: commit, host cores, SIMD path, path, pair,
+# which path ran first, lanes, scale, seed, wall time, user+sys CPU, minor
+# faults, the peak RSS of the largest process, and the output bytes.  Each
+# run is timed by python3's os.wait4, whose rusage covers the command and
+# every descendant it reaped (the cluster's workers), and whose peak RSS
+# is the largest of them.
 #
 #   scripts/bench_paper_day.sh [build-dir]     # default: build
 #
-# The day is fixed: 1000 racks/region x 24 h x 1850 samples, seed 42.
-# LANES (default 4) sets N; OUT (default BENCH_paper_day.json) and WORK
-# (default <build-dir>/paper_day) are paths.  The commit is that of the
-# source tree the build was configured from, with a -dirty suffix for
-# uncommitted changes other than to BENCH_paper_day.json itself.  One
-# invocation takes about 17 minutes on a 4-vCPU host and needs ~4 GB of
-# free disk under WORK; keep it out of check.sh.  Any change that claims
-# a fleet gain reruns it.
+# The day is fixed: 1000 racks/region x 24 h x 1850 samples, seed 42, in
+# 3 pairs.  LANES (default 4) sets N; OUT (default BENCH_paper_day.json)
+# and WORK (default <build-dir>/paper_day) are paths.  The commit is that
+# of the source tree the build was configured from, with a -dirty suffix
+# for uncommitted changes other than to BENCH_paper_day.json itself.  One
+# pair takes about 5 minutes on a 4-vCPU host, so an invocation about 16
+# minutes, and a pair needs ~4 GB of free disk under WORK; keep it out of
+# check.sh.  Any change that claims a fleet gain reruns it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +34,7 @@ RACKS=1000
 HOURS=24
 SAMPLES=1850
 SEED=42
+PAIRS=3
 OUT=${OUT:-$PWD/BENCH_paper_day.json}
 WORK=${WORK:-$BUILD/paper_day}
 MSAMPCTL="$BUILD/tools/msampctl"
@@ -69,30 +73,50 @@ print(json.dumps({
 PY
 }
 
-echo "paper day: ${RACKS} racks/region x ${HOURS} h x ${SAMPLES} samples," \
-     "seed ${SEED}, ${LANES} lanes, ${COMMIT}, simd ${SIMD}"
-FLEET=$(timed "$WORK/fleet.log" "$MSAMPCTL" fleet "${SCALE[@]}" \
-          --threads "$LANES" --out "$WORK/fleet.bin")
-echo "fleet:   $FLEET"
-CLUSTER=$(timed "$WORK/cluster.log" "$MSAMPCTL" cluster "${SCALE[@]}" \
-            --threads 1 --workers "$LANES" --out "$WORK/cluster.bin" \
-            --shard-dir "$WORK/shards")
-echo "cluster: $CLUSTER"
-cmp "$WORK/fleet.bin" "$WORK/cluster.bin"
-BYTES=$(stat -c %s "$WORK/fleet.bin")
+# run_path <path>: times one path's run of the day into $WORK/<path>.bin
+# and prints its rusage object.
+run_path() {
+  case "$1" in
+    fleet) timed "$WORK/fleet.log" "$MSAMPCTL" fleet "${SCALE[@]}" \
+             --threads "$LANES" --out "$WORK/fleet.bin" ;;
+    cluster) timed "$WORK/cluster.log" "$MSAMPCTL" cluster "${SCALE[@]}" \
+               --threads 1 --workers "$LANES" --out "$WORK/cluster.bin" \
+               --shard-dir "$WORK/shards" ;;
+  esac
+}
 
-python3 - "$OUT" "$FLEET" "$CLUSTER" <<PY
+echo "paper day: ${RACKS} racks/region x ${HOURS} h x ${SAMPLES} samples," \
+     "seed ${SEED}, ${LANES} lanes, ${PAIRS} pairs, ${COMMIT}, simd ${SIMD}"
+RUNS=()  # one "pair path first rusage-json bytes" line per run
+declare -A RUSAGE
+for ((pair = 1; pair <= PAIRS; pair++)); do
+  if ((pair % 2 == 1)); then ORDER=(cluster fleet); else ORDER=(fleet cluster); fi
+  for path in "${ORDER[@]}"; do
+    RUSAGE[$path]=$(run_path "$path")
+    echo "pair $pair $path: ${RUSAGE[$path]}"
+  done
+  cmp "$WORK/fleet.bin" "$WORK/cluster.bin"
+  BYTES=$(stat -c %s "$WORK/fleet.bin")
+  for path in fleet cluster; do
+    RUNS+=("$pair $path ${ORDER[0]} ${RUSAGE[$path]} $BYTES")
+  done
+  rm -rf "$WORK"/fleet.bin "$WORK"/cluster.bin "$WORK"/shards
+done
+
+python3 - "$OUT" "${RUNS[@]}" <<PY
 import json, os, sys
-out, runs = sys.argv[1], {"fleet": sys.argv[2], "cluster": sys.argv[3]}
+out = sys.argv[1]
 records = json.load(open(out)) if os.path.exists(out) else []
-for path, run in runs.items():
+for run in sys.argv[2:]:
+    pair, path, first, rest = run.split(" ", 3)
+    rusage, output_bytes = rest.rsplit(" ", 1)
     records.append({
         "commit": "$COMMIT", "host_cores": os.cpu_count(), "simd": "$SIMD",
-        "path": path, "lanes": $LANES, "racks_per_region": $RACKS,
-        "hours": $HOURS, "samples": $SAMPLES, "seed": $SEED, **json.loads(run),
-        "output_bytes": $BYTES})
+        "path": path, "pair": int(pair), "first": first, "lanes": $LANES,
+        "racks_per_region": $RACKS, "hours": $HOURS, "samples": $SAMPLES,
+        "seed": $SEED, **json.loads(rusage), "output_bytes": int(output_bytes)})
 with open(out, "w") as f:
     f.write("[\n" + ",\n".join("  " + json.dumps(r) for r in records) +
             "\n]\n")
 PY
-echo "appended 2 records to $OUT (outputs cmp-equal, $BYTES bytes)"
+echo "appended $((2 * PAIRS)) records to $OUT (each pair's outputs cmp-equal)"

@@ -65,11 +65,13 @@ RackDiagnosis diagnose(const core::SyncRun& run,
     out.servers.push_back(std::move(diag));
   }
 
-  // Loss hotspots: top servers by lossy-burst count.
+  // Loss hotspots: top servers by lossy-burst count, ties by index.
   std::vector<std::size_t> order(out.servers.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return out.servers[a].lossy_bursts > out.servers[b].lossy_bursts;
+    const std::size_t la = out.servers[a].lossy_bursts;
+    const std::size_t lb = out.servers[b].lossy_bursts;
+    return la != lb ? la > lb : a < b;
   });
   for (std::size_t i = 0; i < order.size() && i < 5; ++i) {
     if (out.servers[order[i]].lossy_bursts == 0) break;

@@ -49,7 +49,8 @@ struct RackDiagnosis {
   std::size_t worst_sample = 0; ///< first sample at `summary.max`
   std::vector<ServerDiagnosis> servers;
 
-  /// Servers whose lossy-burst count is highest, descending (<= 5).
+  /// Servers whose lossy-burst count is highest (<= 5, none lossless):
+  /// by count descending, then by server index ascending.
   std::vector<std::size_t> loss_hotspots;
   /// True if any server shows a stall artifact.
   bool measurement_artifacts = false;

@@ -22,15 +22,18 @@ bool is_zero(const core::BucketSample& b) {
          b.out_retx_bytes == 0 && b.in_ecn_bytes == 0 && b.connections == 0.0;
 }
 
-/// Parses one signed integer field up to the next comma.
-bool field_i64(const std::string& line, std::size_t& pos, std::int64_t* out) {
-  const char* begin = line.data() + pos;
+/// Parses the signed integer at `pos`, which one `stop` character must
+/// end, and steps past it: a row field ends at its comma (so a second
+/// comma fails the next field), a space-separated header value at a space
+/// or the end of the line.
+bool int_field(const std::string& line, std::size_t& pos, char stop,
+               std::int64_t* out) {
   const char* end = line.data() + line.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, *out);
+  const auto [ptr, ec] = std::from_chars(line.data() + pos, end, *out);
   if (ec != std::errc{}) return false;
   pos = static_cast<std::size_t>(ptr - line.data());
-  if (pos < line.size() && line[pos] == ',') ++pos;
-  return true;
+  if (pos == line.size()) return stop == ' ';
+  return line[pos++] == stop;
 }
 
 }  // namespace
@@ -85,9 +88,11 @@ std::optional<core::SyncRun> read_sync_trace(std::istream& is) {
     }
     std::size_t p = ipos + 12;
     std::int64_t interval = 0, grid_start = 0;
-    if (!field_i64(line, p, &interval) || interval <= 0) return std::nullopt;
+    if (!int_field(line, p, ' ', &interval) || interval <= 0) {
+      return std::nullopt;
+    }
     p = gpos + 14;
-    if (!field_i64(line, p, &grid_start)) return std::nullopt;
+    if (!int_field(line, p, ' ', &grid_start)) return std::nullopt;
     run.interval = interval;
     run.grid_start = grid_start;
   }
@@ -107,20 +112,19 @@ std::optional<core::SyncRun> read_sync_trace(std::istream& is) {
     Row row;
     std::size_t pos = 0;
     std::int64_t server = 0, sample = 0;
-    if (!field_i64(line, pos, &server) || server < 0) return std::nullopt;
-    if (!field_i64(line, pos, &sample) || sample < 0) return std::nullopt;
-    if (!field_i64(line, pos, &row.value.in_bytes)) return std::nullopt;
-    if (!field_i64(line, pos, &row.value.in_retx_bytes)) return std::nullopt;
-    if (!field_i64(line, pos, &row.value.out_bytes)) return std::nullopt;
-    if (!field_i64(line, pos, &row.value.out_retx_bytes)) return std::nullopt;
-    if (!field_i64(line, pos, &row.value.in_ecn_bytes)) return std::nullopt;
-    // Connections: fractional; parse via stod on the remaining field.
-    try {
-      row.value.connections = std::stod(line.substr(pos));
-    } catch (...) {
-      return std::nullopt;
+    if (!int_field(line, pos, ',', &server) || server < 0) return std::nullopt;
+    if (!int_field(line, pos, ',', &sample) || sample < 0) return std::nullopt;
+    for (std::int64_t* bytes :
+         {&row.value.in_bytes, &row.value.in_retx_bytes, &row.value.out_bytes,
+          &row.value.out_retx_bytes, &row.value.in_ecn_bytes}) {
+      if (!int_field(line, pos, ',', bytes) || *bytes < 0) return std::nullopt;
     }
-    // stod reads "nan" and "inf", and NaN passes a `< 0` test.
+    // Connections: fractional, and the last field, so it must end the line.
+    const char* end = line.data() + line.size();
+    const auto [ptr, ec] =
+        std::from_chars(line.data() + pos, end, row.value.connections);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    // from_chars reads "nan" and "inf", and NaN passes a `< 0` test.
     if (!std::isfinite(row.value.connections) || row.value.connections < 0) {
       return std::nullopt;
     }

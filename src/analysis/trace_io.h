@@ -15,11 +15,13 @@
 // sample index seen (plus explicit rows), and every server listed in at
 // least one row gets a full-length series.
 //
-// The reader fails closed: server ids must be dense from 0, `connections`
-// must be finite and >= 0, and servers x samples may not exceed
-// kMaxTraceCells (2^22 cells, 192 MiB of samples; 23x the paper's
-// 92-server x 2,000-sample run, and room for 92 x 45,000), which is
-// checked before the series are allocated.
+// The reader fails closed: a space or the end of the line follows each
+// header value; server ids must be dense from 0; in each row exactly one
+// comma follows each of the seven integer fields, the five byte counters
+// are >= 0, and `connections` is finite, >= 0 and ends the line; and
+// servers x samples may not exceed kMaxTraceCells (2^22 cells, 192 MiB of
+// samples; 23x the paper's 92-server x 2,000-sample run, and room for
+// 92 x 45,000), which is checked before the series are allocated.
 #pragma once
 
 #include <cstddef>

@@ -130,6 +130,35 @@ TEST(Diagnose, FullReport) {
   EXPECT_EQ(report.loss_hotspots[0], 0u);
 }
 
+TEST(Diagnose, LossHotspotsBreakTiesByServerIndex) {
+  // 24 servers: more than the 16 that std::sort insertion-sorts, which
+  // would keep tied servers in index order by accident.  Servers 3 and 20
+  // have two lossy bursts, six others one each.
+  core::SyncRun run;
+  run.interval = sim::kMillisecond;
+  run.series.assign(24, std::vector<core::BucketSample>(30));
+  const auto lossy_burst = [&](std::size_t s, std::size_t start) {
+    for (std::size_t k = start; k < start + 4; ++k) {
+      run.series[s][k].in_bytes = kLine;
+    }
+    run.series[s][start + 4].in_retx_bytes = 5000;
+  };
+  for (std::size_t s : {3u, 20u}) {
+    lossy_burst(s, 4);
+    lossy_burst(s, 20);
+  }
+  for (std::size_t s : {1u, 5u, 8u, 12u, 17u, 22u}) lossy_burst(s, 4);
+  for (std::size_t s = 0; s < run.series.size(); ++s) {
+    run.hosts.push_back(static_cast<net::HostId>(s));
+  }
+
+  const auto report = diagnose(run);
+  EXPECT_EQ(report.servers[3].lossy_bursts, 2u);
+  EXPECT_EQ(report.servers[12].lossy_bursts, 1u);
+  EXPECT_EQ(report.loss_hotspots,
+            (std::vector<std::size_t>{3, 20, 1, 5, 8}));
+}
+
 TEST(Diagnose, CleanFluidRunHasNoArtifacts) {
   workload::RackMeta rack;
   rack.rack_id = 1;

@@ -172,52 +172,85 @@ TEST(TcFilter, MemoryFootprintMatchesPaper) {
 }
 
 TEST(TcFilter, BatchMatchesPerPacketProcessing) {
-  // Property: process_batch must be equivalent to the per-packet path.
+  // Property: process_batch must be equivalent to the per-packet path, row
+  // by row on every CPU.  process_batch prefetches kBatchPrefetchRows
+  // rows ahead, so runs shorter than, as long as and longer than that
+  // look-ahead are covered, each ending with a batch one bucket past the
+  // end that must stop the run and count nothing.
   util::Rng rng(9);
-  TcFilterConfig cfg;
-  cfg.num_cpus = 2;
-  cfg.num_buckets = 50;
-  TcFilter per_packet(cfg), batched(cfg);
-  per_packet.enable(sim::kMillisecond);
-  batched.enable(sim::kMillisecond);
+  std::vector<int> lengths;
+  for (int n = 1; n <= kBatchPrefetchRows + 1; ++n) lengths.push_back(n);
+  lengths.push_back(50);
+  for (int cpus = 1; cpus <= 2; ++cpus) {
+    for (const int buckets : lengths) {
+      SCOPED_TRACE(testing::Message() << cpus << " cpus, " << buckets
+                                      << " buckets");
+      TcFilterConfig cfg;
+      cfg.num_cpus = cpus;
+      cfg.num_buckets = buckets;
+      TcFilter per_packet(cfg), batched(cfg);
+      per_packet.enable(sim::kMillisecond);
+      batched.enable(sim::kMillisecond);
 
-  for (int bucket = 0; bucket < 50; ++bucket) {
-    const sim::SimTime t = bucket * sim::kMillisecond + 10;
-    SegmentBatch batch;
-    FlowSketch sketch;
-    const int packets = 1 + static_cast<int>(rng.uniform_int(8));
-    for (int i = 0; i < packets; ++i) {
-      const net::FlowId flow = 1 + rng.uniform_int(5);
-      const auto bytes = static_cast<std::int32_t>(100 + rng.uniform_int(1400));
-      const bool retx = rng.bernoulli(0.1);
-      const bool ce = rng.bernoulli(0.2);
-      const bool ingress = rng.bernoulli(0.8);
-      per_packet.process(0, seg(flow, bytes, retx, ce), ingress, t);
-      if (ingress) {
-        batch.in_bytes += bytes;
-        if (retx) batch.in_retx_bytes += bytes;
-        if (ce) batch.in_ecn_bytes += bytes;
-      } else {
-        batch.out_bytes += bytes;
-        if (retx) batch.out_retx_bytes += bytes;
+      for (int bucket = 0; bucket <= buckets; ++bucket) {
+        const sim::SimTime t = bucket * sim::kMillisecond + 10;
+        for (int cpu = 0; cpu < cpus; ++cpu) {
+          SegmentBatch batch;
+          FlowSketch sketch;
+          const int packets = 1 + static_cast<int>(rng.uniform_int(8));
+          for (int i = 0; i < packets; ++i) {
+            const net::FlowId flow = 1 + rng.uniform_int(5);
+            const auto bytes =
+                static_cast<std::int32_t>(100 + rng.uniform_int(1400));
+            const bool retx = rng.bernoulli(0.1);
+            const bool ce = rng.bernoulli(0.2);
+            const bool ingress = rng.bernoulli(0.8);
+            per_packet.process(cpu, seg(flow, bytes, retx, ce), ingress, t);
+            if (ingress) {
+              batch.in_bytes += bytes;
+              if (retx) batch.in_retx_bytes += bytes;
+              if (ce) batch.in_ecn_bytes += bytes;
+            } else {
+              batch.out_bytes += bytes;
+              if (retx) batch.out_retx_bytes += bytes;
+            }
+            sketch.add(flow);
+          }
+          batch.sketch[0] = sketch.word(0);
+          batch.sketch[1] = sketch.word(1);
+          EXPECT_EQ(batched.process_batch(cpu, batch, t), bucket < buckets)
+              << bucket;
+        }
       }
-      sketch.add(flow);
-    }
-    batch.sketch[0] = sketch.word(0);
-    batch.sketch[1] = sketch.word(1);
-    batched.process_batch(0, batch, t);
-  }
+      EXPECT_FALSE(per_packet.enabled());
+      EXPECT_FALSE(batched.enabled());
 
-  const auto a = per_packet.read_aggregated();
-  const auto b = batched.read_aggregated();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].in_bytes, b[i].in_bytes) << i;
-    EXPECT_EQ(a[i].in_retx_bytes, b[i].in_retx_bytes) << i;
-    EXPECT_EQ(a[i].in_ecn_bytes, b[i].in_ecn_bytes) << i;
-    EXPECT_EQ(a[i].out_bytes, b[i].out_bytes) << i;
-    EXPECT_EQ(a[i].out_retx_bytes, b[i].out_retx_bytes) << i;
-    EXPECT_DOUBLE_EQ(a[i].connections, b[i].connections) << i;
+      for (int cpu = 0; cpu < cpus; ++cpu) {
+        for (int i = 0; i < buckets; ++i) {
+          const RawBucket& a = per_packet.raw(cpu, i);
+          const RawBucket& b = batched.raw(cpu, i);
+          EXPECT_EQ(a.in_bytes, b.in_bytes) << cpu << " " << i;
+          EXPECT_EQ(a.in_retx_bytes, b.in_retx_bytes) << cpu << " " << i;
+          EXPECT_EQ(a.in_ecn_bytes, b.in_ecn_bytes) << cpu << " " << i;
+          EXPECT_EQ(a.out_bytes, b.out_bytes) << cpu << " " << i;
+          EXPECT_EQ(a.out_retx_bytes, b.out_retx_bytes) << cpu << " " << i;
+          EXPECT_EQ(a.sketch[0], b.sketch[0]) << cpu << " " << i;
+          EXPECT_EQ(a.sketch[1], b.sketch[1]) << cpu << " " << i;
+        }
+      }
+      const auto a = per_packet.read_aggregated();
+      const auto b = batched.read_aggregated();
+      ASSERT_EQ(a.size(), static_cast<std::size_t>(buckets));
+      ASSERT_EQ(b.size(), a.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].in_bytes, b[i].in_bytes) << i;
+        EXPECT_EQ(a[i].in_retx_bytes, b[i].in_retx_bytes) << i;
+        EXPECT_EQ(a[i].in_ecn_bytes, b[i].in_ecn_bytes) << i;
+        EXPECT_EQ(a[i].out_bytes, b[i].out_bytes) << i;
+        EXPECT_EQ(a[i].out_retx_bytes, b[i].out_retx_bytes) << i;
+        EXPECT_DOUBLE_EQ(a[i].connections, b[i].connections) << i;
+      }
+    }
   }
 }
 

@@ -68,6 +68,20 @@ TEST(TraceIo, RejectsMalformed) {
   EXPECT_FALSE(parse("garbage\n"));
   EXPECT_FALSE(parse("# msamp-sync-trace v1\nwrong_columns\n"));
   EXPECT_FALSE(parse("# msamp-sync-trace v1 interval_ns=0 grid_start_ns=0\n"));
+  // Each header value ends at a space or the end of the line.
+  const auto with_header = [](const char* attributes) {
+    return std::string("# msamp-sync-trace v1 ") + attributes +
+           "\nserver,sample,in_bytes,in_retx_bytes,out_bytes,out_retx_bytes,"
+           "in_ecn_bytes,connections\n0,0,1,0,0,0,0,1.0\n";
+  };
+  EXPECT_TRUE(parse(with_header("grid_start_ns=-5 interval_ns=100000")));
+  for (const char* attributes :
+       {"interval_ns=1000000abc grid_start_ns=0",
+        "interval_ns=1000000 grid_start_ns=-5x",
+        "interval_ns=1000000,grid_start_ns=0",
+        "interval_ns= grid_start_ns=0"}) {
+    EXPECT_FALSE(parse(with_header(attributes))) << attributes;
+  }
   // Valid header, corrupt row.
   std::stringstream good;
   write_sync_trace(sample_run(), good);
@@ -98,6 +112,33 @@ TEST(TraceIo, RejectsNonFiniteConnections) {
   }
 }
 
+TEST(TraceIo, RejectsRowsOfTheWrongShape) {
+  // Two rows of a 2-server x 4-sample trace that read as plausible
+  // numbers unless every field is held to its comma.
+  auto trace = [](const char* row) {
+    std::stringstream ss;
+    ss << kTraceHead << "0,0,1000000,0,0,0,0,4.000\n" << row << "\n"
+       << "0,3,1000000,0,0,0,0,4.000\n1,3,1000000,0,0,0,0,4.000\n";
+    return read_sync_trace(ss);
+  };
+  ASSERT_TRUE(trace("0,1,1000000,0,0,0,0,4.000").has_value());
+  // A newline turned into a digit merges two rows: sample 2 would vanish.
+  EXPECT_FALSE(
+      trace("0,1,1000000,0,0,0,0,4.0007,2,1000000,0,0,0,0,4.000").has_value());
+  // A comma turned into a minus: in_bytes 1,000,000, in_retx_bytes -5.
+  EXPECT_FALSE(trace("0,1,1000000-5,0,0,0,4.000").has_value());
+  // Each integer field ends at exactly one comma, byte counters are never
+  // negative, and nothing follows the connections.
+  for (const char* row :
+       {"0,1,1000000,0,0,0,0", "0,1,1000000,0,0,0,0,", "0,1,1000000,0,0,0,,4.0",
+        "0,1,1000000,,0,0,0,0,4.0", "0,1,1000000 ,0,0,0,0,4.0",
+        "0,1,-1,0,0,0,0,4.0", "0,1,1000000,0,0,0,-1,4.0", "0,1,0,0,-7,0,0,0",
+        "0,1,1000000,0,0,0,0,4.0,", "0,1,1000000,0,0,0,0,4.0 ",
+        "0,1,1000000,0,0,0,0,4.0x"}) {
+    EXPECT_FALSE(trace(row).has_value()) << row;
+  }
+}
+
 TEST(TraceIo, RejectsOneCellOverTheBudget) {
   // 5 servers x 838,861 samples is kMaxTraceCells + 1, though each axis
   // is under its own cap: the product is what gets allocated.
@@ -113,9 +154,10 @@ TEST(TraceIo, MutationsFailClosed) {
   // Seeded substitutions of digits, commas, minus signs and newlines into
   // a small real trace: size fields can grow, fields merge and lines
   // split.  Each mutant must parse into a run within the cell budget with
-  // finite, non-negative connections, or be rejected — never allocate
-  // past the budget, read out of bounds or throw.  Run under the
-  // ASan/UBSan lane this is a real fuzz of the reader's checks.
+  // non-negative byte counters and finite, non-negative connections, or
+  // be rejected — never allocate past the budget, read out of bounds or
+  // throw.  Run under the ASan/UBSan lane this is a real fuzz of the
+  // reader's checks.
   workload::RackMeta rack;
   rack.rack_id = 1;
   rack.region = workload::RegionId::kRegA;
@@ -149,6 +191,9 @@ TEST(TraceIo, MutationsFailClosed) {
       ASSERT_EQ(series.size(), run->num_samples());
       for (const auto& b : series) {
         ASSERT_TRUE(std::isfinite(b.connections) && b.connections >= 0);
+        ASSERT_TRUE(b.in_bytes >= 0 && b.in_retx_bytes >= 0 &&
+                    b.out_bytes >= 0 && b.out_retx_bytes >= 0 &&
+                    b.in_ecn_bytes >= 0);
       }
     }
   }

@@ -51,7 +51,8 @@ if(NOT rc EQUAL 0)
 endif()
 analyze(out --trace p2.csv)
 expect(probe2-default "${out}" "lossy bursts +[1-9]" TRUE)
-expect(probe2-default "${out}" "loss hotspots" TRUE)
+# Four servers tie at one lossy burst each: listed by server index.
+expect(probe2-default "${out}" "loss hotspots \\(servers\\): 21 61 67 89\n" TRUE)
 analyze(out --trace p2.csv --gbps 40)
 expect(probe2 "${out}" "lossy bursts +0 " TRUE)
 expect(probe2 "${out}" "loss hotspots" FALSE)
@@ -64,11 +65,17 @@ analyze(out --trace p3.csv)
 expect(probe3 "${out}" "kernel stalls\\) +DETECTED" TRUE)
 expect(probe3 "${out}" "burst length \\(ms\\) +0\\.1 " TRUE)
 
-# Fail closed: non-finite connections, and one cell over the reader's
-# budget (5 servers x 838,861 samples), each exit 1 with an error line.
+# Fail closed: non-finite connections, one cell over the reader's budget
+# (5 servers x 838,861 samples), two rows merged by a newline turned into
+# a digit, and a comma turned into a minus (in_retx_bytes -5), each exit 1
+# with an error line.
 file(WRITE ${work}/nonfinite.csv "${head_1ms}0,0,1,0,0,0,0,nan\n0,1,1,0,0,0,0,inf\n")
 file(WRITE ${work}/budget.csv "${head_1ms}0,0,1,0,0,0,0,1.0\n1,0,1,0,0,0,0,1.0\n2,0,1,0,0,0,0,1.0\n3,0,1,0,0,0,0,1.0\n4,838860,1,0,0,0,0,1.0\n")
-foreach(trace nonfinite budget)
+set(rows_before "0,0,1000000,0,0,0,0,4.000\n")
+set(rows_after "0,3,1000000,0,0,0,0,4.000\n1,1,1000000,0,0,0,0,4.000\n1,2,1000000,0,0,0,0,4.000\n1,3,0,0,0,0,0,0.000\n")
+file(WRITE ${work}/merged.csv "${head_1ms}${rows_before}0,1,1000000,0,0,0,0,4.0007,2,1000000,0,0,0,0,4.000\n${rows_after}")
+file(WRITE ${work}/nocomma.csv "${head_1ms}${rows_before}0,1,1000000-5,0,0,0,4.000\n0,2,1000000,0,0,0,0,4.000\n${rows_after}")
+foreach(trace nonfinite budget merged nocomma)
   execute_process(COMMAND ${MSAMPCTL} analyze --trace ${trace}.csv
                   WORKING_DIRECTORY ${work}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
