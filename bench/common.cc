@@ -51,15 +51,30 @@ const fleet::DatasetView& dataset_view() {
   return fleet::shared_view(bench_config(), cache_path);
 }
 
-util::Series cdf_series(const std::string& name, std::vector<double> samples,
-                        std::size_t max_points) {
+namespace {
+
+util::Series to_series(const std::string& name,
+                       const std::vector<util::CdfPoint>& points) {
   util::Series s;
   s.name = name;
-  for (const auto& p : util::empirical_cdf(std::move(samples), max_points)) {
+  for (const auto& p : points) {
     s.x.push_back(p.value);
     s.y.push_back(p.percent);
   }
   return s;
+}
+
+}  // namespace
+
+util::Series cdf_series(const std::string& name, std::vector<double> samples,
+                        std::size_t max_points) {
+  return to_series(name, util::empirical_cdf(std::move(samples), max_points));
+}
+
+util::Series cdf_series_counts(const std::string& name,
+                               const std::vector<std::uint64_t>& counts,
+                               std::size_t max_points) {
+  return to_series(name, util::empirical_cdf_counts(counts, max_points));
 }
 
 void print_cdf_figure(const std::string& name, const std::string& title,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +60,12 @@ void emit_table(const std::string& name, const util::Table& table);
 /// Builds a CDF series from samples.
 util::Series cdf_series(const std::string& name, std::vector<double> samples,
                         std::size_t max_points = 64);
+
+/// Builds the same CDF series from counts per value (`counts[v]` samples
+/// have the value v): the series `cdf_series` makes of the expanded samples.
+util::Series cdf_series_counts(const std::string& name,
+                               const std::vector<std::uint64_t>& counts,
+                               std::size_t max_points = 64);
 
 /// Prints the standard bench header.
 void header(const std::string& id, const std::string& paper_claim);

@@ -58,13 +58,14 @@ fi
 # sketch's estimate table, the blend's rounding fallback and its skip of
 # an unchanged counter, the burst process's retransmission ring, the event
 # engine's slab of inline callbacks and the packet-path suites that drive
-# it) with AddressSanitizer and UBSan watching the bounds checks.  Skip
-# with MSAMP_SKIP_ASAN=1.
+# it), and the read path's computed indices (the percentile/CDF selection's
+# rank pointers, the counts walk, the loss-curve bins) with AddressSanitizer
+# and UBSan watching the bounds checks.  Skip with MSAMP_SKIP_ASAN=1.
 if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference|TraceIo|Diagnose|StallArtifacts|cli_analyze)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference|TraceIo|Diagnose|StallArtifacts|cli_analyze|Aggregate|Percentile|EmpiricalCdf)'
   # Cross-check: the AVX2 tally's unaligned loads and stores run under ASan
   # in the Simd suites above; the scalar path gets the same run, with the
   # multi-CPU TcFilter reads that call the kernel.

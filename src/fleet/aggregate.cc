@@ -1,6 +1,7 @@
 #include "fleet/aggregate.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace msamp::fleet {
 namespace {
@@ -15,6 +16,43 @@ bool passes(const BurstColumns& bursts, std::size_t i, BurstFilter filter) {
       return bursts.contended[i] == 0;
   }
   return true;
+}
+
+// burst_class with a one-entry memo keyed on (region, rack id).  A window's
+// bursts are stored together and share its rack, so a scan hashes a rack
+// once per run of its bursts, not once per burst.  Exact for any file: it
+// skips only a lookup whose key equals the previous one.
+class ClassMemo {
+ public:
+  explicit ClassMemo(const ClassMap& classes) : classes_(classes) {}
+
+  analysis::RackClass operator()(std::uint8_t region, std::uint32_t rack_id) {
+    if (!valid_ || region != region_ || rack_id != rack_id_) {
+      class_ = burst_class(region, rack_id, classes_);
+      region_ = region;
+      rack_id_ = rack_id;
+      valid_ = true;
+    }
+    return class_;
+  }
+
+ private:
+  const ClassMap& classes_;
+  bool valid_ = false;
+  std::uint8_t region_ = 0;
+  std::uint32_t rack_id_ = 0;
+  analysis::RackClass class_ = analysis::RackClass::kRegATypical;
+};
+
+// The bin of an average connection count among `bins` bins of `bin_width`:
+// NaN and negative counts go in the first bin and counts past the last
+// bin's edge in the last, as loss_by_length clamps lengths.  The integer
+// cast only sees counts inside the bins, below 2^62.
+std::size_t connection_bin(float conns, int bin_width, std::size_t bins) {
+  if (!(conns >= 0.0f)) return 0;
+  if (!(conns < static_cast<double>(bins) * bin_width)) return bins - 1;
+  const auto bin = static_cast<std::int64_t>(conns) / bin_width;
+  return std::min(static_cast<std::size_t>(bin), bins - 1);
 }
 
 }  // namespace
@@ -43,8 +81,9 @@ std::array<ClassBurstStats, analysis::kNumRackClasses> table2_summary(
     const DatasetView& view, const ClassMap& classes) {
   const BurstColumns& bursts = view.bursts();
   std::array<ClassBurstStats, analysis::kNumRackClasses> out{};
+  ClassMemo class_of(classes);
   for (std::size_t i = 0; i < bursts.size(); ++i) {
-    const auto cls = burst_class(bursts.region[i], bursts.rack_id[i], classes);
+    const auto cls = class_of(bursts.region[i], bursts.rack_id[i]);
     auto& stats = out[static_cast<std::size_t>(cls)];
     ++stats.bursts;
     stats.contended += bursts.contended[i];
@@ -64,9 +103,9 @@ std::vector<LossBucket> loss_by_contention(const DatasetView& view,
     out[static_cast<std::size_t>(b)].hi = (b + 1) * bin_width;
   }
   const BurstColumns& bursts = view.bursts();
+  ClassMemo class_of(classes);
   for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (burst_class(bursts.region[i], bursts.rack_id[i], classes) !=
-        rack_class) {
+    if (class_of(bursts.region[i], bursts.rack_id[i]) != rack_class) {
       continue;
     }
     const int bin =
@@ -88,9 +127,9 @@ std::vector<LossBucket> loss_by_length(const DatasetView& view,
     out[static_cast<std::size_t>(len - 1)].hi = len + 1;
   }
   const BurstColumns& bursts = view.bursts();
+  ClassMemo class_of(classes);
   for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (burst_class(bursts.region[i], bursts.rack_id[i], classes) !=
-            rack_class ||
+    if (class_of(bursts.region[i], bursts.rack_id[i]) != rack_class ||
         !passes(bursts, i, filter)) {
       continue;
     }
@@ -113,15 +152,14 @@ std::vector<LossBucket> loss_by_connections(const DatasetView& view,
     out[static_cast<std::size_t>(b)].hi = (b + 1) * bin_width;
   }
   const BurstColumns& bursts = view.bursts();
+  ClassMemo class_of(classes);
   for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (burst_class(bursts.region[i], bursts.rack_id[i], classes) !=
-            rack_class ||
+    if (class_of(bursts.region[i], bursts.rack_id[i]) != rack_class ||
         !passes(bursts, i, filter)) {
       continue;
     }
-    const int bin = std::min(static_cast<int>(bursts.avg_conns[i]) / bin_width,
-                             num_bins - 1);
-    auto& bucket = out[static_cast<std::size_t>(bin)];
+    auto& bucket =
+        out[connection_bin(bursts.avg_conns[i], bin_width, out.size())];
     ++bucket.bursts;
     bucket.lossy += bursts.lossy[i];
   }

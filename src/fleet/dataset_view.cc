@@ -217,6 +217,19 @@ util::Status DatasetView::init(const std::uint8_t* data, std::size_t size,
         static_cast<std::int64_t>(lay.dir[wire::kSecWindows].offset));
   }
 
+  // Every reader indexes per-class arrays by a rack's class, so a class
+  // out of range fails the open, not the read that would index past them.
+  for (std::size_t i = 0; i < racks_.size(); ++i) {
+    if (racks_.rack_class[i] >= analysis::kNumRackClasses) {
+      return util::Status::error(
+          "rack table class " + std::to_string(racks_.rack_class[i]) +
+              " out of range at rack " + std::to_string(i) + " (rack id " +
+              std::to_string(racks_.rack_id[i]) + ")",
+          path_,
+          static_cast<std::int64_t>(&racks_.rack_class[i] - data));
+    }
+  }
+
   // Exemplars: the row-encoded tail must decode and consume the section
   // exactly.
   const auto& ex = lay.dir[wire::kSecExemplars];

@@ -12,9 +12,9 @@
 // explicit opt-in for callers that do want owned rows.
 //
 // All validation happens once at open (header, section directory vs the
-// layout the counts imply, window-directory prefix sums, exemplar
-// decode); after that every accessor is a bounds-free pointer add.  The
-// view is move-only and unmaps on destruction.
+// layout the counts imply, window-directory prefix sums, rack classes in
+// range, exemplar decode); after that every accessor is a bounds-free
+// pointer add.  The view is move-only and unmaps on destruction.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,52 @@
 #include <cmath>
 
 namespace msamp::util {
+namespace {
+
+// Puts at each absolute position in [rank_first, rank_last) the value
+// std::sort would put there, for input without NaN.  [first, last) is a
+// part of the buffer that starts at absolute position `base` and holds
+// every listed rank; the ranks are strictly increasing.  nth_element on
+// the middle rank partitions the part around it, so the ranks on either
+// side are order statistics of that side alone: k ranks cost O(n log k).
+void select_ranks(double* first, double* last, std::size_t base,
+                  const std::size_t* rank_first, const std::size_t* rank_last) {
+  while (rank_first != rank_last) {
+    const std::size_t* mid = rank_first + (rank_last - rank_first) / 2;
+    double* nth = first + (*mid - base);
+    std::nth_element(first, nth, last);
+    select_ranks(nth + 1, last, *mid + 1, mid + 1, rank_last);
+    last = nth;
+    rank_last = mid;
+  }
+}
+
+// The empirical CDF of n samples, at most `max_points` long: the order
+// statistics at evenly spaced cumulative probabilities, always including
+// the max so the CDF reaches 100%.  `values_at(ranks)` returns the order
+// statistic at each rank; the ranks are strictly increasing, because
+// there are at most n of them.
+template <typename ValuesAt>
+std::vector<CdfPoint> cdf_at_ranks(std::size_t n, std::size_t max_points,
+                                   ValuesAt&& values_at) {
+  std::vector<CdfPoint> out;
+  if (n == 0 || max_points == 0) return out;
+  const std::size_t points = std::min(max_points, n);
+  std::vector<std::size_t> ranks;
+  ranks.reserve(points);
+  for (std::size_t i = 0; i < points; ++i) {
+    ranks.push_back((points == 1) ? n - 1 : (i * (n - 1)) / (points - 1));
+  }
+  const std::vector<double> values = values_at(ranks);
+  out.reserve(points);
+  for (std::size_t i = 0; i < points; ++i) {
+    out.push_back({values[i], 100.0 * static_cast<double>(ranks[i] + 1) /
+                                  static_cast<double>(n)});
+  }
+  return out;
+}
+
+}  // namespace
 
 void StreamingStats::add(double x) noexcept {
   ++n_;
@@ -42,11 +88,13 @@ double StreamingStats::stddev() const noexcept {
 
 double percentile_inplace(std::vector<double>& samples, double p) {
   if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
   p = std::clamp(p, 0.0, 100.0);
   const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const std::size_t ranks[] = {lo, hi};
+  select_ranks(samples.data(), samples.data() + samples.size(), 0, ranks,
+               ranks + (hi == lo ? 1 : 2));
   const double frac = rank - static_cast<double>(lo);
   return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
@@ -81,22 +129,37 @@ BoxSummary box_summary(std::vector<double>& samples) {
 
 std::vector<CdfPoint> empirical_cdf(std::vector<double> samples,
                                     std::size_t max_points) {
-  std::vector<CdfPoint> out;
-  if (samples.empty() || max_points == 0) return out;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  const std::size_t points = std::min(max_points, n);
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    // Pick the order statistic at evenly spaced cumulative probabilities,
-    // always including the max so the CDF reaches 100%.
-    const std::size_t idx =
-        (points == 1) ? n - 1 : (i * (n - 1)) / (points - 1);
-    out.push_back({samples[idx],
-                   100.0 * static_cast<double>(idx + 1) /
-                       static_cast<double>(n)});
-  }
-  return out;
+  double* first = samples.data();
+  double* last = first + samples.size();
+  return cdf_at_ranks(
+      samples.size(), max_points, [&](const std::vector<std::size_t>& ranks) {
+        select_ranks(first, last, 0, ranks.data(), ranks.data() + ranks.size());
+        std::vector<double> values;
+        values.reserve(ranks.size());
+        for (const std::size_t r : ranks) values.push_back(first[r]);
+        return values;
+      });
+}
+
+std::vector<CdfPoint> empirical_cdf_counts(
+    const std::vector<std::uint64_t>& counts, std::size_t max_points) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : counts) n += c;
+  return cdf_at_ranks(
+      static_cast<std::size_t>(n), max_points,
+      [&](const std::vector<std::size_t>& ranks) {
+        // One walk up the counts: `below` samples have a value under `v`,
+        // and rank r holds the first value whose count carries past r.
+        std::vector<double> values;
+        values.reserve(ranks.size());
+        std::size_t v = 0;
+        std::uint64_t below = 0;
+        for (const std::size_t r : ranks) {
+          while (below + counts[v] <= r) below += counts[v++];
+          values.push_back(static_cast<double>(v));
+        }
+        return values;
+      });
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -38,12 +38,20 @@ class StreamingStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+// Percentiles and CDFs select the order statistics they read
+// (std::nth_element) instead of sorting the whole input, so a call costs
+// O(n log k) for k ranks.  Each rank gets the value std::sort would put
+// there, for any input without NaN (NaN was never inside std::sort's
+// contract either).  -0.0 and +0.0 compare equal, so which of the two sits
+// at a rank was never specified, by sorting or by selection.
+
 /// Exact percentile of a sample set with linear interpolation between order
 /// statistics. `p` is in [0, 100]. Returns 0 for an empty sample.
 /// The input is copied; use `percentile_inplace` to avoid the copy.
 double percentile(std::vector<double> samples, double p);
 
-/// As `percentile`, but sorts the caller's buffer in place.
+/// As `percentile`, but reorders the caller's buffer in place (into no
+/// particular order; a second call on it is still exact).
 double percentile_inplace(std::vector<double>& samples, double p);
 
 /// Five-number summary plus mean, as used for the diurnal box plots
@@ -59,7 +67,8 @@ struct BoxSummary {
   double mean = 0.0;
 };
 
-/// Computes a BoxSummary; sorts the buffer in place.
+/// Computes a BoxSummary; sorts the buffer in place (the mean sums the
+/// sorted buffer, so its bytes depend on that order).
 BoxSummary box_summary(std::vector<double>& samples);
 
 /// One point of an empirical CDF: `percent` of samples are <= `value`.
@@ -72,6 +81,12 @@ struct CdfPoint {
 /// evenly-spaced quantiles (the figure benches print these series).
 std::vector<CdfPoint> empirical_cdf(std::vector<double> samples,
                                     std::size_t max_points = 100);
+
+/// `empirical_cdf` of samples given as counts per value: `counts[v]`
+/// samples have the value v.  Returns exactly the points `empirical_cdf`
+/// returns on the expanded samples, in one walk up the counts.
+std::vector<CdfPoint> empirical_cdf_counts(
+    const std::vector<std::uint64_t>& counts, std::size_t max_points = 100);
 
 /// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
 /// first/last bin. Used to bucket bursts by length/connection count for

@@ -4,6 +4,11 @@
 // uses.
 #include "fleet/aggregate.h"
 
+#include <array>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace msamp::fleet {
@@ -74,14 +79,23 @@ Dataset make_dataset() {
   return ds;
 }
 
-/// The fixture every test reads through: the dataset above, serialized
-/// to v6 and attached as a zero-copy view.
-struct Fixture {
+/// The dataset above with its bursts replaced, all still in window 0.
+Dataset with_bursts(std::vector<BurstRecord> bursts) {
   Dataset ds = make_dataset();
-  std::vector<std::uint8_t> blob = ds.serialize();
+  ds.bursts = std::move(bursts);
+  ds.window_counts[0].bursts = static_cast<std::uint32_t>(ds.bursts.size());
+  return ds;
+}
+
+/// The fixture every test reads through: a dataset (the one above by
+/// default), serialized to v6 and attached as a zero-copy view.
+struct Fixture {
+  Dataset ds;
+  std::vector<std::uint8_t> blob;
   DatasetView view;
 
-  Fixture() {
+  explicit Fixture(Dataset d = make_dataset())
+      : ds(std::move(d)), blob(ds.serialize()) {
     const auto st = DatasetView::attach(blob.data(), blob.size(), &view);
     EXPECT_TRUE(st) << st.to_string();
   }
@@ -189,6 +203,93 @@ TEST(Aggregate, LossByConnections) {
   EXPECT_EQ(curve[2].bursts, 1);  // conns 25
   EXPECT_EQ(curve[2].lossy, 1);
   EXPECT_EQ(curve[5].bursts, 1);  // conns 55 clamps into last bin
+}
+
+TEST(Aggregate, LossByConnectionsClampsOutOfRange) {
+  // NaN and negative counts go in the first bin, counts past the last
+  // bin's edge in the last; the in-range bursts keep their bins.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Fixture f(with_bursts({
+      burst(1, 0, 1, -5.0, 1, true),
+      burst(1, 0, 1, -5000.0, 1, false),
+      burst(1, 0, 1, nan, 1, true),
+      burst(1, 0, 1, -inf, 1, false),
+      burst(1, 0, 1, inf, 1, true),
+      burst(1, 0, 1, 1e30, 1, false),
+      burst(1, 0, 1, 3e9, 1, false),
+      burst(1, 0, 1, 15.0, 1, true),
+      burst(1, 0, 1, 59.5, 1, false),
+  }));
+  const auto curve = loss_by_connections(
+      f.view, build_class_map(f.view), analysis::RackClass::kRegATypical,
+      BurstFilter::kAll, /*bin_width=*/10, /*num_bins=*/6);
+  ASSERT_EQ(curve.size(), 6u);
+  EXPECT_EQ(curve[0].bursts, 4);  // -5, -5000, NaN, -inf
+  EXPECT_EQ(curve[0].lossy, 2);
+  EXPECT_EQ(curve[1].bursts, 1);  // 15
+  EXPECT_EQ(curve[1].lossy, 1);
+  EXPECT_EQ(curve[2].bursts + curve[3].bursts + curve[4].bursts, 0);
+  EXPECT_EQ(curve[5].bursts, 4);  // inf, 1e30, 3e9, 59.5
+  EXPECT_EQ(curve[5].lossy, 1);
+}
+
+TEST(Aggregate, ClassMemoFollowsRegionAndRack) {
+  // Consecutive bursts alternate racks, and rack id 2 (RegA-High in the
+  // rack table) also carries RegB bursts.  Every per-burst loop must class
+  // each burst as burst_class does: a memo keyed on the rack id alone, or
+  // one that never refreshes, miscounts.
+  const Fixture f(with_bursts({
+      burst(2, 0, 1, 5, 4, true),    // RegA-High
+      burst(2, 1, 2, 15, 1, false),  // RegB, same rack id
+      burst(2, 0, 3, 25, 7, false),  // RegA-High
+      burst(1, 0, 4, 35, 1, true),   // RegA-Typical
+      burst(2, 0, 5, 45, 4, true),   // RegA-High
+      burst(1, 0, 6, 55, 2, false),  // RegA-Typical
+      burst(2, 1, 7, 5, 1, true),    // RegB, same rack id
+  }));
+  const ClassMap classes = build_class_map(f.view);
+  std::array<ClassBurstStats, analysis::kNumRackClasses> want{};
+  for (const BurstRecord& b : f.ds.bursts) {
+    auto& stats = want[static_cast<std::size_t>(burst_class(b, classes))];
+    ++stats.bursts;
+    stats.contended += b.contended;
+    stats.lossy += b.lossy;
+  }
+  const auto high = static_cast<std::size_t>(analysis::RackClass::kRegAHigh);
+  const auto typical =
+      static_cast<std::size_t>(analysis::RackClass::kRegATypical);
+  const auto regb = static_cast<std::size_t>(analysis::RackClass::kRegB);
+  ASSERT_EQ(want[high].bursts, 3);
+  ASSERT_EQ(want[typical].bursts, 2);
+  ASSERT_EQ(want[regb].bursts, 2);
+
+  const auto got = table2_summary(f.view, classes);
+  auto totals = [](const std::vector<LossBucket>& curve) {
+    long bursts = 0, lossy = 0;
+    for (const auto& b : curve) {
+      bursts += b.bursts;
+      lossy += b.lossy;
+    }
+    return std::pair{bursts, lossy};
+  };
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    const auto cls = static_cast<analysis::RackClass>(c);
+    EXPECT_EQ(got[c].bursts, want[c].bursts) << "class " << c;
+    EXPECT_EQ(got[c].contended, want[c].contended) << "class " << c;
+    EXPECT_EQ(got[c].lossy, want[c].lossy) << "class " << c;
+    const std::pair expect{want[c].bursts, want[c].lossy};
+    EXPECT_EQ(totals(loss_by_contention(f.view, classes, cls, 1, 10)), expect)
+        << "class " << c;
+    EXPECT_EQ(totals(loss_by_length(f.view, classes, cls, BurstFilter::kAll,
+                                    10)),
+              expect)
+        << "class " << c;
+    EXPECT_EQ(totals(loss_by_connections(f.view, classes, cls,
+                                         BurstFilter::kAll, 10, 6)),
+              expect)
+        << "class " << c;
+  }
 }
 
 TEST(Aggregate, BusyHourContention) {

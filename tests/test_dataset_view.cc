@@ -495,5 +495,41 @@ TEST(DatasetView, AttachRejectsUnsupportedVersions) {
   }
 }
 
+TEST(DatasetView, RejectsRackClassOutOfRange) {
+  // Readers index per-class arrays by a rack's class, so a class byte past
+  // the last class fails every open (attach, mmap, owned parse) with the
+  // rack named.  The last valid class still opens.
+  DatasetView clean;
+  ASSERT_TRUE(
+      DatasetView::attach(small_blob().data(), small_blob().size(), &clean));
+  ASSERT_GE(clean.racks().size(), 2u);
+  const auto rack1 = static_cast<std::size_t>(
+      clean.racks().rack_class.data() + 1 - small_blob().data());
+  const fs::path dir = fresh_dir("rack_class");
+  const fs::path path = dir / "class.bin";
+  for (const int cls : {2, 3, 255}) {
+    const bool valid = cls < analysis::kNumRackClasses;
+    std::vector<std::uint8_t> blob = small_blob();
+    blob[rack1] = static_cast<std::uint8_t>(cls);
+    DatasetView attached;
+    const auto st = DatasetView::attach(blob.data(), blob.size(), &attached);
+    EXPECT_EQ(static_cast<bool>(st), valid) << "class " << cls;
+    if (!valid) {
+      EXPECT_NE(st.to_string().find("class " + std::to_string(cls) +
+                                    " out of range at rack 1"),
+                std::string::npos)
+          << st.to_string();
+    }
+    write_file(path, blob);
+    DatasetView mapped;
+    EXPECT_EQ(static_cast<bool>(DatasetView::open(path.string(), &mapped)),
+              valid)
+        << "class " << cls;
+    Dataset owned;
+    EXPECT_EQ(owned.deserialize(blob), valid) << "class " << cls;
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace msamp::fleet

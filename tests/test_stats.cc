@@ -2,10 +2,13 @@
 // box summaries, histograms and the pinned canonical_sum fold.
 #include "util/stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,12 @@
 
 namespace msamp::util {
 namespace {
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
 
 TEST(StreamingStats, EmptyIsZero) {
   StreamingStats s;
@@ -134,6 +143,150 @@ TEST(EmpiricalCdf, Empty) {
   EXPECT_TRUE(empirical_cdf({}, 10).empty());
 }
 
+// The sort-based percentile and CDF that selection replaced, restated
+// here so the selecting versions are checked against them bit for bit.
+double sorted_percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return v[lo] + frac * (v[hi] - v[lo]);
+}
+
+std::vector<CdfPoint> sorted_cdf(std::vector<double> v,
+                                 std::size_t max_points) {
+  std::vector<CdfPoint> out;
+  if (v.empty() || max_points == 0) return out;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  const std::size_t points = std::min(max_points, n);
+  for (std::size_t i = 0; i < points; ++i) {
+    const std::size_t idx =
+        (points == 1) ? n - 1 : (i * (n - 1)) / (points - 1);
+    out.push_back({v[idx], 100.0 * static_cast<double>(idx + 1) /
+                               static_cast<double>(n)});
+  }
+  return out;
+}
+
+void expect_same_cdf(const std::vector<CdfPoint>& got,
+                     const std::vector<CdfPoint>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits_of(got[i].value), bits_of(want[i].value))
+        << where << " point " << i;
+    EXPECT_EQ(bits_of(got[i].percent), bits_of(want[i].percent))
+        << where << " point " << i;
+  }
+}
+
+// Sample sets of every size through a few thousand, in three shapes:
+// distinct doubles, heavy ties, and a strictly decreasing run.
+std::vector<std::vector<double>> reference_inputs() {
+  Rng rng(0x5e1ec7u);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 70; ++n) sizes.push_back(n);
+  for (std::size_t n : {127u, 128u, 129u, 500u, 1023u, 2048u, 3001u}) {
+    sizes.push_back(n);
+  }
+  std::vector<std::vector<double>> out;
+  for (const std::size_t n : sizes) {
+    std::vector<double> distinct(n), ties(n), reversed(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      distinct[i] = rng.lognormal(0.0, 3.0) - rng.lognormal(0.0, 3.0);
+      ties[i] = static_cast<double>(rng.uniform_int(5)) * 0.25;
+      reversed[i] = static_cast<double>(n - i) / 3.0;
+    }
+    out.push_back(std::move(distinct));
+    out.push_back(std::move(ties));
+    out.push_back(std::move(reversed));
+  }
+  return out;
+}
+
+TEST(Percentile, MatchesSortReference) {
+  for (const auto& v : reference_inputs()) {
+    for (const double p :
+         {-5.0, 0.0, 0.5, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0, 150.0}) {
+      EXPECT_EQ(bits_of(percentile(v, p)), bits_of(sorted_percentile(v, p)))
+          << "n=" << v.size() << " p=" << p;
+    }
+  }
+}
+
+TEST(Percentile, InplaceStaysExactOnAReorderedBuffer) {
+  // A second call reads the buffer the first one reordered.
+  for (const auto& v : reference_inputs()) {
+    std::vector<double> buf = v;
+    for (const double p : {50.0, 90.0, 10.0, 99.0, 50.0}) {
+      EXPECT_EQ(bits_of(percentile_inplace(buf, p)),
+                bits_of(sorted_percentile(v, p)))
+          << "n=" << v.size() << " p=" << p;
+    }
+  }
+}
+
+TEST(EmpiricalCdf, MatchesSortReference) {
+  for (const auto& v : reference_inputs()) {
+    const std::size_t n = v.size();
+    for (const std::size_t points : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{2}, std::size_t{64}, n,
+                                     n + 1}) {
+      expect_same_cdf(empirical_cdf(v, points), sorted_cdf(v, points),
+                      "n=" + std::to_string(n) +
+                          " points=" + std::to_string(points));
+    }
+  }
+}
+
+std::vector<double> expand(const std::vector<std::uint64_t>& counts) {
+  std::vector<double> out;
+  for (std::size_t v = 0; v < counts.size(); ++v) {
+    out.insert(out.end(), counts[v], static_cast<double>(v));
+  }
+  return out;
+}
+
+TEST(EmpiricalCdfCounts, EqualsTheCdfOfTheExpandedSamples) {
+  Rng rng(0xc0417u);
+  std::vector<std::vector<std::uint64_t>> cases = {
+      {},               // no values at all
+      {0, 0, 0},        // values, but no samples
+      {5},              // one value, value 0
+      {0, 0, 0, 7},     // one value, zero counts below it
+      {0, 3, 0, 0, 0},  // zero counts at both ends
+      {1, 0, 1},        // two samples
+  };
+  for (int c = 0; c < 200; ++c) {
+    std::vector<std::uint64_t> counts(
+        static_cast<std::size_t>(1 + rng.uniform_int(40)));
+    for (auto& k : counts) {
+      // Mostly empty slots, a few heavy ones.
+      k = rng.uniform_int(4) == 0 ? rng.uniform_int(201) : 0;
+    }
+    cases.push_back(std::move(counts));
+  }
+  for (const auto& counts : cases) {
+    const std::vector<double> samples = expand(counts);
+    const std::size_t n = samples.size();
+    for (const std::size_t points : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{2}, std::size_t{64}, n,
+                                     n + 1}) {
+      const std::string where = "values=" + std::to_string(counts.size()) +
+                                " n=" + std::to_string(n) +
+                                " points=" + std::to_string(points);
+      expect_same_cdf(empirical_cdf_counts(counts, points),
+                      empirical_cdf(samples, points), where);
+      expect_same_cdf(empirical_cdf_counts(counts, points),
+                      sorted_cdf(samples, points), where);
+    }
+  }
+}
+
 TEST(Histogram, BinAssignment) {
   Histogram h(0.0, 10.0, 10);
   h.add(0.0);    // bin 0
@@ -169,12 +322,6 @@ TEST(SafeRatio, Basics) {
   EXPECT_DOUBLE_EQ(safe_ratio(6.0, 2.0), 3.0);
   EXPECT_DOUBLE_EQ(safe_ratio(6.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(safe_ratio(0.0, 0.0), 0.0);
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
 }
 
 // The pinned fold DAG from stats.h, restated independently of stats.cc so

@@ -62,6 +62,33 @@ if(leftovers)
   message(FATAL_ERROR "failed fleet left files behind: ${leftovers}")
 endif()
 
+# A rack table class past the last class fails the open: `report` must exit
+# 1 with an `error:` line naming the rack, not count that rack's bursts
+# into a per-class array it indexes past.  On this day (4 racks) the
+# rack_class column starts at byte 57344; the guard below fails loudly if
+# the layout moves it.
+run(fleet --racks 2 --hours 8 --samples 100 --out cls.bin)
+file(READ ${work}/cls.bin classes OFFSET 57344 LIMIT 4 HEX)
+if(NOT classes MATCHES "^0[01]0[01]0202$")
+  message(FATAL_ERROR "rack_class column not at byte 57344: ${classes}")
+endif()
+string(ASCII 200 bad_class)
+file(WRITE ${work}/class.byte "${bad_class}")
+execute_process(COMMAND dd if=class.byte of=cls.bin bs=1 seek=57344
+                        conv=notrunc
+                WORKING_DIRECTORY ${work} RESULT_VARIABLE rc ERROR_QUIET)
+file(READ ${work}/cls.bin classes OFFSET 57344 LIMIT 4 HEX)
+if(NOT rc EQUAL 0 OR NOT classes MATCHES "^c8")
+  message(FATAL_ERROR "could not patch the rack class: ${rc} ${classes}")
+endif()
+execute_process(COMMAND ${MSAMPCTL} report --dataset cls.bin
+                WORKING_DIRECTORY ${work} RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR
+   NOT err MATCHES "^error: [^\n]*class 200 out of range at rack 0")
+  message(FATAL_ERROR "report on a rack class of 200 exited ${rc}: ${err}")
+endif()
+
 # Mixing shards of different configs must fail loudly, not merge.
 run(fleet --racks 3 --hours 2 --samples 150 --seed 7 --shard 1/2 --out w1.bin)
 execute_process(COMMAND ${MSAMPCTL} merge s0.bin w1.bin --out bad.bin
