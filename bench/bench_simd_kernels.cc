@@ -9,7 +9,7 @@
 //
 // This bench measures wall time, so its CSV is inherently nondeterministic
 // and scripts/check_bench_determinism.sh excludes it from the byte-identity
-// sweep (like bench_pool_contention's counters).
+// sweep.
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -33,7 +33,7 @@ inline void keep(const void* p) {
 
 std::int64_t now_ns() {
   // Wall time on purpose: this bench measures throughput, and its CSV is
-  // excluded from the byte-identity checks like bench_pool_contention's.
+  // excluded from the byte-identity checks.
   using Clock =
       std::chrono::steady_clock;  // msamp-lint: allow(nondet-time) perf bench
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

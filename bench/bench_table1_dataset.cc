@@ -23,7 +23,7 @@ int main() {
     for (std::size_t i = 0; i < srs.size(); ++i) {
       if (srs.region[i] != region) continue;
       ++server_runs;
-      bursty += srs.bursty[i];
+      bursty += srs.bursty[i] != 0;
     }
     for (auto r : ds.bursts().region) bursts += r == region;
     for (auto r : ds.racks().region) racks += r == region;

@@ -44,7 +44,7 @@ DayStats run_day(std::uint64_t seed) {
   for (std::size_t i = 0; i < srs.size(); ++i) {
     if (srs.region[i] != 0) continue;
     ++servers;
-    bursty += srs.bursty[i];
+    bursty += srs.bursty[i] != 0;
   }
   out.bursty_pct_rega = 100.0 * static_cast<double>(bursty) /
                         static_cast<double>(std::max(servers, 1L));
@@ -55,8 +55,8 @@ DayStats run_day(std::uint64_t seed) {
     const int c = static_cast<int>(
         fleet::burst_class(bs.region[i], bs.rack_id[i], classes));
     ++bursts[c];
-    contended[c] += bs.contended[i];
-    lossy[c] += bs.lossy[i];
+    contended[c] += bs.contended[i] != 0;
+    lossy[c] += bs.lossy[i] != 0;
   }
   for (int c = 0; c < 3; ++c) {
     out.contended_pct[c] = 100.0 * static_cast<double>(contended[c]) /

@@ -30,8 +30,8 @@ scripts/check_format.sh
 scripts/check_docs.sh build
 
 # TSan lane: a second build tree with -DMSAMP_TSAN=ON, running the thread
-# pool, parallel fleet runner, and the rest of the fleet/util suites under
-# ThreadSanitizer.  Skip with MSAMP_SKIP_TSAN=1 (e.g. on toolchains
+# pool (its index claim under ThreadPool and ParallelMap), parallel fleet
+# runner, and the rest of the fleet/util suites under ThreadSanitizer.  Skip with MSAMP_SKIP_TSAN=1 (e.g. on toolchains
 # without libtsan).
 if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan "${GEN[@]}" -DMSAMP_TSAN=ON
@@ -40,7 +40,7 @@ if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   # race, and under TSan they take most of the pass; the ASan lane and
   # tier-1 run them.
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(ThreadPool|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd|WindowReference)' \
+    -R '^(ThreadPool|ParallelMap|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd|WindowReference)' \
     -E '^(Dataset\.(SingleByteMutationsNeverCrash|RejectsTruncationAtEveryLength)|DatasetView\.HeaderAndDirectoryTamperNeverCrashes)$'
   # Cross-check: the scalar SIMD path must pass the suites that call the
   # kernel (its scalar twin is what every other host falls back to).

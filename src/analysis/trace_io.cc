@@ -117,7 +117,10 @@ std::optional<core::SyncRun> read_sync_trace(std::istream& is) {
     for (std::int64_t* bytes :
          {&row.value.in_bytes, &row.value.in_retx_bytes, &row.value.out_bytes,
           &row.value.out_retx_bytes, &row.value.in_ecn_bytes}) {
-      if (!int_field(line, pos, ',', bytes) || *bytes < 0) return std::nullopt;
+      if (!int_field(line, pos, ',', bytes) || *bytes < 0 ||
+          *bytes > kMaxTraceBytes) {
+        return std::nullopt;
+      }
     }
     // Connections: fractional, and the last field, so it must end the line.
     const char* end = line.data() + line.size();

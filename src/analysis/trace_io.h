@@ -18,13 +18,17 @@
 // The reader fails closed: a space or the end of the line follows each
 // header value; server ids must be dense from 0; in each row exactly one
 // comma follows each of the seven integer fields, the five byte counters
-// are >= 0, and `connections` is finite, >= 0 and ends the line; and
-// servers x samples may not exceed kMaxTraceCells (2^22 cells, 192 MiB of
-// samples; 23x the paper's 92-server x 2,000-sample run, and room for
-// 92 x 45,000), which is checked before the series are allocated.
+// are in [0, kMaxTraceBytes], and `connections` is finite, >= 0 and ends
+// the line; and servers x samples may not exceed kMaxTraceCells (2^22
+// cells, 192 MiB of samples; 23x the paper's 92-server x 2,000-sample
+// run, and room for 92 x 45,000), which is checked before the series are
+// allocated.  The byte bound is 2^40 (1.1 TB in one sample): 2^22 cells
+// x 2^40 = 2^62, so no sum of a counter over a trace can overflow the
+// analyses' int64 tallies.  Traces the writer makes stay far below it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -36,6 +40,9 @@ namespace msamp::analysis {
 /// The most servers x samples cells a trace may hold.
 inline constexpr std::size_t kMaxTraceCells = std::size_t{1} << 22;
 
+/// The largest byte counter one sample of a trace may carry.
+inline constexpr std::int64_t kMaxTraceBytes = std::int64_t{1} << 40;
+
 /// Writes `run` as CSV.  All-zero samples are skipped (sparse encoding).
 void write_sync_trace(const core::SyncRun& run, std::ostream& os);
 
@@ -43,9 +50,9 @@ void write_sync_trace(const core::SyncRun& run, std::ostream& os);
 bool write_sync_trace_file(const core::SyncRun& run, const std::string& path);
 
 /// Parses a trace produced by `write_sync_trace` (or hand-authored in the
-/// same schema).  Returns nullopt on malformed input and on a trace over
-/// kMaxTraceCells.  Servers appear in first-row order; missing samples are
-/// zero.
+/// same schema).  Returns nullopt on malformed input, on a byte counter
+/// over kMaxTraceBytes and on a trace over kMaxTraceCells.  Servers appear
+/// in first-row order; missing samples are zero.
 std::optional<core::SyncRun> read_sync_trace(std::istream& is);
 
 /// Convenience: reads from `path`.

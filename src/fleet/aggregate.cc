@@ -6,6 +6,8 @@
 namespace msamp::fleet {
 namespace {
 
+// A flag byte is set when it is nonzero, here and in every tally below: a
+// file may hold any byte there, and a flag counts one burst at most.
 bool passes(const BurstColumns& bursts, std::size_t i, BurstFilter filter) {
   switch (filter) {
     case BurstFilter::kAll:
@@ -86,8 +88,8 @@ std::array<ClassBurstStats, analysis::kNumRackClasses> table2_summary(
     const auto cls = class_of(bursts.region[i], bursts.rack_id[i]);
     auto& stats = out[static_cast<std::size_t>(cls)];
     ++stats.bursts;
-    stats.contended += bursts.contended[i];
-    stats.lossy += bursts.lossy[i];
+    stats.contended += bursts.contended[i] != 0;
+    stats.lossy += bursts.lossy[i] != 0;
   }
   return out;
 }
@@ -112,7 +114,7 @@ std::vector<LossBucket> loss_by_contention(const DatasetView& view,
         std::min(bursts.max_contention[i] / bin_width, bins - 1);
     auto& bucket = out[static_cast<std::size_t>(bin)];
     ++bucket.bursts;
-    bucket.lossy += bursts.lossy[i];
+    bucket.lossy += bursts.lossy[i] != 0;
   }
   return out;
 }
@@ -136,7 +138,7 @@ std::vector<LossBucket> loss_by_length(const DatasetView& view,
     const int len = std::clamp<int>(bursts.len_ms[i], 1, max_len_ms);
     auto& bucket = out[static_cast<std::size_t>(len - 1)];
     ++bucket.bursts;
-    bucket.lossy += bursts.lossy[i];
+    bucket.lossy += bursts.lossy[i] != 0;
   }
   return out;
 }
@@ -161,7 +163,7 @@ std::vector<LossBucket> loss_by_connections(const DatasetView& view,
     auto& bucket =
         out[connection_bin(bursts.avg_conns[i], bin_width, out.size())];
     ++bucket.bursts;
-    bucket.lossy += bursts.lossy[i];
+    bucket.lossy += bursts.lossy[i] != 0;
   }
   return out;
 }

@@ -51,43 +51,18 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::lock_probed(std::unique_lock<std::mutex>& lock) {
-  // Tier-0 trylock probe: the uncontended case costs one try_lock (same
-  // atomic op a plain lock starts with) plus a relaxed increment.
-  if (lock.try_lock()) {
-    counters_.count_lock(true);
-    return;
-  }
-  counters_.count_lock(false);
-  lock.lock();
-}
-
-std::size_t ThreadPool::claim_index() {
-  // CAS claim loop instead of a blind fetch_add: the counter never
-  // overshoots n_, and every failed exchange is a measured contention
-  // event.  Returns n_ when the job is drained (or abandoned).
-  counters_.cas_attempts.fetch_add(1, std::memory_order_relaxed);
-  std::size_t i = next_.load(std::memory_order_relaxed);
-  while (i < n_) {
-    if (next_.compare_exchange_weak(i, i + 1, std::memory_order_relaxed,
-                                    std::memory_order_relaxed)) {
-      return i;
-    }
-    counters_.cas_retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  return n_;
-}
-
 void ThreadPool::drain_current_job(int lane) {
   for (;;) {
-    const std::size_t i = claim_index();
+    // Once the job is drained, or abandoned (next_ stored to n_), every
+    // claim returns a value >= n_; the overshoot is harmless, since next_
+    // is reset under mu_ before the next job starts.
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n_) return;
     try {
       (*body_)(lane, i);
     } catch (...) {
       {
-        std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-        lock_probed(lock);
+        std::lock_guard<std::mutex> lock(mu_);
         if (!error_) error_ = std::current_exception();
       }
       // Abandon unclaimed indices so every lane falls out of the job and
@@ -101,23 +76,15 @@ void ThreadPool::worker_loop(int lane) {
   std::uint64_t seen = 0;
   for (;;) {
     {
-      std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-      lock_probed(lock);
-      while (!stop_ && generation_ == seen) {
-        counters_.waits.fetch_add(1, std::memory_order_relaxed);
-        cv_start_.wait(lock);
-      }
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
     }
     drain_current_job(lane);
     {
-      std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-      lock_probed(lock);
-      if (--active_ == 0) {
-        counters_.notifies.fetch_add(1, std::memory_order_relaxed);
-        cv_done_.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--active_ == 0) cv_done_.notify_one();
     }
   }
 }
@@ -148,15 +115,12 @@ void ThreadPool::parallel_for(
     ~BusyReset() { flag.store(false, std::memory_order_release); }
   } reset{busy_};
   if (workers_.empty() || n == 1) {
-    // Serial fast path: no locks, no claims — which is also what keeps
-    // the 1-lane contention baseline at exactly zero (no false positives
-    // from single-threaded runs).
+    // Serial fast path: no locks, no claims, no wake-ups.
     for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
   }
   {
-    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-    lock_probed(lock);
+    std::lock_guard<std::mutex> lock(mu_);
     n_ = n;
     body_ = &body;
     error_ = nullptr;
@@ -164,15 +128,10 @@ void ThreadPool::parallel_for(
     active_ = workers_.size();
     ++generation_;
   }
-  counters_.notifies.fetch_add(1, std::memory_order_relaxed);
   cv_start_.notify_all();
   drain_current_job(0);
-  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
-  lock_probed(lock);
-  while (active_ != 0) {
-    counters_.waits.fetch_add(1, std::memory_order_relaxed);
-    cv_done_.wait(lock);
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_done_.wait(lock, [&] { return active_ == 0; });
   body_ = nullptr;
   if (error_) {
     const std::exception_ptr e = std::exchange(error_, nullptr);

@@ -9,12 +9,6 @@
 // keyed seed, never from execution order) and per-index results must be
 // reduced in canonical index order afterwards.  Under that contract the
 // output is byte-identical for any thread count, including 1.
-//
-// The pool carries always-on contention counters (trylock probe on its
-// mutex, CAS-retry tallies on the index claim, cv wait/notify counts —
-// util/contention_counters.h).  They are observability-only: nothing in
-// the pool consults them, and msamp_lint's `counters-not-in-output` rule
-// keeps snapshot reads out of every output path (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <atomic>
@@ -26,8 +20,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/contention_counters.h"
 
 namespace msamp::util {
 
@@ -68,14 +60,6 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(int, std::size_t)>& body);
 
-  /// Point-in-time copy of the pool's contention counters.  Cumulative
-  /// over the pool's lifetime; diff two snapshots to scope one
-  /// parallel_for.  Observability-only — never fold a counter into
-  /// output bytes (enforced by msamp_lint's counters-not-in-output).
-  ContentionSnapshot contention_snapshot() const noexcept {
-    return counters_.snapshot();
-  }
-
   /// Effective thread count: an explicit `requested` value (positive
   /// integer) wins, else the MSAMP_THREADS env var when set to a positive
   /// integer, else the hardware concurrency (at least 1).  All three
@@ -91,8 +75,6 @@ class ThreadPool {
  private:
   void worker_loop(int lane);
   void drain_current_job(int lane);
-  std::size_t claim_index();
-  void lock_probed(std::unique_lock<std::mutex>& lock);
 
   std::vector<std::thread> workers_;
 
@@ -107,11 +89,9 @@ class ThreadPool {
   // workers only after observing the bump (so the mutex orders access).
   std::size_t n_ = 0;
   const std::function<void(int, std::size_t)>* body_ = nullptr;
-  std::atomic<std::size_t> next_{0};
+  std::atomic<std::size_t> next_{0};  ///< next unclaimed index
   std::exception_ptr error_;  ///< first exception thrown by the job's body
   std::atomic<bool> busy_{false};  ///< re-entrancy guard for parallel_for
-
-  ContentionCounters counters_;
 };
 
 }  // namespace msamp::util

@@ -292,6 +292,53 @@ TEST(Aggregate, ClassMemoFollowsRegionAndRack) {
   }
 }
 
+TEST(Aggregate, FlagBytesCountAsSetWhenNonzero) {
+  // A file may hold any byte in a burst's `contended` and `lossy` flags.
+  // Read as "set when nonzero", flags of 200 give exactly the 0/1 file's
+  // tallies; summed, they would count one burst 200 times and print
+  // percentages over 100.
+  const Fixture ones;
+  Dataset wide = make_dataset();
+  for (BurstRecord& b : wide.bursts) {
+    b.contended = b.contended != 0 ? 200 : 0;
+    b.lossy = b.lossy != 0 ? 200 : 0;
+  }
+  const Fixture f(std::move(wide));
+  const ClassMap classes = build_class_map(f.view);
+  const auto want = table2_summary(ones.view, classes);
+  const auto got = table2_summary(f.view, classes);
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c].bursts, want[c].bursts) << "class " << c;
+    EXPECT_EQ(got[c].contended, want[c].contended) << "class " << c;
+    EXPECT_EQ(got[c].lossy, want[c].lossy) << "class " << c;
+    EXPECT_LE(got[c].pct_contended(), 100.0) << "class " << c;
+    EXPECT_LE(got[c].pct_lossy(), 100.0) << "class " << c;
+  }
+  const auto same = [](const std::vector<LossBucket>& a,
+                       const std::vector<LossBucket>& b, const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].bursts, b[i].bursts) << what << " bucket " << i;
+      EXPECT_EQ(a[i].lossy, b[i].lossy) << what << " bucket " << i;
+      EXPECT_LE(a[i].pct_lossy(), 100.0) << what << " bucket " << i;
+    }
+  };
+  for (std::size_t c = 0; c < analysis::kNumRackClasses; ++c) {
+    const auto cls = static_cast<analysis::RackClass>(c);
+    same(loss_by_contention(f.view, classes, cls, 1, 16),
+         loss_by_contention(ones.view, classes, cls, 1, 16), "contention");
+    for (const BurstFilter filter :
+         {BurstFilter::kAll, BurstFilter::kContended,
+          BurstFilter::kNonContended}) {
+      same(loss_by_length(f.view, classes, cls, filter, 10),
+           loss_by_length(ones.view, classes, cls, filter, 10), "length");
+      same(loss_by_connections(f.view, classes, cls, filter, 10, 6),
+           loss_by_connections(ones.view, classes, cls, filter, 10, 6),
+           "connections");
+    }
+  }
+}
+
 TEST(Aggregate, BusyHourContention) {
   const Fixture f;
   const auto rega =

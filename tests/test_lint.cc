@@ -371,10 +371,8 @@ TEST(LintCounters, SanctionedBenchAndNonOutputPathsAreClean) {
   table.cell(s.lock_contention_rate(), 4);
 }
 )";
-  // The one sanctioned reader: the contention bench itself.
-  EXPECT_TRUE(lint_source("bench/bench_pool_contention.cc", src).empty());
-  // Non-output paths (the instrumented components, their tests) may of
-  // course name their own counters.
+  // Non-output paths (the pool, the util layer, the tests) are outside
+  // the rule's scope.
   EXPECT_TRUE(lint_source("src/util/thread_pool.cc", src).empty());
   EXPECT_TRUE(lint_source("src/util/contention_counters.h", src).empty());
   EXPECT_TRUE(lint_source("tests/test_thread_pool.cc", src).empty());

@@ -191,84 +191,6 @@ TEST(ThreadPool, LaneAwareOverloadPinsLanesAndCoversAllIndices) {
   for (std::size_t i = 0; i < kN; ++i) EXPECT_GE(lane_of[i].load(), 0);
 }
 
-TEST(ThreadPool, CounterSnapshotsAreMonotonic) {
-  ScopedNoEnvThreads no_env;
-  ThreadPool pool(4);
-  const ContentionSnapshot s0 = pool.contention_snapshot();
-  pool.parallel_for(500, [](std::size_t) {});
-  const ContentionSnapshot s1 = pool.contention_snapshot();
-  pool.parallel_for(500, [](std::size_t) {});
-  const ContentionSnapshot s2 = pool.contention_snapshot();
-
-  const auto leq = [](const ContentionSnapshot& a,
-                      const ContentionSnapshot& b) {
-    EXPECT_LE(a.lock_fast, b.lock_fast);
-    EXPECT_LE(a.lock_contended, b.lock_contended);
-    EXPECT_LE(a.cas_attempts, b.cas_attempts);
-    EXPECT_LE(a.cas_retries, b.cas_retries);
-    EXPECT_LE(a.waits, b.waits);
-    EXPECT_LE(a.notifies, b.notifies);
-  };
-  leq(s0, s1);
-  leq(s1, s2);
-  // Each of the 500 claimed indices is one CAS claim (plus each lane's
-  // final drained-check), so the per-job delta has a hard floor.
-  EXPECT_GE(s1.cas_attempts - s0.cas_attempts, 500u);
-  EXPECT_GE(s2.cas_attempts - s1.cas_attempts, 500u);
-  EXPECT_GT(s1.lock_acquisitions(), s0.lock_acquisitions());
-  EXPECT_GE(s1.notifies, 1u);
-  // Denominator-free rates stay in [0, 1].
-  EXPECT_GE(s2.lock_contention_rate(), 0.0);
-  EXPECT_LE(s2.lock_contention_rate(), 1.0);
-  EXPECT_GE(s2.cas_retry_rate(), 0.0);
-  EXPECT_LE(s2.cas_retry_rate(), 1.0);
-}
-
-TEST(ThreadPool, SerialFastPathLeavesCountersAtZero) {
-  ScopedNoEnvThreads no_env;
-  ThreadPool one(1);
-  one.parallel_for(100, [](std::size_t) {});
-  const ContentionSnapshot s = one.contention_snapshot();
-  EXPECT_EQ(s.lock_acquisitions(), 0u);
-  EXPECT_EQ(s.cas_attempts, 0u);
-  EXPECT_EQ(s.waits, 0u);
-  EXPECT_EQ(s.notifies, 0u);
-  EXPECT_EQ(s.lock_contention_rate(), 0.0);  // 0/0 reads as 0, not NaN
-
-  // n == 1 takes the serial path on any pool: no counter movement.  Each
-  // of the 3 workers takes one probed lock as it starts, possibly after
-  // the constructor returned, and counts one wait as it parks; once all
-  // 3 have parked, nothing moves the lock counters until a job starts.
-  ThreadPool four(4);
-  while (four.contention_snapshot().waits < 3) std::this_thread::yield();
-  const ContentionSnapshot before = four.contention_snapshot();
-  four.parallel_for(1, [](std::size_t) {});
-  const ContentionSnapshot after = four.contention_snapshot();
-  EXPECT_EQ(before.cas_attempts, after.cas_attempts);
-  EXPECT_EQ(before.lock_acquisitions(), after.lock_acquisitions());
-}
-
-TEST(ThreadPool, SnapshotIsSafeConcurrentWithARunningJob) {
-  // Race-freedom of snapshot() while lanes hammer the counters — the
-  // TSan lane (scripts/check.sh) is what gives this test its teeth.
-  ScopedNoEnvThreads no_env;
-  ThreadPool pool(4);
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    ContentionSnapshot last;
-    while (!stop.load(std::memory_order_relaxed)) {
-      const ContentionSnapshot s = pool.contention_snapshot();
-      EXPECT_GE(s.cas_attempts, last.cas_attempts);  // monotone under load
-      last = s;
-    }
-  });
-  for (int round = 0; round < 50; ++round) {
-    pool.parallel_for(200, [](std::size_t) {});
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-}
-
 TEST(ThreadPool, ThrowingBodyPropagatesAndPoolStaysUsable) {
   ScopedNoEnvThreads no_env;
   for (int threads : {1, 4}) {

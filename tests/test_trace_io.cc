@@ -2,7 +2,9 @@
 #include "analysis/trace_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -150,12 +152,39 @@ TEST(TraceIo, RejectsOneCellOverTheBudget) {
   EXPECT_FALSE(read_sync_trace(ss).has_value());
 }
 
+TEST(TraceIo, RefusesAByteCounterOverTheBound) {
+  // Two samples of 2^62 retransmitted bytes sum past 2^63: the bound keeps
+  // every sum over a trace (at most 2^22 cells x 2^40) inside int64.
+  static_assert(kMaxTraceBytes == std::int64_t{1} << 40);
+  static_assert(kMaxTraceBytes <= std::numeric_limits<std::int64_t>::max() /
+                                      std::int64_t{kMaxTraceCells});
+  auto trace = [](std::size_t column, std::int64_t value) {
+    std::int64_t bytes[5] = {0, 0, 0, 0, 0};
+    bytes[column] = value;
+    std::stringstream ss;
+    ss << kTraceHead << "0,0," << bytes[0] << ',' << bytes[1] << ','
+       << bytes[2] << ',' << bytes[3] << ',' << bytes[4] << ",1.0\n"
+       << "0,1,1,0,0,0,0,1.0\n";
+    return read_sync_trace(ss);
+  };
+  for (std::size_t column = 0; column < 5; ++column) {
+    const auto at_bound = trace(column, kMaxTraceBytes);
+    ASSERT_TRUE(at_bound.has_value()) << "column " << column;
+    const core::BucketSample& b = at_bound->series[0][0];
+    const std::int64_t read[5] = {b.in_bytes, b.in_retx_bytes, b.out_bytes,
+                                  b.out_retx_bytes, b.in_ecn_bytes};
+    EXPECT_EQ(read[column], kMaxTraceBytes) << "column " << column;
+    EXPECT_FALSE(trace(column, kMaxTraceBytes + 1).has_value())
+        << "column " << column;
+  }
+}
+
 TEST(TraceIo, MutationsFailClosed) {
   // Seeded substitutions of digits, commas, minus signs and newlines into
   // a small real trace: size fields can grow, fields merge and lines
   // split.  Each mutant must parse into a run within the cell budget with
-  // non-negative byte counters and finite, non-negative connections, or
-  // be rejected — never allocate past the budget, read out of bounds or
+  // byte counters in [0, kMaxTraceBytes] and finite, non-negative
+  // connections, or be rejected — never allocate past the budget, read out of bounds or
   // throw.  Run under the ASan/UBSan lane this is a real fuzz of the
   // reader's checks.
   workload::RackMeta rack;
@@ -191,9 +220,11 @@ TEST(TraceIo, MutationsFailClosed) {
       ASSERT_EQ(series.size(), run->num_samples());
       for (const auto& b : series) {
         ASSERT_TRUE(std::isfinite(b.connections) && b.connections >= 0);
-        ASSERT_TRUE(b.in_bytes >= 0 && b.in_retx_bytes >= 0 &&
-                    b.out_bytes >= 0 && b.out_retx_bytes >= 0 &&
-                    b.in_ecn_bytes >= 0);
+        for (const std::int64_t bytes :
+             {b.in_bytes, b.in_retx_bytes, b.out_bytes, b.out_retx_bytes,
+              b.in_ecn_bytes}) {
+          ASSERT_TRUE(bytes >= 0 && bytes <= kMaxTraceBytes) << bytes;
+        }
       }
     }
   }

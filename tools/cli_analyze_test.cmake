@@ -67,15 +67,18 @@ expect(probe3 "${out}" "burst length \\(ms\\) +0\\.1 " TRUE)
 
 # Fail closed: non-finite connections, one cell over the reader's budget
 # (5 servers x 838,861 samples), two rows merged by a newline turned into
-# a digit, and a comma turned into a minus (in_retx_bytes -5), each exit 1
-# with an error line.
+# a digit, a comma turned into a minus (in_retx_bytes -5), and two samples
+# of 5e18 retransmitted bytes, whose sum would wrap int64 and hide the
+# lossy burst, each exit 1 with an error line.
 file(WRITE ${work}/nonfinite.csv "${head_1ms}0,0,1,0,0,0,0,nan\n0,1,1,0,0,0,0,inf\n")
+set(huge 5000000000000000000)
+file(WRITE ${work}/huge.csv "${head_1ms}0,0,${huge},${huge},0,0,0,4.0\n0,1,${huge},${huge},0,0,0,4.0\n")
 file(WRITE ${work}/budget.csv "${head_1ms}0,0,1,0,0,0,0,1.0\n1,0,1,0,0,0,0,1.0\n2,0,1,0,0,0,0,1.0\n3,0,1,0,0,0,0,1.0\n4,838860,1,0,0,0,0,1.0\n")
 set(rows_before "0,0,1000000,0,0,0,0,4.000\n")
 set(rows_after "0,3,1000000,0,0,0,0,4.000\n1,1,1000000,0,0,0,0,4.000\n1,2,1000000,0,0,0,0,4.000\n1,3,0,0,0,0,0,0.000\n")
 file(WRITE ${work}/merged.csv "${head_1ms}${rows_before}0,1,1000000,0,0,0,0,4.0007,2,1000000,0,0,0,0,4.000\n${rows_after}")
 file(WRITE ${work}/nocomma.csv "${head_1ms}${rows_before}0,1,1000000-5,0,0,0,4.000\n0,2,1000000,0,0,0,0,4.000\n${rows_after}")
-foreach(trace nonfinite budget merged nocomma)
+foreach(trace nonfinite budget merged nocomma huge)
   execute_process(COMMAND ${MSAMPCTL} analyze --trace ${trace}.csv
                   WORKING_DIRECTORY ${work}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)

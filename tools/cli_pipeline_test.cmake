@@ -68,6 +68,9 @@ endif()
 # rack_class column starts at byte 57344; the guard below fails loudly if
 # the layout moves it.
 run(fleet --racks 2 --hours 8 --samples 100 --out cls.bin)
+# flags.bin: an unpatched copy for the burst-flag probe below.
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy cls.bin flags.bin
+                WORKING_DIRECTORY ${work})
 file(READ ${work}/cls.bin classes OFFSET 57344 LIMIT 4 HEX)
 if(NOT classes MATCHES "^0[01]0[01]0202$")
   message(FATAL_ERROR "rack_class column not at byte 57344: ${classes}")
@@ -87,6 +90,52 @@ execute_process(COMMAND ${MSAMPCTL} report --dataset cls.bin
 if(NOT rc EQUAL 1 OR
    NOT err MATCHES "^error: [^\n]*class 200 out of range at rack 0")
   message(FATAL_ERROR "report on a rack class of 200 exited ${rc}: ${err}")
+endif()
+
+# A burst flag is set when its byte is nonzero: `report` must count a
+# `contended` byte of 200 as one contended burst, as it counts 1, not add
+# 200 to the tally.  On the same day burst 0's contended byte is byte
+# 245760 and holds 1; the guard fails loudly if the layout moves it: the
+# byte must read 1, and clearing it must move the report.
+function(report_of file out)
+  execute_process(COMMAND ${MSAMPCTL} report --dataset ${file}
+                  WORKING_DIRECTORY ${work} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE stdout ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "report on ${file} exited ${rc}: ${err}")
+  endif()
+  set(${out} "${stdout}" PARENT_SCOPE)
+endfunction()
+file(READ ${work}/flags.bin flag OFFSET 245760 LIMIT 1 HEX)
+if(NOT flag STREQUAL "01")
+  message(FATAL_ERROR "burst 0's contended flag not at byte 245760: ${flag}")
+endif()
+report_of(flags.bin unpatched)
+foreach(patch zero wide)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E copy flags.bin ${patch}.bin
+                  WORKING_DIRECTORY ${work})
+endforeach()
+execute_process(COMMAND dd if=/dev/zero of=zero.bin bs=1 seek=245760 count=1
+                        conv=notrunc
+                WORKING_DIRECTORY ${work} RESULT_VARIABLE rc ERROR_QUIET)
+execute_process(COMMAND dd if=class.byte of=wide.bin bs=1 seek=245760  # 200
+                        conv=notrunc
+                WORKING_DIRECTORY ${work} RESULT_VARIABLE rc2 ERROR_QUIET)
+file(READ ${work}/zero.bin zero_flag OFFSET 245760 LIMIT 1 HEX)
+file(READ ${work}/wide.bin wide_flag OFFSET 245760 LIMIT 1 HEX)
+if(NOT rc EQUAL 0 OR NOT rc2 EQUAL 0 OR NOT zero_flag STREQUAL "00" OR
+   NOT wide_flag STREQUAL "c8")
+  message(FATAL_ERROR "could not patch the contended flag: ${rc} ${rc2} "
+                      "${zero_flag} ${wide_flag}")
+endif()
+report_of(zero.bin cleared)
+if(cleared STREQUAL unpatched)
+  message(FATAL_ERROR "byte 245760 is not a contended flag `report` reads")
+endif()
+report_of(wide.bin wide)
+if(NOT wide STREQUAL unpatched)
+  message(FATAL_ERROR "report on a contended flag of 200 differs:\n${wide}\n"
+                      "unpatched:\n${unpatched}")
 endif()
 
 # Mixing shards of different configs must fail loudly, not merge.

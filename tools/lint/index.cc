@@ -223,8 +223,7 @@ void TreeIndex::link() {
       }
     }
   }
-  // Precompute every closure so const lookups stay pure (pass 2 runs on a
-  // thread pool; a memoizing cache here would be a data race).
+  // Precompute every closure so const lookups stay pure.
   closures_.clear();
   for (const auto& [path, fi] : files_) {
     std::set<std::string, std::less<>> seen{path};

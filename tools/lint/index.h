@@ -18,9 +18,9 @@
 // resolves, as does a `double` accumulator behind a header.  The index is
 // also the input to the tree-level `include-layering` rule below.
 //
-// Thread-safety: build with add()+link() single-threaded, then every
-// const lookup (closure(), category_of()) is pure — link() precomputes
-// all include closures so parallel pass-2 workers never mutate the index.
+// Build with add()+link(), then every const lookup (closure(),
+// category_of()) is pure — link() precomputes all include closures, so
+// pass 2 never mutates the index.
 #pragma once
 
 #include <map>
@@ -92,7 +92,7 @@ class TreeIndex {
 
   /// Resolves every include against the registered file set and
   /// precomputes the transitive include closure of every file.  Must be
-  /// called (single-threaded) before any lookup.
+  /// called before any lookup.
   void link();
 
   const FileIndex* file(std::string_view path) const;

@@ -1,12 +1,13 @@
 # ctest LintParallelDeterminism: `msamp_lint --format=json` must emit
-# byte-identical reports for any --jobs value and any file-argument
-# order.  Driven as a cmake -P script (tools/cli_usage_test.cmake idiom):
+# byte-identical reports for any file-argument order, and refuses the
+# retired `--jobs` flag.  Driven as a cmake -P script
+# (tools/cli_usage_test.cmake idiom):
 #
 #   cmake -DMSAMP_LINT=<binary> -DROOT=<source tree> -DWORK=<scratch dir>
 #         -P lint_determinism_test.cmake
 #
 # The exit status must match across runs too — a finding that appears
-# under one schedule but not another is exactly the bug this guards.
+# under one order but not another is exactly the bug this guards.
 if(NOT MSAMP_LINT OR NOT ROOT OR NOT WORK)
   message(FATAL_ERROR "need -DMSAMP_LINT, -DROOT, -DWORK")
 endif()
@@ -33,28 +34,28 @@ function(expect_same a b label)
   endif()
 endfunction()
 
-# Full-tree scan: serial vs parallel.
-run_lint("${WORK}/tree_j1.json" tree_j1 --jobs 1)
-run_lint("${WORK}/tree_j7.json" tree_j7 --jobs 7)
-expect_same("${WORK}/tree_j1.json" "${WORK}/tree_j7.json"
-            "full-tree report depends on --jobs")
-if(NOT tree_j1 EQUAL tree_j7)
-  message(FATAL_ERROR "exit status depends on --jobs: ${tree_j1} vs ${tree_j7}")
-endif()
-
-# File-scoped scan: argument order (and --jobs) must not matter.  The
-# files span layers so the cross-file index is genuinely exercised.
+# File-scoped scan: argument order must not matter.  The files span
+# layers so the cross-file index is genuinely exercised.
 set(fwd src/util/stats.h src/net/shared_buffer.cc src/fleet/dataset.cc
         tools/lint/rules.cc)
 set(rev tools/lint/rules.cc src/fleet/dataset.cc src/net/shared_buffer.cc
         src/util/stats.h)
-run_lint("${WORK}/files_fwd.json" files_fwd --jobs 2 ${fwd})
-run_lint("${WORK}/files_rev.json" files_rev --jobs 5 ${rev})
+run_lint("${WORK}/files_fwd.json" files_fwd ${fwd})
+run_lint("${WORK}/files_rev.json" files_rev ${rev})
 expect_same("${WORK}/files_fwd.json" "${WORK}/files_rev.json"
-            "file-scoped report depends on argument order or --jobs")
+            "file-scoped report depends on argument order")
 if(NOT files_fwd EQUAL files_rev)
   message(FATAL_ERROR
           "exit status depends on argument order: ${files_fwd} vs ${files_rev}")
+endif()
+
+# The linter is serial: `--jobs` is an unknown flag, a usage error.
+execute_process(
+  COMMAND ${MSAMP_LINT} --root ${ROOT} --jobs 2
+  OUTPUT_QUIET ERROR_QUIET
+  RESULT_VARIABLE jobs_rc)
+if(NOT jobs_rc EQUAL 2)
+  message(FATAL_ERROR "msamp_lint --jobs 2 exited ${jobs_rc}, want 2")
 endif()
 
 message(STATUS "lint determinism ok")

@@ -1,6 +1,6 @@
 // msamp_lint — project-invariant static analysis for the msamp tree.
 //
-//   msamp_lint [--root DIR] [--jobs N] [--format=text|json] [FILE...]
+//   msamp_lint [--root DIR] [--format=text|json] [FILE...]
 //
 // Two passes (docs/STATIC_ANALYSIS.md):
 //
@@ -15,10 +15,8 @@
 // tree-level rules (fingerprint-coverage, include-layering) run only on
 // full-tree invocations, where their findings are actionable.
 //
-// Both passes run on a util::ThreadPool (--jobs N, default MSAMP_THREADS
-// or all cores).  Results land in per-file slots and are merged in
-// sorted-path order, and the file list is sorted and deduplicated first,
-// so the output bytes are identical for any --jobs value and any
+// Both passes run serially over a file list that is sorted and
+// deduplicated first, so the output bytes are identical for any
 // file-argument order (ctest LintParallelDeterminism).
 //
 // Findings print to stdout — `file:line: rule-id: message` lines for
@@ -26,7 +24,6 @@
 // --format=json (lint/report.h).  A per-rule count summary goes to
 // stderr.  Exit code: 0 clean, 1 findings remain, 2 usage/IO errors.
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -37,7 +34,6 @@
 #include "lint/index.h"
 #include "lint/report.h"
 #include "lint/rules.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -64,8 +60,8 @@ std::string rel(const fs::path& root, const fs::path& p) {
 }
 
 int usage() {
-  std::cerr << "usage: msamp_lint [--root DIR] [--jobs N] "
-               "[--format=text|json] [FILE...]\n";
+  std::cerr << "usage: msamp_lint [--root DIR] [--format=text|json] "
+               "[FILE...]\n";
   return 2;
 }
 
@@ -85,19 +81,11 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::vector<fs::path> file_args;
   std::string format = "text";
-  int jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root") {
       if (i + 1 >= argc) return usage();
       root = argv[++i];
-    } else if (arg == "--jobs") {
-      if (i + 1 >= argc) return usage();
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 1) {
-        std::cerr << "msamp_lint: --jobs wants a positive integer\n";
-        return 2;
-      }
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return usage();
@@ -137,7 +125,7 @@ int main(int argc, char** argv) {
   std::vector<fs::path> lint_paths = full_tree ? tree_files : file_args;
   for (const fs::path& f : lint_paths) tree_files.push_back(f);
 
-  // Sort + dedup by repo-relative path: slot order (and therefore output
+  // Sort + dedup by repo-relative path: lint order (and therefore output
   // byte order) must not depend on argv order or directory enumeration.
   int io_errors = 0;
   const auto load = [&](std::vector<fs::path>& paths) {
@@ -168,30 +156,17 @@ int main(int argc, char** argv) {
   std::vector<SourceFile> tree = load(tree_files);
   std::vector<SourceFile> to_lint = full_tree ? tree : load(lint_paths);
 
-  msamp::util::ThreadPool pool(jobs);
-
-  // Pass 1: index every tree file in parallel (slot per file), then link
-  // single-threaded.  After link() the index is immutable and safe to
-  // share across pass-2 workers.
+  // Pass 1: index every tree file, then link the include closures.
   msamp::lint::TreeIndex index;
-  {
-    std::vector<msamp::lint::FileIndex> slots(tree.size());
-    pool.parallel_for(tree.size(), [&](std::size_t i) {
-      slots[i] = msamp::lint::index_source(tree[i].rel, tree[i].src);
-    });
-    for (auto& fi : slots) index.add(std::move(fi));
-    index.link();
+  for (const SourceFile& f : tree) {
+    index.add(msamp::lint::index_source(f.rel, f.src));
   }
+  index.link();
 
-  // Pass 2: per-file rules, merged in sorted-path slot order.
+  // Pass 2: per-file rules, in sorted-path order.
   std::vector<Finding> findings;
-  {
-    std::vector<std::vector<Finding>> slots(to_lint.size());
-    pool.parallel_for(to_lint.size(), [&](std::size_t i) {
-      slots[i] = msamp::lint::lint_source(to_lint[i].rel, to_lint[i].src,
-                                          nullptr, &index);
-    });
-    for (auto& s : slots) append(findings, std::move(s));
+  for (const SourceFile& f : to_lint) {
+    append(findings, msamp::lint::lint_source(f.rel, f.src, nullptr, &index));
   }
 
   // Tree-level rules: include layering over the linked graph, and

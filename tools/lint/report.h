@@ -14,9 +14,8 @@
 //
 // Byte-stability contract: given the same sorted findings, to_json()
 // returns the same bytes — no timestamps, no absolute paths, no map
-// iteration surprises — so `--format=json --jobs N` is comparable with
-// `cmp` across any N and any file-argument order (ctest
-// LintParallelDeterminism).
+// iteration surprises — so `--format=json` is comparable with `cmp`
+// across any file-argument order (ctest LintParallelDeterminism).
 #pragma once
 
 #include <map>

@@ -77,10 +77,11 @@ bool is_intrinsic_ident(std::string_view text) {
   return false;
 }
 
-// The contention-observability surface (util/contention_counters.h).
-// Merely *naming* any of these in an output-path file is a finding: the
-// counters tally execution (which lane won a CAS, how often a trylock
-// failed), and execution must never influence emitted bytes.
+// Execution-tally names: the retired thread-pool contention counters.
+// No type in the tree carries them any more; the rule keeps them, and
+// any tally like them, from coming back into an output path, where
+// merely *naming* one is a finding — execution (which lane won a claim,
+// how long a lock waited) must never influence emitted bytes.
 const std::set<std::string, std::less<>> kCounterIdents = {
     "ContentionCounters", "ContentionSnapshot", "contention_snapshot"};
 
@@ -452,9 +453,8 @@ void check_counter_reads(const Tokens& toks, std::string_view path,
     }
     flag(out, path, t.line, "counters-not-in-output",
          "'" + t.text +
-             "' in an output path — contention counters measure execution "
-             "and must never feed emitted bytes; the sanctioned reader is "
-             "bench/bench_pool_contention.cc (docs/OBSERVABILITY.md)");
+             "' in an output path — execution tallies must never feed "
+             "emitted bytes (docs/STATIC_ANALYSIS.md)");
   }
 }
 
@@ -530,14 +530,9 @@ FileRole classify_path(std::string_view path) {
                      is("src/fleet/column_table.h") ||
                      is("src/fleet/spill_sink.cc") ||
                      is("src/fleet/merge.cc");
-  // Counter reads are banned exactly where output bytes are produced —
-  // except the one bench whose whole point is printing the counters (its
-  // CSV is deliberately absent from check_bench_determinism.sh).
-  role.counters_banned =
-      role.output_path && !is("bench/bench_pool_contention.cc");
   // Every bench binary routes its tables and CSVs through util::Table;
   // common.cc is shared infrastructure (its stderr diagnostics are not
-  // table bytes) and the contention bench prints through Table already.
+  // table bytes).
   role.table_output = under("bench/bench_");
   // The one home for raw intrinsics: the dispatch layer's per-ISA kernel
   // translation units.
@@ -567,15 +562,13 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view src,
     check_unordered_iteration(lexed.tokens, path, *index, findings);
     check_float_keys(lexed.tokens, path, findings);
     check_float_accumulation(lexed.tokens, path, *index, findings);
+    check_counter_reads(lexed.tokens, path, findings);
   }
   if (derived.table_output) {
     check_table_output(lexed.tokens, path, findings);
   }
   if (derived.wire_format) {
     check_wire_format(lexed.tokens, path, findings);
-  }
-  if (derived.counters_banned) {
-    check_counter_reads(lexed.tokens, path, findings);
   }
   if (!derived.intrinsics_allowed) {
     check_intrinsics(src, lexed.tokens, path, findings);

@@ -12,12 +12,11 @@
 //   float-key             float/double-keyed map/set in output paths
 //   wire-struct-copy      whole-struct memcpy/sizeof in the wire format
 //   fingerprint-coverage  FleetConfig field missing from fingerprint()
-//   counters-not-in-output  contention-counter reads (ContentionCounters,
-//                         ContentionSnapshot, contention_snapshot) in
-//                         output paths — the counters measure execution,
-//                         and execution must never reach emitted bytes;
-//                         the one sanctioned reader is
-//                         bench/bench_pool_contention.cc
+//   counters-not-in-output  execution-tally names (ContentionCounters,
+//                         ContentionSnapshot, contention_snapshot — the
+//                         retired pool counters) in output paths: a
+//                         tally measures execution, and execution must
+//                         never reach emitted bytes
 //   float-accum-order     float/double compound accumulation (`+=`, `-=`,
 //                         `*=`) inside a loop in an output path — the
 //                         accumulation order reaches the emitted bytes
@@ -90,17 +89,13 @@ struct FileRole {
   /// execution detail that never reaches dataset bytes.
   bool wallclock_allowed = false;
   /// Serialization, reduction, or CSV-emitting file: iteration order
-  /// reaches the output bytes, so unordered-container range-fors and
-  /// float-keyed associative containers are banned.
+  /// reaches the output bytes, so unordered-container range-fors,
+  /// float-keyed associative containers and execution-tally names
+  /// (`counters-not-in-output`) are banned.
   bool output_path = false;
   /// Wire-format code (the v6 writer and its callers): whole-struct
   /// copies are banned; records must be serialized field by field.
   bool wire_format = false;
-  /// Output-path file that is NOT the sanctioned contention-bench:
-  /// naming ContentionCounters / ContentionSnapshot / contention_snapshot
-  /// is banned, so an execution-dependent tally can never be folded into
-  /// emitted bytes (docs/OBSERVABILITY.md).
-  bool counters_banned = false;
   /// bench_* binary: CSV/stdout bytes must flow through util::Table, so
   /// raw ofstream/printf emitters are banned (`table-output`).
   bool table_output = false;
