@@ -7,9 +7,10 @@
 # even, so that neither path always runs on a cold or a warm host.  Each
 # pair's two outputs must be `cmp`-equal, and are deleted before the next
 # pair starts.  Once every pair has passed, one record per run is appended
-# to BENCH_paper_day.json: commit, host cores, SIMD path, path, pair,
-# which path ran first, lanes, scale, seed, wall time, user+sys CPU, minor
-# faults, the peak RSS of the largest process, and the output bytes.  Each
+# to BENCH_paper_day.json: commit, host cores, path, pair, which path ran
+# first, lanes, scale, seed, wall time, user+sys CPU, minor faults, the
+# peak RSS of the largest process, and the output bytes.  Older records
+# also carry `simd`, the SIMD path of a build that had more than one.  Each
 # run is timed by python3's os.wait4, whose rusage covers the command and
 # every descendant it reaped (the cluster's workers), and whose peak RSS
 # is the largest of them.
@@ -44,7 +45,6 @@ SRC=$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$BUILD/CMakeCache.txt")
 COMMIT=$(git -C "$SRC" rev-parse --short=7 HEAD)
 git -C "$SRC" diff --quiet HEAD -- . ':!BENCH_paper_day.json' ||
   COMMIT+=-dirty
-SIMD=$("$MSAMPCTL" version | awk '$1 == "simd-active" { print $2 }')
 SCALE=(--racks "$RACKS" --hours "$HOURS" --samples "$SAMPLES" --seed "$SEED")
 
 rm -rf "$WORK"
@@ -86,7 +86,7 @@ run_path() {
 }
 
 echo "paper day: ${RACKS} racks/region x ${HOURS} h x ${SAMPLES} samples," \
-     "seed ${SEED}, ${LANES} lanes, ${PAIRS} pairs, ${COMMIT}, simd ${SIMD}"
+     "seed ${SEED}, ${LANES} lanes, ${PAIRS} pairs, ${COMMIT}"
 RUNS=()  # one "pair path first rusage-json bytes" line per run
 declare -A RUSAGE
 for ((pair = 1; pair <= PAIRS; pair++)); do
@@ -111,8 +111,8 @@ for run in sys.argv[2:]:
     pair, path, first, rest = run.split(" ", 3)
     rusage, output_bytes = rest.rsplit(" ", 1)
     records.append({
-        "commit": "$COMMIT", "host_cores": os.cpu_count(), "simd": "$SIMD",
-        "path": path, "pair": int(pair), "first": first, "lanes": $LANES,
+        "commit": "$COMMIT", "host_cores": os.cpu_count(), "path": path,
+        "pair": int(pair), "first": first, "lanes": $LANES,
         "racks_per_region": $RACKS, "hours": $HOURS, "samples": $SAMPLES,
         "seed": $SEED, **json.loads(rusage), "output_bytes": int(output_bytes)})
 with open(out, "w") as f:

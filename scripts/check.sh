@@ -40,12 +40,8 @@ if [ "${MSAMP_SKIP_TSAN:-0}" != "1" ]; then
   # race, and under TSan they take most of the pass; the ASan lane and
   # tier-1 run them.
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(ThreadPool|ParallelMap|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|Simd|WindowReference)' \
+    -R '^(ThreadPool|ParallelMap|FleetParallel|FleetRunner|FleetConfig|FluidRack|Dataset|DatasetView|Shard|SpillSink|Merge|Aggregate|Worker|Coordinator|Rng|Lint|BufferPolicy|WindowReference)' \
     -E '^(Dataset\.(SingleByteMutationsNeverCrash|RejectsTruncationAtEveryLength)|DatasetView\.HeaderAndDirectoryTamperNeverCrashes)$'
-  # Cross-check: the scalar SIMD path must pass the suites that call the
-  # kernel (its scalar twin is what every other host falls back to).
-  MSAMP_SIMD=scalar ctest --test-dir build-tsan --output-on-failure \
-    -R '^Simd'
 fi
 
 # ASan+UBSan lane (every UBSan report fatal, float-cast-overflow
@@ -58,33 +54,28 @@ fi
 # sketch's estimate table, the blend's rounding fallback and its skip of
 # an unchanged counter, the burst process's retransmission ring, the event
 # engine's slab of inline callbacks and the packet-path suites that drive
-# it), and the read path's computed indices (the percentile/CDF selection's
+# it), the read path's computed indices (the percentile/CDF selection's
 # rank pointers, the counts walk, the loss-curve bins) with AddressSanitizer
-# and UBSan watching the bounds checks.  Skip with MSAMP_SKIP_ASAN=1.
+# and UBSan watching the bounds checks, and the analysis's byte thresholds
+# at line rates and intervals past the int64 range.  Skip with
+# MSAMP_SKIP_ASAN=1.
 if [ "${MSAMP_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B build-asan "${GEN[@]}" -DMSAMP_ASAN=ON
   cmake --build build-asan --target msamp_tests msampctl msamp_lint
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|Simd|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference|TraceIo|Diagnose|StallArtifacts|cli_analyze|Aggregate|Percentile|EmpiricalCdf)'
-  # Cross-check: the AVX2 tally's unaligned loads and stores run under ASan
-  # in the Simd suites above; the scalar path gets the same run, with the
-  # multi-CPU TcFilter reads that call the kernel.
-  MSAMP_SIMD=scalar ctest --test-dir build-asan --output-on-failure \
-    -R '^(Simd|TcFilter)'
+    -R '^(Dataset|DatasetView|FleetConfig|Shard|SpillSink|ThreadPool|Merge|Protocol|Flags|cli_usage|cli_pipeline|cli_cluster|cli_query|cli_sweep|cli_version|Lint|FluidRack|FleetParallel|FleetRunner|CombineRuns|AlignSeries|TcFilter|FlowSketch|LerpSample|MeasurementReference|BurstProcess|Rng|FluidStepReference|Simulator|SimulatorReference|Link|NicFixture|SwitchFixture|TcpFixture|DriverFixture|IntegrationFixture|WindowReference|TraceIo|Diagnose|StallArtifacts|BurstDetect|cli_analyze|Aggregate|Percentile|EmpiricalCdf)'
 fi
 
 # Bench determinism: the parallelized benches and the fig01/fig06 figure
 # benches must emit byte-identical stdout and bench_out/ CSVs for any
-# MSAMP_THREADS, and the three that reach the tally kernel also under
-# MSAMP_SIMD=scalar; the AVX2 tally kernel must beat scalar by >= 2x.
+# MSAMP_THREADS.
 scripts/check_bench_determinism.sh build
 
 # Dataset determinism: one reference day, and every other way of making
-# it — other thread counts, the scalar SIMD path, `msampctl fleet --shard
-# I/N` runs merged back, the fault-tolerant cluster with and without
-# injected worker kills — must be byte-identical to it; the mapped readers
-# (`msampctl report`/`query`) must print identical tables over every copy
-# and under every SIMD path, and MSAMP_SIMD must route where it says.
+# it — other thread counts, `msampctl fleet --shard I/N` runs merged back,
+# the fault-tolerant cluster with and without injected worker kills — must
+# be byte-identical to it; the mapped readers (`msampctl report`/`query`)
+# must print identical tables over every copy.
 scripts/check_dataset_determinism.sh build
 
 for b in build/bench/bench_*; do

@@ -5,9 +5,8 @@
 namespace msamp::analysis {
 
 std::int64_t burst_threshold_bytes(const BurstDetectConfig& config) {
-  return static_cast<std::int64_t>(
-      config.threshold_frac * sim::bytes_in(config.interval,
-                                            config.line_rate_gbps));
+  return sim::byte_count(config.threshold_frac *
+                         sim::bytes_in(config.interval, config.line_rate_gbps));
 }
 
 bool is_bursty_sample(const core::BucketSample& sample,

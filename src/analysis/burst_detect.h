@@ -26,7 +26,9 @@ struct BurstDetectConfig {
   double threshold_frac = 0.5;  ///< fraction of line rate defining "bursty"
 };
 
-/// Byte threshold for one sample under `config`.
+/// Byte threshold for one sample under `config`: the line rate's bytes per
+/// interval times `threshold_frac`, saturating at INT64_MAX, which no
+/// sample exceeds.
 std::int64_t burst_threshold_bytes(const BurstDetectConfig& config);
 
 /// True if the sample's ingress bytes exceed the burstiness threshold.

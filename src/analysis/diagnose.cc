@@ -16,9 +16,8 @@ std::vector<std::size_t> find_stall_artifacts(
     std::span<const core::BucketSample> series,
     const BurstDetectConfig& burst) {
   std::vector<std::size_t> spikes;
-  const double capacity = sim::bytes_in(burst.interval, burst.line_rate_gbps);
-  const auto spike_threshold =
-      static_cast<std::int64_t>(kStallSpikeFactor * capacity);
+  const std::int64_t spike_threshold = sim::byte_count(
+      kStallSpikeFactor * sim::bytes_in(burst.interval, burst.line_rate_gbps));
   int gap = 0;
   for (std::size_t k = 0; k < series.size(); ++k) {
     if (series[k].in_bytes == 0) {

@@ -156,7 +156,13 @@ std::optional<core::SyncRun> read_sync_trace(std::istream& is) {
   for (std::size_t s = 0; s < servers.size(); ++s) {
     run.hosts[s] = static_cast<net::HostId>(s);
   }
+  // The writer writes each (server, sample) cell at most once; a second
+  // row for one cell would silently replace the first.
+  std::vector<bool> written(servers.size() * num_samples);
   for (const auto& row : rows) {
+    const std::size_t cell = row.server * num_samples + row.sample;
+    if (written[cell]) return std::nullopt;
+    written[cell] = true;
     run.series[row.server][row.sample] = row.value;
   }
   return run;

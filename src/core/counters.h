@@ -24,6 +24,25 @@ struct RawBucket {
   std::uint64_t sketch[2] = {0, 0}; ///< 128-bit active-connection sketch
 
   void clear() noexcept { *this = RawBucket{}; }
+
+  /// Folds another CPU's row for the same bucket into this one, as the
+  /// user-space read does: the counters saturating-add (clamped at
+  /// UINT64_MAX), the sketch words OR.
+  void fold(const RawBucket& other) noexcept {
+    in_bytes = sat_add(in_bytes, other.in_bytes);
+    in_retx_bytes = sat_add(in_retx_bytes, other.in_retx_bytes);
+    out_bytes = sat_add(out_bytes, other.out_bytes);
+    out_retx_bytes = sat_add(out_retx_bytes, other.out_retx_bytes);
+    in_ecn_bytes = sat_add(in_ecn_bytes, other.in_ecn_bytes);
+    sketch[0] |= other.sketch[0];
+    sketch[1] |= other.sketch[1];
+  }
+
+ private:
+  static std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) noexcept {
+    const std::uint64_t s = a + b;
+    return s < a ? ~std::uint64_t{0} : s;
+  }
 };
 static_assert(sizeof(RawBucket) == 56, "RawBucket layout drifted");
 

@@ -3,23 +3,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
-#include "util/simd/simd.h"
-
 namespace msamp::core {
-
-// The SIMD row fold reads the per-CPU RawBucket arrays as flat u64 words:
-// kRowTallyWords counter words to saturating-add followed by the sketch
-// words to OR. Pin the layout so a struct edit cannot silently desync the
-// kernel's word schedule.
-static_assert(std::is_standard_layout_v<RawBucket>);
-static_assert(sizeof(RawBucket) == util::simd::kRowWords * sizeof(std::uint64_t),
-              "RawBucket word count drifted from util::simd::kRowWords");
-static_assert(offsetof(RawBucket, sketch) ==
-                  util::simd::kRowTallyWords * sizeof(std::uint64_t),
-              "RawBucket sketch words must follow the counter words");
 
 TcFilter::TcFilter(const TcFilterConfig& config)
     : config_(config),
@@ -86,21 +72,18 @@ void TcFilter::read_aggregated(std::vector<BucketSample>& out) const {
   const auto buckets = static_cast<std::size_t>(config_.num_buckets);
   // With one CPU, folding its rows onto zeros is the identity (0 + x,
   // 0 | x), so its rows are read in place.  Otherwise fold every CPU's
-  // bucket array into one zeroed accumulator in a single strided pass per
-  // CPU: counter words saturating-add, sketch words OR. Counter sums never
-  // approach 2^63 (a full day of line-rate bytes is < 2^50), so the
-  // saturating u64 fold and the previous int64 += produce identical bytes;
+  // bucket array into one zeroed accumulator, CPU by CPU
+  // (RawBucket::fold: counters saturating-add, sketch words OR). Counter
+  // sums never approach 2^63 (a full day of line-rate bytes is < 2^50), so
+  // the saturating u64 fold and a plain int64 += produce identical bytes;
   // the sketch OR is associative.
   const RawBucket* rows = percpu_.data();
   std::vector<RawBucket> acc;
   if (config_.num_cpus > 1) {
     acc.resize(buckets);
-    const std::size_t row_words = buckets * util::simd::kRowWords;
-    const auto* words = reinterpret_cast<const std::uint64_t*>(rows);
-    for (int c = 0; c < config_.num_cpus; ++c) {
-      util::simd::tally_rows_u64(
-          reinterpret_cast<std::uint64_t*>(acc.data()),
-          words + static_cast<std::size_t>(c) * row_words, row_words);
+    for (const RawBucket* cpu = rows; cpu != rows + percpu_.size();
+         cpu += buckets) {
+      for (std::size_t b = 0; b < buckets; ++b) acc[b].fold(cpu[b]);
     }
     rows = acc.data();
   }

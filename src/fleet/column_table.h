@@ -29,10 +29,11 @@
 
 namespace msamp::fleet::wire {
 
-/// Widest column element the v6 format stores (u64/i64/double). SIMD loads
-/// over mapped columns rely on column offsets — and the mapping base —
-/// being at least this aligned; DatasetView::init rejects a misaligned
-/// base with a util::Status instead of handing out UB spans.
+/// Widest column element the v6 format stores (u64/i64/double). A typed
+/// span over a mapped column must be aligned for its element type, so
+/// column offsets — and the mapping base — are at least this aligned;
+/// DatasetView::init rejects a misaligned base with a util::Status instead
+/// of handing out UB spans.
 inline constexpr std::uint64_t kMaxColumnAlign = 8;
 static_assert(kMaxColumnAlign >= alignof(double) &&
                   kMaxColumnAlign >= alignof(std::uint64_t),
@@ -159,7 +160,7 @@ inline constexpr auto kWidths = std::apply(
 /// A typed span over `count` values at `offset` bytes past `base`.  Column
 /// offsets are kSegmentAlign-aligned and DatasetView::init rejects a base
 /// that is not kMaxColumnAlign-aligned, so the span is aligned for T, as
-/// the SIMD kernels reading it require.
+/// reading a T through it requires.
 template <typename T>
 std::span<const T> col_span(const std::uint8_t* base, std::uint64_t offset,
                             std::uint64_t count) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace msamp::sim {
 
@@ -36,6 +37,15 @@ constexpr double to_sec(SimDuration d) noexcept {
 /// Bytes transferable in `d` at `gbps` gigabits per second.
 constexpr double bytes_in(SimDuration d, double gbps) noexcept {
   return gbps * 1e9 / 8.0 * to_sec(d);
+}
+
+/// A nonnegative `bytes` truncated to a whole byte count, saturating at
+/// INT64_MAX.  A byte threshold derived from a line rate and an interval
+/// can pass INT64_MAX, where a plain cast is undefined; saturated, it is a
+/// threshold no counter exceeds.
+constexpr std::int64_t byte_count(double bytes) noexcept {
+  return bytes < 0x1p63 ? static_cast<std::int64_t>(bytes)
+                        : std::numeric_limits<std::int64_t>::max();
 }
 
 /// Time to serialize `bytes` at `gbps` gigabits per second (rounded to the

@@ -34,6 +34,26 @@ TEST(BurstDetect, ThresholdScalesWithInterval) {
   EXPECT_EQ(burst_threshold_bytes(cfg), kLine / 20);
 }
 
+TEST(BurstDetect, ThresholdSaturatesAtInt64Max) {
+  // Half the bytes of a 1e300 Gb/s line, or of a 25 Gb/s line over the
+  // longest interval, is past INT64_MAX: the threshold saturates there
+  // and no sample exceeds it.  At 12.5 Gb/s the longest interval still
+  // fits, and the threshold is the truncated half-capacity.
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  const auto full = series({kMax, kMax, 0, kMax});
+  for (const BurstDetectConfig cfg :
+       {BurstDetectConfig{.line_rate_gbps = 1e300},
+        BurstDetectConfig{.line_rate_gbps = 25.0, .interval = kMax}}) {
+    EXPECT_EQ(burst_threshold_bytes(cfg), kMax);
+    EXPECT_FALSE(is_bursty_sample(full[0], cfg));
+    EXPECT_TRUE(detect_bursts(full, cfg).empty());
+  }
+  const BurstDetectConfig longest{.interval = kMax};
+  EXPECT_EQ(burst_threshold_bytes(longest),
+            static_cast<std::int64_t>(0.5 * sim::bytes_in(kMax, 12.5)));
+  EXPECT_EQ(detect_bursts(full, longest).size(), 2u);
+}
+
 TEST(BurstDetect, SampleClassification) {
   BurstDetectConfig cfg;
   core::BucketSample below, above;

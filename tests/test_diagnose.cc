@@ -1,6 +1,9 @@
 // Tests for the rack diagnosis report and the §4.6 stall-artifact detector.
 #include "analysis/diagnose.h"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "fleet/fluid_rack.h"
@@ -78,6 +81,20 @@ TEST(StallArtifacts, SpikeIsMeasuredAgainstTheInterval) {
   EXPECT_TRUE(find_stall_artifacts(
                   series({50000, 50000, 0, 0, 0, 187000, 50000}), fine)
                   .empty());
+}
+
+TEST(StallArtifacts, SpikeThresholdSaturatesAtInt64Max) {
+  // 1.2x the bytes of a 1e300 Gb/s line, or of a 12.5 Gb/s line over the
+  // longest interval, is past INT64_MAX: the spike threshold saturates
+  // there and no bucket exceeds it.
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  const auto s = series({300000, 0, 0, 0, kMax, 300000});
+  EXPECT_EQ(find_stall_artifacts(s, BurstDetectConfig{}).size(), 1u);
+  for (const BurstDetectConfig cfg :
+       {BurstDetectConfig{.line_rate_gbps = 1e300},
+        BurstDetectConfig{.interval = kMax}}) {
+    EXPECT_TRUE(find_stall_artifacts(s, cfg).empty());
+  }
 }
 
 core::SyncRun synthetic_run() {

@@ -886,15 +886,25 @@ void f(unsigned long long* d) {
                 "bench/fixture.cc:3: intrinsics-only-in-simd"}));
 }
 
-TEST(LintIntrinsics, SimdSubsystemIsTheAllowlist) {
+TEST(LintIntrinsics, UtilSimdIsNotExempt) {
+  // No directory is exempt, src/util/simd/ included.
   const char* src = R"(#include <smmintrin.h>
 void g(unsigned long long* d) {
   __m128i v = _mm_loadu_si128((const __m128i*)d);
   _mm_storeu_si128((__m128i*)d, v);
 }
 )";
-  EXPECT_TRUE(lint_source("src/util/simd/kernels_avx2.cc", src).empty());
-  EXPECT_TRUE(lint_source("src/util/simd/simd_internal.h", src).empty());
+  for (const std::string path :
+       {"src/util/simd/kernels_avx2.cc", "src/util/simd/simd_internal.h"}) {
+    EXPECT_EQ(locations(lint_source(path, src)),
+              (std::vector<std::string>{
+                  path + ":1: intrinsics-only-in-simd",
+                  path + ":3: intrinsics-only-in-simd",
+                  path + ":3: intrinsics-only-in-simd",
+                  path + ":3: intrinsics-only-in-simd",
+                  path + ":4: intrinsics-only-in-simd",
+                  path + ":4: intrinsics-only-in-simd"}));
+  }
 }
 
 TEST(LintIntrinsics, CleanCodeAndLookalikeIdentifiersPass) {
@@ -919,14 +929,17 @@ TEST(LintIntrinsics, SuppressionCommentIsHonored) {
   EXPECT_TRUE(lint_source("src/core/fixture.cc", src).empty());
 }
 
-TEST(LintIntrinsics, GetenvAllowedInSimdDispatch) {
+TEST(LintIntrinsics, GetenvFlaggedInUtilSimd) {
+  // Only the readers of MSAMP_THREADS and MSAMP_DATASET may call getenv;
+  // src/util/simd/ holds none of them.
   const char* src = R"(#include <cstdlib>
-const char* f() { return std::getenv("MSAMP_SIMD"); }
+const char* f() { return std::getenv("MSAMP_UNDOCUMENTED"); }
 )";
-  EXPECT_TRUE(lint_source("src/util/simd/dispatch.cc", src).empty());
-  const auto findings = lint_source("src/core/fixture.cc", src);
-  EXPECT_EQ(locations(findings),
-            (std::vector<std::string>{"src/core/fixture.cc:2: nondet-getenv"}));
+  for (const std::string path :
+       {"src/util/simd/dispatch.cc", "src/core/fixture.cc"}) {
+    EXPECT_EQ(locations(lint_source(path, src)),
+              (std::vector<std::string>{path + ":2: nondet-getenv"}));
+  }
 }
 
 }  // namespace

@@ -277,7 +277,7 @@ TEST(MeasurementReference, EstimateMatchesLogAtEveryZeroCount) {
 TEST(MeasurementReference, ReadMatchesZeroedFold) {
   util::Rng rng(0x5eed);
   std::vector<BucketSample> out;
-  for (int cpus : {1, 2, 32}) {
+  for (int cpus : {1, 2, 4, 32}) {
     for (int round = 0; round < 6; ++round) {
       const int buckets = 20 + static_cast<int>(rng.uniform_int(200));
       TcFilter f = make_filter(cpus, buckets);

@@ -141,6 +141,24 @@ TEST(TraceIo, RejectsRowsOfTheWrongShape) {
   }
 }
 
+TEST(TraceIo, RejectsARepeatedCell) {
+  // The writer writes each (server, sample) cell once.  A second row for a
+  // cell would replace the first: here, erase the retransmitting sample.
+  auto trace = [](const char* extra) {
+    std::stringstream ss;
+    ss << kTraceHead << "0,0,1000000,0,0,0,0,4.0\n"
+       << "0,1,2000000,5000,0,0,0,4.0\n0,2,0,0,0,0,0,0.0\n" << extra;
+    return read_sync_trace(ss);
+  };
+  ASSERT_TRUE(trace("").has_value());
+  ASSERT_TRUE(trace("1,1,7,0,0,0,0,1.0\n").has_value());
+  for (const char* repeat :
+       {"0,1,0,0,0,0,0,0.0\n", "0,1,2000000,5000,0,0,0,4.0\n",
+        "0,2,0,0,0,0,0,0.0\n", "1,0,1,0,0,0,0,1.0\n1,0,1,0,0,0,0,1.0\n"}) {
+    EXPECT_FALSE(trace(repeat).has_value()) << repeat;
+  }
+}
+
 TEST(TraceIo, RejectsOneCellOverTheBudget) {
   // 5 servers x 838,861 samples is kMaxTraceCells + 1, though each axis
   // is under its own cap: the product is what gets allocated.

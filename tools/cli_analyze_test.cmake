@@ -1,8 +1,9 @@
 # `msampctl analyze` runs one analysis per trace: every row, the stall
 # artifacts and the loss hotspots are read at --gbps and at the trace's own
 # interval.  Three probes, each of which a second analysis at the default
-# 12.5 Gb/s and 1 ms would get wrong, plus traces the reader must refuse
-# with exit 1 and an `error:` line.
+# 12.5 Gb/s and 1 ms would get wrong; two whose byte thresholds pass
+# INT64_MAX; and traces the reader must refuse with exit 1 and an `error:`
+# line.
 set(work ${CMAKE_CURRENT_BINARY_DIR}/cli_analyze_work)
 file(REMOVE_RECURSE ${work})
 file(MAKE_DIRECTORY ${work})
@@ -64,6 +65,30 @@ file(WRITE ${work}/p3.csv "# msamp-sync-trace v1 interval_ns=100000 grid_start_n
 analyze(out --trace p3.csv)
 expect(probe3 "${out}" "kernel stalls\\) +DETECTED" TRUE)
 expect(probe3 "${out}" "burst length \\(ms\\) +0\\.1 " TRUE)
+
+# Probe 4: no sample can exceed half of a 1e300 Gb/s line: no bursts.
+analyze(out --trace p2.csv --gbps 1e300)
+expect(probe4 "${out}" "\n +bursts +0 " TRUE)
+
+# Probe 5: 1.2x what 12.5 Gb/s delivers in the longest interval is past
+# INT64_MAX, so no catch-up spike can exceed it.
+file(WRITE ${work}/p5.csv "# msamp-sync-trace v1 interval_ns=9223372036854775807 grid_start_ns=0\n${columns}\n0,0,50000,0,0,0,0,2.0\n0,4,1000000000000,0,0,0,0,2.0\n")
+analyze(out --trace p5.csv)
+expect(probe5 "${out}" "kernel stalls\\) +none" TRUE)
+
+# Probe 6: a retransmitting sample makes a two-sample burst lossy; a second
+# row for that cell would erase the loss, so the reader refuses the trace.
+set(lossy_row "0,0,2000000,0,0,0,0,4.0\n0,1,2000000,5000,0,0,0,4.0\n0,2,0,0,0,0,0,0.0\n")
+file(WRITE ${work}/once.csv "${head_1ms}${lossy_row}")
+analyze(out --trace once.csv)
+expect(probe6 "${out}" "lossy bursts +1 " TRUE)
+file(WRITE ${work}/repeat.csv "${head_1ms}${lossy_row}0,1,0,0,0,0,0,0.0\n")
+execute_process(COMMAND ${MSAMPCTL} analyze --trace repeat.csv
+                WORKING_DIRECTORY ${work}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "^error: cannot parse")
+  set(failures "${failures}\nrepeat: expected exit 1 and 'error: cannot parse', got ${rc}: ${err}")
+endif()
 
 # Fail closed: non-finite connections, one cell over the reader's budget
 # (5 servers x 838,861 samples), two rows merged by a newline turned into

@@ -52,9 +52,10 @@ const std::set<std::string, std::less<>> kFloatTypes = {"float", "double"};
 // bytes flow through util::Table so the determinism checks see them all.
 const std::set<std::string, std::less<>> kRawWriteCalls = {
     "printf", "fprintf", "fputs", "fputc", "fwrite", "fopen", "puts"};
-// Vendor intrinsic headers (x86 *mmintrin family + Arm NEON/SVE): outside
-// src/util/simd/ these mean a vector loop with no scalar twin, no forced-
-// path test, and no byte-identity check — see docs/SIMD.md.
+// Vendor intrinsic headers (x86 *mmintrin family + Arm NEON/SVE).  The
+// tree has no vector kernels, so a vector loop would have no scalar twin,
+// forced-path test or byte-identity check — see docs/PERFORMANCE.md, "No
+// vector kernels".
 const std::set<std::string, std::less<>> kIntrinsicHeaders = {
     "immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
     "pmmintrin.h", "tmmintrin.h", "smmintrin.h", "nmmintrin.h",
@@ -131,13 +132,12 @@ void check_nondeterminism(const Tokens& toks, std::string_view path,
       flag(out, path, t.line, "nondet-getenv",
            "call to '" + t.text +
                "' outside the documented MSAMP_* readers "
-               "(util/thread_pool.cc, util/simd/dispatch.cc, "
-               "bench/common.cc)");
+               "(util/thread_pool.cc, bench/common.cc)");
     }
   }
 }
 
-// Raw intrinsics outside src/util/simd/. Two scans: the lexer strips
+// Raw intrinsics, in any file. Two scans: the lexer strips
 // preprocessor lines from the token stream, so banned `#include <...>`
 // directives are found by a raw line scan (the `#` must be the first
 // non-blank character, exactly like index.cc's include scan, so an
@@ -167,8 +167,8 @@ void check_intrinsics(std::string_view src, const Tokens& toks,
           if (kIntrinsicHeaders.count(header)) {
             flag(out, path, line, "intrinsics-only-in-simd",
                  "#include <" + std::string(header) +
-                     "> outside src/util/simd/ — go through the "
-                     "util::simd dispatch layer (docs/SIMD.md)");
+                     "> — the tree has no vector kernels "
+                     "(docs/PERFORMANCE.md)");
           }
         }
       }
@@ -180,8 +180,7 @@ void check_intrinsics(std::string_view src, const Tokens& toks,
     if (t.kind == TokKind::kIdentifier && is_intrinsic_ident(t.text)) {
       flag(out, path, t.line, "intrinsics-only-in-simd",
            "raw intrinsic '" + t.text +
-               "' outside src/util/simd/ — go through the util::simd "
-               "dispatch layer (docs/SIMD.md)");
+               "' — the tree has no vector kernels (docs/PERFORMANCE.md)");
     }
   }
 }
@@ -498,10 +497,9 @@ FileRole classify_path(std::string_view path) {
   // sim/time.h defines simulated time.
   role.nondet_exempt =
       is("src/sim/time.h") || is("src/util/rng.h") || is("src/util/rng.cc");
-  // The documented MSAMP_* environment readers (MSAMP_THREADS,
-  // MSAMP_DATASET, and MSAMP_SIMD) plus the tests that exercise them.
+  // The documented MSAMP_* environment readers (MSAMP_THREADS and
+  // MSAMP_DATASET) plus the tests that exercise them.
   role.getenv_allowed = is("src/util/thread_pool.cc") ||
-                        is("src/util/simd/dispatch.cc") ||
                         is("bench/common.cc") ||
                         is("tests/test_thread_pool.cc") ||
                         is("tests/test_fleet_parallel.cc") ||
@@ -534,9 +532,6 @@ FileRole classify_path(std::string_view path) {
   // common.cc is shared infrastructure (its stderr diagnostics are not
   // table bytes).
   role.table_output = under("bench/bench_");
-  // The one home for raw intrinsics: the dispatch layer's per-ISA kernel
-  // translation units.
-  role.intrinsics_allowed = under("src/util/simd/");
   return role;
 }
 
@@ -570,9 +565,7 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view src,
   if (derived.wire_format) {
     check_wire_format(lexed.tokens, path, findings);
   }
-  if (!derived.intrinsics_allowed) {
-    check_intrinsics(src, lexed.tokens, path, findings);
-  }
+  check_intrinsics(src, lexed.tokens, path, findings);
   std::erase_if(findings, [&](const Finding& f) {
     return comment_suppresses(lexed, f.line, f.rule);
   });

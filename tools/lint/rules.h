@@ -35,14 +35,13 @@
 //                         bench emits its CSV through util::Table
 //                         (bench::emit_table), so the byte-identity checks
 //                         see every emitted file
-//   intrinsics-only-in-simd  raw SIMD intrinsics outside src/util/simd/ —
+//   intrinsics-only-in-simd  raw SIMD intrinsics in any file —
 //                         `#include <immintrin.h>`/`<arm_neon.h>` (and the
 //                         other vendor intrinsic headers) or `_mm*`/
 //                         `__m128/256/512*`/`vld1q_*`-style identifiers.
-//                         Raw intrinsics live behind the util::simd
-//                         dispatch layer so every vector loop has a scalar
-//                         twin, a forced-path test, and a byte-identity
-//                         check (docs/SIMD.md)
+//                         The tree has no vector kernels, so none has a
+//                         scalar twin, a forced-path test or a
+//                         byte-identity check (docs/PERFORMANCE.md)
 //   include-layering      tree-level rule (lint/index.h): an include of a
 //                         higher layer, or any include cycle
 //
@@ -99,9 +98,6 @@ struct FileRole {
   /// bench_* binary: CSV/stdout bytes must flow through util::Table, so
   /// raw ofstream/printf emitters are banned (`table-output`).
   bool table_output = false;
-  /// The util::simd subsystem (src/util/simd/): the one place raw
-  /// intrinsic headers and `_mm*`/`vld1q_*` identifiers may appear.
-  bool intrinsics_allowed = false;
 };
 
 /// Derives the role from a repo-relative path (forward slashes).

@@ -99,12 +99,10 @@
 //
 //   msampctl version
 //       Print the build's identity: dataset wire-format version, model
-//       (generator behavior) version, compiler and build flags, and the
-//       SIMD dispatch state — compiled+supported paths, the detected
-//       best path, the active path, and whether an MSAMP_SIMD override
-//       was honored.  The first thing a bug report needs; the output is
-//       one `field value` table, so scripts can awk out single fields
-//       (scripts/check_dataset_determinism.sh does).
+//       (generator behavior) version, compiler, and whether the build is
+//       optimized or sanitized.  The first thing a bug report needs; the
+//       output is one `field value` table, so scripts can read single
+//       fields (perfbench/msamp_bench stamps its results with them).
 //
 // Every command is deterministic for a given --seed.
 #include <algorithm>
@@ -131,7 +129,6 @@
 #include "fleet/spill_sink.h"
 #include "fleet/wire.h"
 #include "util/flags.h"
-#include "util/simd/simd.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -703,19 +700,6 @@ int cmd_version(const Flags&) {
 #else
   table.add_row({"sanitizer", "none"});
 #endif
-  std::string avail;
-  for (util::simd::IsaPath p : util::simd::available_paths()) {
-    if (!avail.empty()) avail += ' ';
-    avail += util::simd::path_name(p);
-  }
-  table.add_row({"simd-available", avail});
-  table.add_row(
-      {"simd-detected", util::simd::path_name(util::simd::detected_path())});
-  table.add_row(
-      {"simd-active", util::simd::path_name(util::simd::active_path())});
-  const std::string env = util::simd::env_request();
-  table.add_row({"simd-env", env.empty() ? "(unset)" : env});
-  table.add_row({"simd-env-honored", util::simd::env_honored() ? "yes" : "no"});
   table.print(std::cout);
   return 0;
 }
